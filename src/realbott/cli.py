@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .cohomology import total_sw_class
-from .criteria import PairWitness, RowWitness, is_spin, is_spin_general
+from .criteria import PairWitness, RowWitness, is_spin
 from .digraph import build_digraph, digraph_spin, export_dot
 from .enumeration import sweep, verify_fixture_suite
 from .errors import BottError
@@ -59,7 +59,7 @@ def _verdict_line(v) -> str:
 
 def cmd_check(args) -> int:
     m = _read_matrix(args)
-    v = is_spin(m) if isinstance(m, BottMatrix) else is_spin_general(m)
+    v = is_spin(m)
     if args.format == "json":
         print(json.dumps(v.to_json_dict()))
     else:

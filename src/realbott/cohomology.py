@@ -124,15 +124,7 @@ class CohomologyRing:
         self.matrix = matrix
         self.n = matrix.n
         # cols[i] = 0-based mask of rows j with entry (j+1, i+1) = 1
-        cols = []
-        for i in range(self.n):
-            bit = 1 << i
-            mask = 0
-            for j, row in enumerate(matrix.rows):
-                if row & bit:
-                    mask |= 1 << j
-            cols.append(mask)
-        self.cols: tuple[int, ...] = tuple(cols)
+        self.cols: tuple[int, ...] = matrix.columns()
         self._vt: dict[int, frozenset[int]] = {}
         self._wk: dict[tuple[int, int], frozenset[int]] = {}
 

@@ -14,11 +14,11 @@ these shortcuts are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .cohomology import RingElement
 from .errors import IndexOutOfRange
-from .matrix import AnyBottMatrix, BottMatrix, delete_leading, row_pair_matrix
+from .matrix import AnyBottMatrix, BottMatrix, delete_leading
 
 
 @dataclass(frozen=True)
@@ -84,34 +84,36 @@ def pair_terms(C: BottMatrix, j: int, k: int) -> PairTerms:
     """P and Q for one pair of rows of a Bott matrix, 1 <= j < k <= n."""
     if not 1 <= j < k <= C.n:
         raise IndexOutOfRange(f"need 1 <= j < k <= {C.n}, got ({j},{k})")
-    return _pair_terms_rows(C.rows, C.n, j, k)
+    return PairTerms(*_closed_form_terms(C.rows, j - 1, k - 1))
 
 
-def _pair_sum(row: int) -> int:
-    """Full double sum over column pairs r < s of one row."""
-    total = 0
-    while row:
-        r = (row & -row).bit_length() - 1
-        row &= row - 1
-        total += row.bit_count()
-    return total
+def _closed_form_terms(rows: tuple[int, ...], j: int, k: int) -> tuple[int, int]:
+    """(P, Q) for the 0-based rows j < k.
 
-
-def _pair_terms_rows(rows: tuple[int, ...], n: int, j: int, k: int) -> PairTerms:
-    P = (rows[j - 1] & rows[k - 1]).bit_count() & 1
-    # The pair-sum term attaches to the head of the edge between j and k.
-    # Acyclicity allows at most one of the two edge bits, and on a strictly
-    # upper triangular matrix the k->j bit is always 0, so this reduces to
-    # the plain c_{j,k} * (pair sum of row k) there.
+    The pair-sum term attaches to the head of the edge between j and k.
+    Acyclicity allows at most one of the two edge bits, and on a strictly
+    upper triangular matrix the k->j bit is always 0, so this reduces to
+    the plain c_{j,k} * C(N_k, 2) there.  C(N, 2) mod 2 is bit 1 of N.
+    """
+    P = (rows[j] & rows[k]).bit_count() & 1
     Q = 0
-    if (rows[j - 1] >> (k - 1)) & 1:
-        Q ^= _pair_sum(rows[k - 1]) & 1
-    if (rows[k - 1] >> (j - 1)) & 1:
-        Q ^= _pair_sum(rows[j - 1]) & 1
-    return PairTerms(P=P, Q=Q)
+    if (rows[j] >> k) & 1:
+        Q = (rows[k].bit_count() >> 1) & 1
+    if (rows[k] >> j) & 1:
+        Q ^= (rows[j].bit_count() >> 1) & 1
+    return P, Q
 
 
-def _verdict_for_rows(rows: tuple[int, ...], n: int) -> SpinVerdict:
+def _verdict_scan(
+    rows: tuple[int, ...],
+    terms: Callable[[tuple[int, ...], int, int], tuple[int, int]],
+) -> SpinVerdict:
+    """The verdict every spin route shares: the first odd row, then the
+    first pair j < k whose terms (P, Q) = terms(rows, j-1, k-1) differ.
+
+    A non-orientable matrix still gets the pair scan so the verdict can
+    carry a pair witness for diagnostics, but its spin flag is False.
+    """
     witnesses: list[Witness] = []
     orientable = True
     for i, row in enumerate(rows, 1):
@@ -119,51 +121,41 @@ def _verdict_for_rows(rows: tuple[int, ...], n: int) -> SpinVerdict:
             orientable = False
             witnesses.append(RowWitness(i))
             break
-    pair_ok = True
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            t = _pair_terms_rows(rows, n, j, k)
-            if (t.P + t.Q) & 1:
-                pair_ok = False
-                witnesses.append(PairWitness(j, k, t.P, t.Q))
-                break
-        if not pair_ok:
-            break
-    return SpinVerdict(
-        orientable=orientable,
-        spin=orientable and pair_ok,
-        witnesses=tuple(witnesses),
-    )
+    n = len(rows)
+    for j in range(n):
+        for k in range(j + 1, n):
+            P, Q = terms(rows, j, k)
+            if P != Q:
+                witnesses.append(PairWitness(j + 1, k + 1, P, Q))
+                return SpinVerdict(orientable, False, tuple(witnesses))
+    return SpinVerdict(orientable, orientable, tuple(witnesses))
 
 
-def is_spin(C: BottMatrix) -> SpinVerdict:
-    """Full verdict for a Bott matrix.
+def is_spin(C: AnyBottMatrix) -> SpinVerdict:
+    """Full verdict for a Bott matrix, triangular or general.
 
-    A non-orientable matrix still gets the pair scan so the verdict can
-    carry a pair witness for diagnostics, but its spin flag is False.
+    A general acyclic matrix is evaluated directly on its rows, without
+    conjugating to triangular form, and agrees with the verdict on the
+    normalized matrix: each pair takes its pair-sum term on the head row
+    of whichever edge joins it, which is what the pair condition of the
+    triangular form becomes under conjugation.
     """
-    return _verdict_for_rows(C.rows, C.n)
+    return _verdict_scan(C.rows, _closed_form_terms)
 
 
-def is_spin_general(B: AnyBottMatrix) -> SpinVerdict:
-    """Verdict for a general acyclic matrix, evaluated directly on its rows
-    without conjugating to triangular form; agrees with `is_spin` on the
-    normalized matrix.
-
-    Each unordered pair is tested with the pair-sum term taken on the head
-    row of whichever edge connects the pair (see `_pair_terms_rows`); that
-    is what the pair condition of the triangular form becomes under
-    conjugation.
-    """
-    return _verdict_for_rows(B.rows, B.n)
+#: Kept for callers that name the general case; identical to `is_spin`.
+is_spin_general = is_spin
 
 
 def spin_by_pairs(C: BottMatrix) -> bool:
     """Spin decided through the two-row extractions: true iff every matrix
     keeping only rows j and k of C is spin."""
-    for j in range(1, C.n + 1):
-        for k in range(j + 1, C.n + 1):
-            if not is_spin(row_pair_matrix(C, j, k)).spin:
+    for j in range(C.n):
+        for k in range(j + 1, C.n):
+            rows = [0] * C.n
+            rows[j] = C.rows[j]
+            rows[k] = C.rows[k]
+            if not _verdict_scan(tuple(rows), _closed_form_terms).spin:
                 return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import PairWitness, RowWitness, SpinVerdict, Witness
+from .criteria import PairWitness, SpinVerdict, _verdict_scan
 from .errors import IndexOutOfRange
 from .matrix import AnyBottMatrix
 
@@ -62,15 +62,7 @@ def _vertices(mask: int) -> tuple[int, ...]:
 
 def build_digraph(M: AnyBottMatrix) -> BottDigraph:
     """Digraph whose adjacency matrix is M (already validated acyclic)."""
-    n = M.n
-    in_masks = [0] * n
-    for i, row in enumerate(M.rows):
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            in_masks[j] |= 1 << i
-            r &= r - 1
-    return BottDigraph(n=n, out_masks=tuple(M.rows), in_masks=tuple(in_masks))
+    return BottDigraph(n=M.n, out_masks=tuple(M.rows), in_masks=M.columns())
 
 
 def common_out(D: BottDigraph, j: int, k: int) -> int:
@@ -80,41 +72,25 @@ def common_out(D: BottDigraph, j: int, k: int) -> int:
     return (D.out_masks[j - 1] & D.out_masks[k - 1]).bit_count()
 
 
+def _digraph_terms(out: tuple[int, ...], j: int, k: int) -> tuple[int, int]:
+    """(M_jk mod 2, Q_jk) for the 0-based vertices j < k, with exact integer
+    binomials of the out-degrees reduced afterwards.  The count is taken at
+    the head of whichever edge joins the pair (for a triangular matrix only
+    j -> k can exist)."""
+    nj = out[j].bit_count()
+    nk = out[k].bit_count()
+    q = (
+        ((out[j] >> k) & 1) * (nk * (nk - 1) // 2)
+        + ((out[k] >> j) & 1) * (nj * (nj - 1) // 2)
+    ) & 1
+    return (out[j] & out[k]).bit_count() & 1, q
+
+
 def digraph_spin(D: BottDigraph) -> SpinVerdict:
     """Spin verdict from the digraph alone: all out-degrees even, and for
     every pair j < k the common-neighbour count M_jk has the parity of the
     adjacency bit times C(N_k, 2)."""
-    witnesses: list[Witness] = []
-    orientable = True
-    for i in range(1, D.n + 1):
-        if D.out_degree(i) & 1:
-            orientable = False
-            witnesses.append(RowWitness(i))
-            break
-    pair_ok = True
-    for j in range(1, D.n + 1):
-        for k in range(j + 1, D.n + 1):
-            m = (D.out_masks[j - 1] & D.out_masks[k - 1]).bit_count()
-            # exact integer binomials, reduced afterwards; the count is
-            # taken at the head of whichever edge joins the pair (for a
-            # triangular matrix only j -> k can exist)
-            nk = D.out_masks[k - 1].bit_count()
-            nj = D.out_masks[j - 1].bit_count()
-            q = (
-                D.has_edge(j, k) * (nk * (nk - 1) // 2)
-                + D.has_edge(k, j) * (nj * (nj - 1) // 2)
-            ) & 1
-            if (m & 1) != q:
-                pair_ok = False
-                witnesses.append(PairWitness(j, k, m & 1, q))
-                break
-        if not pair_ok:
-            break
-    return SpinVerdict(
-        orientable=orientable,
-        spin=orientable and pair_ok,
-        witnesses=tuple(witnesses),
-    )
+    return _verdict_scan(D.out_masks, _digraph_terms)
 
 
 def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:

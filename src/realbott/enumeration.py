@@ -11,6 +11,7 @@ merge to identical reports.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -179,11 +180,7 @@ class SweepReport:
 
 
 def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict], list[int]]:
-    n, spec, collect_spin = args
-    if spec[0] == "range":
-        indices = range(spec[1], spec[2])
-    else:
-        indices = spec[1]
+    n, indices, collect_spin = args
     orientable = spin = 0
     mismatches: list[dict] = []
     spin_indices: list[int] = []
@@ -210,9 +207,9 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every enumerated matrix on all criteria and tally.
 
-    With jobs > 1 the index space is split into that many contiguous
-    chunks handled by worker processes; merged results are identical to
-    the serial ones.  At n=4 exhaustive the spin set is additionally
+    With jobs > 1 the index space is split into min(jobs, CPU count)
+    contiguous chunks, one worker process each; merged results are
+    identical to the serial ones.  At n=4 exhaustive the spin set is additionally
     matched against the packaged list of the eight dimension-4 spin
     matrices (reference_ok).
     """
@@ -220,20 +217,15 @@ def sweep(
     indices = _indices(n, mode, count, seed, cap)
     total = len(indices)
     collect_spin = mode == "exhaustive" and n == 4
-    jobs = max(1, jobs)
-    chunks = []
-    if isinstance(indices, range):
-        step = -(-total // jobs) if total else 1
-        for lo in range(0, total, step):
-            chunks.append((n, ("range", lo, min(lo + step, total)), collect_spin))
-    else:
-        step = -(-total // jobs) if total else 1
-        for lo in range(0, total, step):
-            chunks.append((n, ("list", tuple(indices[lo:lo + step])), collect_spin))
-    if jobs == 1 or len(chunks) <= 1:
+    # More workers than cores only adds start-up cost, and fork starts them
+    # all at once; slicing a range keeps a range, a list keeps a list.
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    step = -(-total // jobs) if total else 1
+    chunks = [(n, indices[lo:lo + step], collect_spin) for lo in range(0, total, step)]
+    if len(chunks) <= 1:
         results = [_sweep_chunk(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(_sweep_chunk, chunks))
     orientable = spin = 0
     mismatches: list[dict] = []

@@ -45,8 +45,9 @@ def _validate_rows(n: int, rows: tuple[int, ...]) -> None:
 
 
 @dataclass(frozen=True)
-class BottMatrix:
-    """Strictly upper triangular binary matrix, rows as bitmasks."""
+class _BinaryMatrix:
+    """Square binary matrix, rows as bitmasks: the fields and methods both
+    matrix classes share.  Subclasses add their own shape checks."""
 
     n: int
     rows: tuple[int, ...]
@@ -54,21 +55,9 @@ class BottMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", tuple(self.rows))
         _validate_rows(self.n, self.rows)
-        for i, row in enumerate(self.rows):
-            # bits 0..i must be clear: c_{i,j} = 0 for i >= j
-            low = row & ((2 << i) - 1)
-            if low:
-                j = low.bit_length()
-                raise DiagonalNonzero(
-                    f"entry ({i + 1},{j}) is on or below the diagonal"
-                )
 
     @classmethod
-    def zero(cls, n: int) -> "BottMatrix":
-        return cls(n, (0,) * n)
-
-    @classmethod
-    def from_lists(cls, grid: Iterable[Iterable[int]]) -> "BottMatrix":
+    def from_lists(cls, grid: Iterable[Iterable[int]]):
         rows = tuple(_mask_from_bits(row) for row in grid)
         return cls(len(rows), rows)
 
@@ -82,15 +71,20 @@ class BottMatrix:
         self._check_index(i)
         return self.rows[i - 1].bit_count()
 
+    def columns(self) -> tuple[int, ...]:
+        """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1."""
+        cols = [0] * self.n
+        for i, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= 1 << i
+                row ^= low
+        return tuple(cols)
+
     def column_mask(self, j: int) -> int:
         """Bitmask of 0-based rows i with c_{i+1,j} = 1."""
         self._check_index(j)
-        bit = 1 << (j - 1)
-        mask = 0
-        for i, row in enumerate(self.rows):
-            if row & bit:
-                mask |= 1 << i
-        return mask
+        return self.columns()[j - 1]
 
     def to_lists(self) -> list[list[int]]:
         return [[(row >> j) & 1 for j in range(self.n)] for row in self.rows]
@@ -109,34 +103,35 @@ class BottMatrix:
             raise IndexOutOfRange(f"index {i} outside 1..{self.n}")
 
 
-@dataclass(frozen=True)
-class GeneralBottMatrix:
-    """Binary matrix with zero diagonal whose digraph is acyclic."""
-
-    n: int
-    rows: tuple[int, ...]
+class BottMatrix(_BinaryMatrix):
+    """Strictly upper triangular binary matrix, rows as bitmasks."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        _validate_rows(self.n, self.rows)
+        super().__post_init__()
+        for i, row in enumerate(self.rows):
+            # bits 0..i must be clear: c_{i,j} = 0 for i >= j
+            low = row & ((2 << i) - 1)
+            if low:
+                j = low.bit_length()
+                raise DiagonalNonzero(
+                    f"entry ({i + 1},{j}) is on or below the diagonal"
+                )
+
+    @classmethod
+    def zero(cls, n: int) -> "BottMatrix":
+        return cls(n, (0,) * n)
+
+
+class GeneralBottMatrix(_BinaryMatrix):
+    """Binary matrix with zero diagonal whose digraph is acyclic."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         for i, row in enumerate(self.rows):
             if (row >> i) & 1:
                 raise DiagonalNonzero(f"diagonal entry ({i + 1},{i + 1}) is 1")
-        order = _topological_order(self.n, self.rows)
-        if order is None:
+        if _topological_order(self.n, self.rows) is None:
             raise CyclicDigraph("matrix digraph contains a directed cycle")
-
-    entry = BottMatrix.entry
-    row_sum = BottMatrix.row_sum
-    to_lists = BottMatrix.to_lists
-    to_text = BottMatrix.to_text
-    to_json_dict = BottMatrix.to_json_dict
-    _check_index = BottMatrix._check_index
-
-    @classmethod
-    def from_lists(cls, grid: Iterable[Iterable[int]]) -> "GeneralBottMatrix":
-        rows = tuple(_mask_from_bits(row) for row in grid)
-        return cls(len(rows), rows)
 
 
 AnyBottMatrix = Union[BottMatrix, GeneralBottMatrix]
@@ -259,17 +254,24 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
     if not isinstance(data, dict) or "rows" not in data:
         raise NonSquare('JSON matrix needs an object with "n" and "rows"')
     rows = data["rows"]
+    seq = (list, tuple)
+    if not isinstance(rows, seq) or not all(isinstance(row, seq) for row in rows):
+        raise NonSquare('"rows" must be a list of lists')
     n = data.get("n", len(rows))
+    if type(n) is not int:
+        raise NonSquare(f'"n" must be an integer, got {n!r}')
     if n != len(rows):
         raise NonSquare(f'"n" is {n} but {len(rows)} rows given')
-    grid = []
     for i, row in enumerate(rows, 1):
         if len(row) != n:
             raise NonSquare(f"row {i} has {len(row)} entries, expected {n}")
-        grid.append(list(row))
+        for v in row:
+            # JSON true and 1.0 compare equal to 1 but are not entries
+            if type(v) is not int:
+                raise NonBinary(f"row {i}: entry {v!r} is not 0/1")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    return _matrix_from_grid(grid)
+    return _matrix_from_grid(rows)
 
 
 def load_matrix(path, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:

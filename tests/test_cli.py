@@ -1,6 +1,10 @@
+import io
 import json
 import shutil
 
+import pytest
+
+from realbott import NonBinary, NonSquare, matrix_from_json
 from realbott.cli import main
 from realbott.fixtures import default_fixture_dir
 
@@ -45,9 +49,25 @@ class TestCheck:
     def test_missing_input_exit_2(self):
         assert main(["check"]) == 2
 
-    def test_stdin(self, capsys, monkeypatch):
-        import io
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ('{"rows": 5}', NonSquare, '"rows" must be a list of lists'),
+            ('{"n":2,"rows":[null,null]}', NonSquare, '"rows" must be a list of lists'),
+            ('{"n":"2","rows":[[0,1],[0,0]]}', NonSquare, '"n" must be an integer'),
+            ('{"n":2,"rows":[[0,true],[0,0]]}', NonBinary, "entry True is not 0/1"),
+            ('{"n":2,"rows":[[0,1.0],[0,0]]}', NonBinary, "entry 1.0 is not 0/1"),
+        ],
+    )
+    def test_bad_json_exit_2(self, text, error, message, capsys, monkeypatch):
+        with pytest.raises(error):
+            matrix_from_json(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["check", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
+    def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n":2,"rows":[[0,1],[0,0]]}'))
         assert main(["check", "-"]) == 0
         assert "orientable=false" in capsys.readouterr().out

@@ -4,11 +4,13 @@ from realbott import (
     BottMatrix,
     IndexOutOfRange,
     PairWitness,
+    Permutation,
     build_digraph,
     common_out,
+    conjugate,
     digraph_spin,
     export_dot,
-    is_spin,
+    is_spin_general,
     pair_terms,
 )
 from realbott.enumeration import enumerate_all
@@ -111,12 +113,14 @@ class TestDigraphSpin:
                     elif nk % 4 == 2:
                         assert cond == (mjk % 2 == m.entry(j, k))
 
-    def test_matches_closed_form_exhaustive(self):
-        for n in range(1, 5):
+    def test_matches_closed_form_exhaustive(self, rng):
+        # full verdicts, witnesses included, on every triangular matrix and
+        # on a random conjugate of each
+        for n in range(1, 6):
             for m in enumerate_all(n):
-                a = digraph_spin(build_digraph(m))
-                b = is_spin(m)
-                assert (a.orientable, a.spin) == (b.orientable, b.spin)
+                sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                for B in (m, conjugate(m, sigma)):
+                    assert digraph_spin(build_digraph(B)) == is_spin_general(B)
 
 
 class TestDot:

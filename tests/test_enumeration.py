@@ -87,6 +87,33 @@ class TestSweep:
         assert r.spin_count <= r.orientable_count <= r.total
         assert r.mismatches == []
 
+    @pytest.mark.parametrize("cores, workers", [(4, 4), (64, 8)])
+    def test_workers_capped(self, cores, workers, monkeypatch):
+        # min(jobs, chunks, cores): n=3 has 8 indices, so at most 8 chunks
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("realbott.enumeration.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        report = sweep(3, jobs=10**6).to_json_dict()
+        assert started == [workers]
+        serial = sweep(3, jobs=1).to_json_dict()
+        report.pop("elapsed_ms")
+        serial.pop("elapsed_ms")
+        assert report == serial
+
     def test_parallel_matches_serial(self):
         serial = sweep(4, jobs=1).to_json_dict()
         parallel = sweep(4, jobs=3).to_json_dict()

@@ -129,6 +129,24 @@ class TestConstruction:
         with pytest.raises(CyclicDigraph):
             GeneralBottMatrix(3, (2, 4, 1))  # 1->2->3->1
 
+    def test_general_is_not_bott(self):
+        B = parse_matrix("0 0\n1 0")
+        assert isinstance(B, GeneralBottMatrix)
+        assert not isinstance(B, BottMatrix)
+
+    def test_columns_transpose_rows(self, rng):
+        for _ in range(50):
+            n = rng.randint(1, 8)
+            C = random_bott(rng, n)
+            sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            for M in (C, conjugate(C, sigma)):
+                cols = [
+                    sum(bit << i for i, bit in enumerate(col))
+                    for col in zip(*M.to_lists())
+                ]
+                assert list(M.columns()) == cols
+                assert [M.column_mask(j) for j in range(1, n + 1)] == cols
+
     def test_permutation_validation(self):
         with pytest.raises(BottError):
             Permutation((1, 1, 3))
