@@ -86,7 +86,10 @@ def cmd_sw(args) -> int:
         )
     profile = total_sw_class(m)
     if args.format == "json":
-        print(json.dumps(profile.to_json_dict()))
+        d = profile.to_json_dict()
+        if args.numbers:
+            d["sw_numbers_all_zero"] = profile.sw_numbers_all_zero
+        print(json.dumps(d))
         return 0
     show_classes = args.classes or not args.numbers
     if show_classes:

@@ -13,9 +13,11 @@ with i = n.  So all n variables reduce uniformly and the 2^n square-free
 monomials form the working basis (degree k has C(n,k) of them).
 
 Representation: a *monomial* is an int bitmask, bit i-1 set iff y_i divides
-it; square-free by construction, degree = popcount.  A *ring element* is a
-set of monomial masks with implicit GF(2) coefficients; addition is
-symmetric difference.
+it; square-free by construction, degree = popcount.  A *ring element* is one
+dense GF(2) bitset, an int with bit m set iff monomial m is present, so
+addition is XOR and pairing with the fundamental class y_1*...*y_n reads bit
+2^n - 1.  An element of the n-dimensional ring takes 2^n bits, which bounds
+the ring to n <= MAX_SINGLE_N (20, the parse cap): 128 KiB per element.
 
 Reduction is confluent in practice (certified by `graded_dimension` and by
 comparing `reduce_power_product` orders); the default strategy rewrites the
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
-from .matrix import BottMatrix
+from .errors import BadPartition, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
+from .matrix import MAX_SINGLE_N, BottMatrix
 
 
 def monomial_degree(mask: int) -> int:
@@ -51,178 +53,172 @@ def monomial_str(mask: int) -> str:
     return "*".join(names)
 
 
+def _monomials(bits: int) -> Iterator[int]:
+    """Masks of the monomials present in a dense element, increasing; one
+    scan of the binary string, so large elements cost no per-bit shifts."""
+    s = bin(bits)[:1:-1]  # s[m] is bit m
+    m = s.find("1")
+    while m >= 0:
+        yield m
+        m = s.find("1", m + 1)
+
+
+def _degree_masks(n: int) -> list[int]:
+    """masks[k] has bit m set iff m < 2^n has k set bits."""
+    masks = [1] + [0] * n
+    for i in range(n):
+        for k in range(i + 1, 0, -1):
+            masks[k] |= masks[k - 1] << (1 << i)
+    return masks
+
+
 @dataclass(frozen=True)
 class RingElement:
-    """GF(2) sum of square-free monomials, kept in normal form."""
+    """GF(2) sum of square-free monomials, kept in normal form as a dense
+    bitset: bit m is set iff the monomial with mask m is present."""
 
-    terms: frozenset[int]
+    bits: int
 
     @classmethod
     def zero(cls) -> "RingElement":
-        return cls(frozenset())
+        return cls(0)
 
     @classmethod
     def one(cls) -> "RingElement":
-        return cls(frozenset((0,)))
+        return cls(1)
 
     @classmethod
     def variable(cls, i: int) -> "RingElement":
         """The generator y_i, 1-based."""
-        if i < 1:
-            raise IndexOutOfRange(f"variable index {i} must be >= 1")
-        return cls(frozenset((1 << (i - 1),)))
+        if not 1 <= i <= MAX_SINGLE_N:
+            raise IndexOutOfRange(f"variable index {i} outside 1..{MAX_SINGLE_N}")
+        return cls(1 << (1 << (i - 1)))
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "RingElement":
-        seen: set[int] = set()  # XOR-fold: repeated masks cancel
+        bits = 0  # XOR-fold: repeated masks cancel
         for m in masks:
-            seen ^= {m}
-        return cls(frozenset(seen))
+            if not 0 <= m < 1 << MAX_SINGLE_N:
+                raise IndexOutOfRange(
+                    f"monomial mask {m} is not a product of y1..y{MAX_SINGLE_N}"
+                )
+            bits ^= 1 << m
+        return cls(bits)
+
+    @property
+    def terms(self) -> frozenset[int]:
+        return frozenset(self)
 
     def __xor__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.terms ^ other.terms)
+        return RingElement(self.bits ^ other.bits)
 
     __add__ = __xor__
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.bits)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.terms)
+        return _monomials(self.bits)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.bits
 
     def degree_part(self, k: int) -> "RingElement":
-        return RingElement(frozenset(m for m in self.terms if m.bit_count() == k))
+        return RingElement.from_masks(m for m in self if m.bit_count() == k)
 
     def is_homogeneous(self, k: int) -> bool:
-        return all(m.bit_count() == k for m in self.terms)
+        return all(m.bit_count() == k for m in self)
 
     def coefficient(self, mask: int) -> int:
-        return 1 if mask in self.terms else 0
+        return (self.bits >> mask) & 1 if mask >= 0 else 0
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.bits:
             return "0"
-        ordered = sorted(self.terms, key=lambda m: (m.bit_count(), m))
+        ordered = sorted(self, key=int.bit_count)  # stable: masks stay increasing
         return "+".join(monomial_str(m) for m in ordered)
 
 
 class CohomologyRing:
-    """Reduction context for one matrix: column masks plus memo tables.
+    """Multiplication context for one matrix: its column masks and, per
+    variable, the lane of monomials that variable does not divide.
 
-    All heavy work funnels through `var_times`, which multiplies a single
-    generator into a square-free mask and resolves the one collision that
-    can appear, recursing strictly downward in the variable index.
+    All arithmetic funnels through `times_linear`, which multiplies a whole
+    dense element by a sum of generators at once.
     """
 
     def __init__(self, matrix: BottMatrix):
+        if matrix.n > MAX_SINGLE_N:
+            raise DimensionTooLarge(
+                f"ring elements take 2^n bits; "
+                f"n={matrix.n} exceeds the cap {MAX_SINGLE_N}"
+            )
         self.matrix = matrix
         self.n = matrix.n
         # cols[i] = 0-based mask of rows j with entry (j+1, i+1) = 1
         self.cols: tuple[int, ...] = matrix.columns()
-        self._vt: dict[int, frozenset[int]] = {}
-        self._wk: dict[tuple[int, int], frozenset[int]] = {}
+        # lanes[k] has bit m set iff bit k of m is clear: a run of 2^k ones
+        # at each multiple of 2^(k+1) below 2^n, i.e. at each bit of `comb`
+        lanes = [0] * self.n
+        comb = 1
+        for k in reversed(range(self.n)):
+            lanes[k] = (comb << (1 << k)) - comb
+            comb |= comb << (1 << k)
+        self.lanes: tuple[int, ...] = tuple(lanes)
 
-    def var_times(self, i: int, mask: int) -> frozenset[int]:
-        """y_{i+1} * mask (i is a 0-based bit index), as a set of masks."""
-        key = (mask << 7) | i  # n < 128, far above the parse guard
-        cached = self._vt.get(key)
-        if cached is not None:
-            return cached
-        if not (mask >> i) & 1:
-            result = frozenset((mask | (1 << i),))
-        else:
-            # y_i^2 inside: substitute and recurse on strictly smaller bits
-            acc: set[int] = set()
-            col = self.cols[i]
-            while col:
-                j = (col & -col).bit_length() - 1
-                acc ^= self.var_times(j, mask)
-                col &= col - 1
-            result = frozenset(acc)
-        self._vt[key] = result
-        return result
+    def times_linear(self, E: int, col: int) -> int:
+        """E * (sum of y_{j+1} over the bits j of `col`), both dense.
 
-    def mono_times(self, a: int, b: int) -> frozenset[int]:
-        """Product of two square-free masks, fully reduced."""
-        acc: set[int] = {a}
-        rem = b
-        while rem:
-            i = rem.bit_length() - 1  # fold highest variable first
-            rem ^= 1 << i
-            nxt: set[int] = set()
-            for m in acc:
-                nxt ^= self.var_times(i, m)
-            acc = nxt
-            if not acc:
-                break
-        return frozenset(acc)
-
-    def mul_masks(self, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        bs = list(B)
-        for a in A:
-            for b in bs:
-                out ^= self.mono_times(a, b)
-        return frozenset(out)
-
-    def times_column(self, A: Iterable[int], col: int) -> frozenset[int]:
-        """A * (sum of the variables in the 0-based bit mask `col`)."""
-        out: set[int] = set()
-        for m in A:
-            c = col
-            while c:
-                i = (c & -c).bit_length() - 1
-                out ^= self.var_times(i, m)
-                c &= c - 1
-        return frozenset(out)
-
-    def total_class_terms(self) -> frozenset[int]:
-        """Expansion of the product of (1 + column sum) over all columns."""
-        cur: frozenset[int] = frozenset((0,))
-        for j in range(1, self.n):
-            col = self.cols[j]
-            if col:
-                cur = cur ^ self.times_column(cur, col)
-        return cur
-
-    def wk_terms(self, t: int, k: int) -> frozenset[int]:
-        """Degree-k class of the leading t-by-t submatrix, by the recursion
-        over the column sums, evaluated inside this ring."""
-        if k == 0:
-            return frozenset((0,))
-        if k < 0 or k > t:
-            return frozenset()
-        key = (t, k)
-        cached = self._wk.get(key)
-        if cached is None:
-            acc: set[int] = set()
-            for s in range(1, t):
-                lower = self.wk_terms(s, k - 1)
-                if lower and self.cols[s]:
-                    acc ^= self.times_column(lower, self.cols[s])
-            cached = frozenset(acc)
-            self._wk[key] = cached
-        return cached
+        Walking k downward, X is what still has to be multiplied by
+        y_{k+1}: E when bit k of `col` is set, plus what higher variables
+        passed down in pending[k].  Monomials of X without y_{k+1} shift
+        into place.  The rest meet y_{k+1}^2, and y_{k+1} * m = m * (column
+        k+1's sum) for such m, so they pass down to the pending terms of
+        that column's variables, all below k.  The map is GF(2)-linear, so
+        merging pending terms is exact and one pass of O(n^2) big-int
+        operations finishes.
+        """
+        if not E:
+            return 0
+        lanes, cols = self.lanes, self.cols
+        top = col.bit_length()
+        pending = [0] * top
+        out = 0
+        for k in range(top - 1, -1, -1):
+            X = pending[k] ^ (E if (col >> k) & 1 else 0)
+            if X:
+                lo = X & lanes[k]
+                out ^= lo << (1 << k)
+                hi = X ^ lo
+                c = cols[k] if hi else 0
+                while c:
+                    pending[(c & -c).bit_length() - 1] ^= hi
+                    c &= c - 1
+        return out
 
 
-@lru_cache(maxsize=128)
-def _ring(matrix: BottMatrix) -> CohomologyRing:
-    return CohomologyRing(matrix)
+def _product(ring: CohomologyRing, a: int, b: int) -> int:
+    """a * b: a times each variable of each monomial of b, summed."""
+    out = 0
+    for m in _monomials(b):
+        p = a
+        while m and p:
+            k = m.bit_length() - 1
+            p = ring.times_linear(p, 1 << k)
+            m ^= 1 << k
+        out ^= p
+    return out
 
 
 def _check_element(C: BottMatrix, e: RingElement) -> None:
-    full = (1 << C.n) - 1
-    for m in e.terms:
-        if m & ~full:
-            raise DimensionMismatch(
-                f"monomial {monomial_str(m)} uses variables beyond y{C.n}"
-            )
+    if e.bits >> (1 << C.n):
+        m = e.bits.bit_length() - 1
+        raise DimensionMismatch(
+            f"monomial {monomial_str(m)} uses variables beyond y{C.n}"
+        )
 
 
 def reduce_square(C: BottMatrix, i: int) -> RingElement:
@@ -231,22 +227,19 @@ def reduce_square(C: BottMatrix, i: int) -> RingElement:
     top-variable case)."""
     if not 1 <= i <= C.n:
         raise IndexOutOfRange(f"index {i} outside 1..{C.n}")
-    ring = _ring(C)
+    col = C.columns()[i - 1]
     bit = 1 << (i - 1)
-    col = ring.cols[i - 1]
-    masks = set()
-    while col:
-        j = (col & -col).bit_length() - 1
-        masks.add((1 << j) | bit)
-        col &= col - 1
-    return RingElement(frozenset(masks))
+    return RingElement.from_masks(
+        (1 << j) | bit for j in range(i - 1) if (col >> j) & 1
+    )
 
 
 def multiply(C: BottMatrix, a: RingElement, b: RingElement) -> RingElement:
     """Product in the quotient ring, in normal form."""
+    ring = CohomologyRing(C)
     _check_element(C, a)
     _check_element(C, b)
-    return RingElement(_ring(C).mul_masks(a.terms, b.terms))
+    return RingElement(_product(ring, a.bits, b.bits))
 
 
 def reduce_power_product(
@@ -258,14 +251,14 @@ def reduce_power_product(
     `order` picks which colliding index each rewriting step eliminates
     ("highest" or "lowest"); both strategies must agree, and tests certify
     that they do.  This is the plain transcription of the rewrite system,
-    kept separate from the memoized path so the two can check each other.
+    kept separate from the dense path so the two can check each other.
     """
     if order not in ("highest", "lowest"):
         raise ValueError(f"order must be 'highest' or 'lowest', got {order!r}")
     for i in indices:
         if not 1 <= i <= C.n:
             raise IndexOutOfRange(f"index {i} outside 1..{C.n}")
-    cols = _ring(C).cols
+    cols = C.columns()
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[int, ...]] = [tuple(sorted(i - 1 for i in indices))]
     while stack:
@@ -283,13 +276,7 @@ def reduce_power_product(
             j = (col & -col).bit_length() - 1
             stack.append(tuple(sorted(rest + [j, i])))
             col &= col - 1
-    masks = set()
-    for mono in out:
-        m = 0
-        for i in mono:
-            m |= 1 << i
-        masks ^= {m}
-    return RingElement(frozenset(masks))
+    return RingElement.from_masks(sum(1 << i for i in mono) for mono in out)
 
 
 @dataclass(frozen=True)
@@ -324,41 +311,47 @@ class SWProfile:
         return not any(self.sw_numbers.values())
 
     def to_json_dict(self) -> dict:
+        """The classes and flags; the SW numbers cost far more, so callers
+        that want `sw_numbers_all_zero` add it themselves."""
         return {
             "w": [str(w) for w in self.classes],
             "orientable": self.orientable,
             "spin": self.spin,
-            "sw_numbers_all_zero": self.sw_numbers_all_zero,
         }
 
 
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
     columns of C and split it by degree."""
-    ring = _ring(C)
-    terms = ring.total_class_terms()
-    buckets: list[set[int]] = [set() for _ in range(C.n + 1)]
-    for m in terms:
-        buckets[m.bit_count()].add(m)
-    classes = tuple(RingElement(frozenset(b)) for b in buckets)
+    ring = CohomologyRing(C)
+    cur = 1
+    for col in ring.cols:
+        cur ^= ring.times_linear(cur, col)
+    classes = tuple(RingElement(cur & mask) for mask in _degree_masks(C.n))
     return SWProfile(matrix=C, classes=classes)
 
 
 def w1_formula(C: BottMatrix) -> RingElement:
     """Degree-one class without ring expansion: sum of y_i over rows with
     odd row sum.  The last row never contributes (it is always zero)."""
-    masks = frozenset(
+    return RingElement.from_masks(
         1 << i for i, row in enumerate(C.rows) if row.bit_count() & 1
     )
-    return RingElement(masks)
 
 
 def wk_recursive(C: BottMatrix, k: int) -> RingElement:
-    """Degree-k class via the recursion over leading principal submatrices;
-    must agree with the degree-k part of `total_sw_class`."""
+    """Degree-k class via the recursion over leading principal submatrices,
+    w_k(t) = sum over s < t of w_{k-1}(s) * (column s+1's sum); must agree
+    with the degree-k part of `total_sw_class`."""
     if not 1 <= k <= C.n:
         raise IndexOutOfRange(f"degree {k} outside 1..{C.n}")
-    return RingElement(_ring(C).wk_terms(C.n, k))
+    ring = CohomologyRing(C)
+    w = [1] * C.n  # w[s]: the current degree's class of the leading s-block
+    for d in range(k):
+        acc = 0
+        for s in range(d, C.n):  # w[s] = 0 for s < d: degree above size
+            w[s], acc = acc, acc ^ ring.times_linear(w[s], ring.cols[s])
+    return RingElement(acc)
 
 
 def sw_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -389,15 +382,14 @@ def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
         raise BadPartition(f"need {n} nonnegative exponents, got {r}")
     if sum(i * ri for i, ri in enumerate(r, 1)) != n:
         raise BadPartition(f"weighted degree of {r} is not {n}")
-    ring = _ring(C)
-    acc: frozenset[int] = frozenset((0,))
+    ring = CohomologyRing(C)
+    acc = 1
     for i, ri in enumerate(r, 1):
         for _ in range(ri):
-            acc = ring.mul_masks(acc, profile.classes[i].terms)
+            acc = _product(ring, acc, profile.classes[i].bits)
             if not acc:
                 return 0
-    top = (1 << n) - 1
-    return 1 if top in acc else 0
+    return (acc >> ((1 << n) - 1)) & 1
 
 
 def graded_dimension(C: BottMatrix, k: int) -> int:
@@ -414,6 +406,6 @@ def graded_dimension(C: BottMatrix, k: int) -> int:
         mask = 0
         for i in combo:
             mask |= 1 << (i - 1)
-        if nf.terms == frozenset((mask,)):
+        if nf.bits == 1 << mask:
             count += 1
     return count

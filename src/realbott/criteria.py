@@ -168,7 +168,7 @@ def w_top_minus_one(C: BottMatrix) -> RingElement:
     for i in range(C.n - 1):
         if not (C.rows[i] >> (i + 1)) & 1:
             return RingElement.zero()
-    return RingElement(frozenset(((1 << (C.n - 1)) - 1,)))
+    return RingElement.from_masks(((1 << (C.n - 1)) - 1,))
 
 
 def fibre_chain_verdicts(C: BottMatrix) -> list[SpinVerdict]:

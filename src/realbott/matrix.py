@@ -249,7 +249,7 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise NonSquare(f"bad JSON matrix: {exc}") from exc
     if not isinstance(data, dict) or "rows" not in data:
         raise NonSquare('JSON matrix needs an object with "n" and "rows"')

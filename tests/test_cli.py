@@ -57,6 +57,8 @@ class TestCheck:
             ('{"n":"2","rows":[[0,1],[0,0]]}', NonSquare, '"n" must be an integer'),
             ('{"n":2,"rows":[[0,true],[0,0]]}', NonBinary, "entry True is not 0/1"),
             ('{"n":2,"rows":[[0,1.0],[0,0]]}', NonBinary, "entry 1.0 is not 0/1"),
+            pytest.param('{"rows":' + "[" * 100000 + "]" * 100000 + "}",
+                         NonSquare, "bad JSON matrix", id="deeply-nested"),
         ],
     )
     def test_bad_json_exit_2(self, text, error, message, capsys, monkeypatch):
@@ -90,12 +92,20 @@ class TestSw:
         assert "sw_number[w5] = 0" in out
 
     def test_json_schema(self, capsys):
-        assert main(["sw", "--format", "json", "--matrix", "01;00"]) == 0
+        assert main(["sw", "--format", "json", "--numbers", "--matrix", "01;00"]) == 0
         d = json.loads(capsys.readouterr().out)
         assert d["w"] == ["1", "y1", "0"]
         assert d["orientable"] is False
         assert d["spin"] is None
         assert d["sw_numbers_all_zero"] is True
+        assert main(["sw", "--format", "json", "--matrix", "01;00"]) == 0
+        assert "sw_numbers_all_zero" not in json.loads(capsys.readouterr().out)
+
+    def test_json_dense_at_parse_cap(self, capsys):
+        rows = ";".join("0" * (i + 1) + "1" * (19 - i) for i in range(20))
+        assert main(["sw", "--format", "json", "--matrix", rows]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert len(d["w"]) == 21 and "sw_numbers_all_zero" not in d
 
     def test_general_matrix_rejected(self, capsys):
         assert main(["sw", "--matrix", "00;10"]) == 2
@@ -154,6 +164,12 @@ class TestEnumerate:
         monkeypatch.setenv("BOTT_MAX_N", "8")
         assert main(["enumerate", "-n", "8", "--mode", "sample", "--count", "5",
                       "--seed", "1", "--threads", "1"]) == 0
+
+    def test_ring_cap_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOTT_MAX_N", "21")
+        assert main(["enumerate", "-n", "21", "--mode", "sample", "--count", "1",
+                     "--threads", "1"]) == 2
+        assert "exceeds the cap 20" in capsys.readouterr().err
 
     def test_sample_deterministic(self, capsys):
         argv = ["enumerate", "-n", "5", "--mode", "sample", "--count", "40",

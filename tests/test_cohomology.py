@@ -7,9 +7,11 @@ from realbott import (
     BadPartition,
     BottMatrix,
     DimensionMismatch,
+    DimensionTooLarge,
     IndexOutOfRange,
     RingElement,
     graded_dimension,
+    is_spin,
     monomial_str,
     multiply,
     parse_matrix,
@@ -44,16 +46,17 @@ class TestRingElement:
         e = RingElement.variable(1) + RingElement.variable(3)
         assert str(e) == "y1+y3"
         assert monomial_str(0b100101) == "y1*y3*y6"
-        assert str(RingElement(frozenset({0b11, 0b1}))) == "y1+y1*y2"
+        assert str(RingElement.from_masks({0b11, 0b1})) == "y1+y1*y2"
+        assert str(RingElement.from_masks({0b11, 0b100, 0})) == "1+y3+y1*y2"
 
     def test_addition_is_symmetric_difference(self):
-        a = RingElement(frozenset({0b01, 0b10}))
-        b = RingElement(frozenset({0b10, 0b100}))
+        a = RingElement.from_masks({0b01, 0b10})
+        b = RingElement.from_masks({0b10, 0b100})
         assert masks(a + b) == {0b01, 0b100}
         assert (a + a).is_zero()
 
     def test_degree_part(self):
-        e = RingElement(frozenset({0b0, 0b11, 0b101, 0b1}))
+        e = RingElement.from_masks({0b0, 0b11, 0b101, 0b1})
         assert masks(e.degree_part(2)) == {0b11, 0b101}
         assert e.is_homogeneous(2) is False
         assert e.degree_part(2).is_homogeneous(2)
@@ -95,7 +98,7 @@ class TestMultiply:
         one = RingElement.one()
         for _ in range(20):
             m = random_bott(rng, 5)
-            e = RingElement(frozenset(rng.sample(range(32), rng.randint(0, 6))))
+            e = RingElement.from_masks(rng.sample(range(32), rng.randint(0, 6)))
             assert multiply(m, one, e) == e
             assert multiply(m, e, one) == e
 
@@ -120,8 +123,8 @@ class TestMultiply:
             m = random_bott(rng, n)
             a = rng.sample(range(1, n + 1), rng.randint(1, n))
             b = rng.sample(range(1, n + 1), rng.randint(1, n))
-            ea = RingElement(frozenset((_mask(a),)))
-            eb = RingElement(frozenset((_mask(b),)))
+            ea = RingElement.from_masks((_mask(a),))
+            eb = RingElement.from_masks((_mask(b),))
             assert multiply(m, ea, eb) == reduce_power_product(m, sorted(a + b))
 
     def test_commutative_associative(self, rng):
@@ -154,15 +157,15 @@ def _mask(indices):
 
 
 def _random_element(rng, n):
-    return RingElement(
-        frozenset(rng.sample(range(1 << n), rng.randint(0, min(6, 1 << n))))
+    return RingElement.from_masks(
+        rng.sample(range(1 << n), rng.randint(0, min(6, 1 << n)))
     )
 
 
 def _random_homogeneous(rng, n, k):
     combos = list(itertools.combinations(range(n), k))
     picked = rng.sample(combos, min(len(combos), rng.randint(1, 3)))
-    return RingElement(frozenset(sum(1 << b for b in combo) for combo in picked))
+    return RingElement.from_masks(sum(1 << b for b in combo) for combo in picked)
 
 
 class TestReductionOrders:
@@ -238,10 +241,10 @@ class TestTotalClass:
 
     def test_json_shape(self):
         d = total_sw_class(KLEIN).to_json_dict()
-        assert set(d) == {"w", "orientable", "spin", "sw_numbers_all_zero"}
+        assert set(d) == {"w", "orientable", "spin"}
         assert d["w"][0] == "1"
         assert d["spin"] is None
-        assert d["sw_numbers_all_zero"] is True
+        assert total_sw_class(KLEIN).sw_numbers_all_zero is True
 
     def test_classes_homogeneous(self, rng):
         for _ in range(30):
@@ -348,3 +351,36 @@ class TestStructuralFacts:
                 profile = total_sw_class(m)
                 if profile.classes[1].is_zero() and profile.classes[2].is_zero():
                     assert profile.classes[3].is_zero()
+
+
+def _all_ones(n):
+    return BottMatrix.from_lists([[int(j > i) for j in range(n)] for i in range(n)])
+
+
+class TestParseCap:
+    def test_dense_recursion_n16(self):
+        m = _all_ones(16)
+        profile = total_sw_class(m)
+        for k in range(1, 17):
+            assert wk_recursive(m, k) == profile.classes[k]
+
+    def test_random_n20(self, rng):
+        m = random_bott(rng, 20)
+        # the same matrix with every row sum made even, so spin is decided
+        # by w2 rather than by w1 alone
+        even = BottMatrix(20, tuple(r ^ (r.bit_count() & 1) << 19 for r in m.rows))
+        for C in (m, even):
+            profile = total_sw_class(C)
+            v = is_spin(C)
+            assert profile.classes[1] == w1_formula(C)
+            assert profile.orientable == v.orientable
+            assert (profile.spin is True) == v.spin
+        assert not is_spin(m).orientable and is_spin(even).orientable
+
+    def test_size_guards(self):
+        with pytest.raises(IndexOutOfRange):
+            RingElement.variable(10**6)
+        with pytest.raises(IndexOutOfRange):
+            RingElement.from_masks([1 << 20])
+        with pytest.raises(DimensionTooLarge):
+            total_sw_class(BottMatrix.zero(21))
