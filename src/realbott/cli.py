@@ -16,7 +16,7 @@ from .cohomology import total_sw_class
 from .criteria import PairWitness, RowWitness, is_spin
 from .digraph import build_digraph, digraph_spin, export_dot
 from .enumeration import sweep, verify_fixture_suite
-from .errors import BottError
+from .errors import BottError, NonBinary
 from .matrix import (
     AnyBottMatrix,
     BottMatrix,
@@ -40,7 +40,10 @@ def _read_matrix(args) -> AnyBottMatrix:
     if path is None:
         raise BottError("no input: pass a matrix file (or '-') or --matrix")
     if path == "-":
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:
+            raise NonBinary(f"stdin: not UTF-8 text: {exc}") from exc
         if text.lstrip().startswith("{"):
             return matrix_from_json(text)
         return parse_matrix(text)

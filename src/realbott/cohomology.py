@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadPartition, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
@@ -43,14 +43,34 @@ def monomial_degree(mask: int) -> int:
 
 def monomial_str(mask: int) -> str:
     """"y1*y3" style rendering; the empty monomial renders as "1"."""
-    if mask == 0:
-        return "1"
-    names = []
-    while mask:
-        b = (mask & -mask).bit_length() - 1
-        names.append(f"y{b + 1}")
-        mask &= mask - 1
-    return "*".join(names)
+    if mask < 0:
+        raise IndexOutOfRange(f"monomial mask {mask} is negative")
+    return _monomial_strs([mask])[0]
+
+
+def _monomial_strs(masks: list[int]) -> list[str]:
+    """monomial_str of each non-negative mask, ten variables at a time: one
+    name-table lookup per 10-bit chunk, no loop over the set bits."""
+    out = [""] * len(masks)
+    top = max(masks, default=0)
+    offset = 0
+    while top >> offset:
+        names = _chunk_names(offset)
+        out = [s + names[(m >> offset) & 1023] for s, m in zip(out, masks)]
+        offset += 10
+    return [s[1:] or "1" for s in out]
+
+
+@lru_cache(maxsize=4)
+def _chunk_names(offset: int) -> tuple[str, ...]:
+    """names[c] renders the variables y_{offset+b+1} for the set bits b of
+    the 10-bit chunk c, each with a leading '*'.  Built on first use: two
+    tables cover every monomial of the ring (n <= 20)."""
+    names = [""]
+    for b in range(10):
+        var = f"*y{offset + b + 1}"
+        names += [name + var for name in names]
+    return tuple(names)
 
 
 def _monomials(bits: int) -> Iterator[int]:
@@ -139,7 +159,7 @@ class RingElement:
         if not self.bits:
             return "0"
         ordered = sorted(self, key=int.bit_count)  # stable: masks stay increasing
-        return "+".join(monomial_str(m) for m in ordered)
+        return "+".join(_monomial_strs(ordered))
 
 
 class CohomologyRing:

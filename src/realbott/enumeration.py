@@ -48,24 +48,20 @@ def index_space(n: int) -> int:
 
 
 def matrix_from_index(n: int, index: int) -> BottMatrix:
-    rows = [0] * n
-    t = 0
+    # row i's free entries (i+1, i+2), ..., (i+1, n) are the next n-1-i
+    # index bits, in column order
+    rows = []
     for i in range(n):
-        for j in range(i + 1, n):
-            if (index >> t) & 1:
-                rows[i] |= 1 << j
-            t += 1
+        width = n - 1 - i
+        rows.append((index & ((1 << width) - 1)) << (i + 1))
+        index >>= width
     return BottMatrix(n, tuple(rows))
 
 
 def matrix_index(C: BottMatrix) -> int:
     index = 0
-    t = 0
-    for i in range(C.n):
-        for j in range(i + 1, C.n):
-            if (C.rows[i] >> j) & 1:
-                index |= 1 << t
-            t += 1
+    for i in reversed(range(C.n)):
+        index = (index << (C.n - 1 - i)) | (C.rows[i] >> (i + 1))
     return index
 
 

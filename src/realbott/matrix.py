@@ -207,41 +207,43 @@ def _topological_order(n: int, rows: tuple[int, ...]) -> list[int] | None:
     return order
 
 
+_DROP_BINARY_DIGITS = str.maketrans("", "", "01")
+
+
 def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     """Parse a 0/1 grid into a BottMatrix, or a GeneralBottMatrix when the
     grid is not upper triangular but still has zero diagonal and an acyclic
     digraph.
 
-    Lines hold whitespace-separated 0/1 tokens; a token of several digits
-    ("0110") is read one entry per character.  Blank lines and lines whose
-    first non-space character is '#' are ignored.
+    Each line is one row: its non-whitespace characters, read left to right,
+    are the entries, so "0 1 1 0", "0110" and "01 10" are the same row.
+    Blank lines and lines whose first non-space character is '#' are
+    ignored.  Errors are reported in this order: the first bad character of
+    the first bad line, ragged rows, a non-square grid, the ``max_n`` cap.
     """
-    grid: list[list[int]] = []
+    rows: list[int] = []
+    widths: list[int] = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        bits = "".join(line.split())
+        if not bits or bits[0] == "#":
             continue
-        row: list[int] = []
-        for token in stripped.split():
-            for ch in token:
-                if ch == "0":
-                    row.append(0)
-                elif ch == "1":
-                    row.append(1)
-                else:
-                    raise NonBinary(f"line {lineno}: bad character {ch!r}")
-        grid.append(row)
-    if not grid:
+        # int(_, 2) alone would also take "_", "+", "-" and non-ASCII digits
+        bad = bits.translate(_DROP_BINARY_DIGITS)
+        if bad:
+            raise NonBinary(f"line {lineno}: bad character {bad[0]!r}")
+        rows.append(int(bits[::-1], 2))  # first character is column 1, bit 0
+        widths.append(len(bits))
+    if not rows:
         raise NonSquare("no matrix rows found")
-    n = len(grid[0])
-    for i, row in enumerate(grid, 1):
-        if len(row) != n:
-            raise NonSquare(f"row {i} has {len(row)} entries, expected {n}")
-    if len(grid) != n:
-        raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
+    n = widths[0]
+    for i, width in enumerate(widths, 1):
+        if width != n:
+            raise NonSquare(f"row {i} has {width} entries, expected {n}")
+    if len(rows) != n:
+        raise NonSquare(f"{len(rows)} rows of width {n}: matrix is not square")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    return _matrix_from_grid(grid)
+    return _matrix_from_rows(tuple(rows))
 
 
 def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -271,21 +273,23 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
                 raise NonBinary(f"row {i}: entry {v!r} is not 0/1")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    return _matrix_from_grid(rows)
+    return _matrix_from_rows(tuple(_mask_from_bits(row) for row in rows))
 
 
 def load_matrix(path, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     """Read a matrix file, JSON or text grid (auto-detected)."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise NonBinary(f"{path}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return matrix_from_json(text, max_n=max_n)
     return parse_matrix(text, max_n=max_n)
 
 
-def _matrix_from_grid(grid: list[list[int]]) -> AnyBottMatrix:
-    n = len(grid)
-    rows = tuple(_mask_from_bits(row) for row in grid)
+def _matrix_from_rows(rows: tuple[int, ...]) -> AnyBottMatrix:
+    n = len(rows)
     upper = all(rows[i] & ((2 << i) - 1) == 0 for i in range(n))
     if upper:
         return BottMatrix(n, rows)

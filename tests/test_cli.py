@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from realbott import NonBinary, NonSquare, matrix_from_json
+from realbott import NonBinary, NonSquare, load_matrix, matrix_from_json
 from realbott.cli import main
 from realbott.fixtures import default_fixture_dir
 
@@ -42,6 +42,24 @@ class TestCheck:
         bad.write_text("0 1 1\n0 0\n")
         assert main(["check", str(bad)]) == 2
         assert "row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "sw", "digraph"])
+    def test_non_utf8_file_exit_2(self, command, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff0 1\n0 0\n")
+        with pytest.raises(NonBinary, match="not UTF-8"):
+            load_matrix(bad)
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        # a UTF-8 locale other than C decodes stdin strictly
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff0 1\n0 0\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["check", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
 
     def test_cycle_exit_2(self):
         assert main(["check", "--matrix", "01;10"]) == 2

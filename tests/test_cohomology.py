@@ -49,6 +49,26 @@ class TestRingElement:
         assert str(RingElement.from_masks({0b11, 0b1})) == "y1+y1*y2"
         assert str(RingElement.from_masks({0b11, 0b100, 0})) == "1+y3+y1*y2"
 
+    def test_str_matches_per_variable_reference(self, rng):
+        def reference(element):
+            names = [
+                "*".join(f"y{b + 1}" for b in range(m.bit_length()) if m >> b & 1) or "1"
+                for m in sorted(element, key=int.bit_count)
+            ]
+            return "+".join(names) or "0"
+
+        all_ones = BottMatrix(14, tuple(((1 << 14) - 1) & ~((2 << i) - 1) for i in range(14)))
+        matrices = [all_ones] + [random_bott(rng, n) for n in range(1, 21, 3)]
+        for C in matrices:
+            for c in total_sw_class(C).classes:
+                assert str(c) == reference(c)
+        # masks past the 20 variables of the ring, and widths not a multiple of 10
+        for _ in range(500):
+            m = rng.getrandbits(rng.randint(0, 45))
+            assert monomial_str(m) == reference([m])
+        with pytest.raises(IndexOutOfRange):
+            monomial_str(-1)
+
     def test_addition_is_symmetric_difference(self):
         a = RingElement.from_masks({0b01, 0b10})
         b = RingElement.from_masks({0b10, 0b100})

@@ -32,9 +32,15 @@ class TestEnumerate:
         assert m.entry(2, 3) == 1
 
     def test_index_round_trip(self):
-        for n in (1, 3, 5):
-            for idx, m in enumerate(enumerate_all(n)):
+        for n in range(1, 7):
+            positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for idx, m in enumerate(enumerate_all(n, cap=6)):
                 assert matrix_index(m) == idx
+                # bit t of the index is the t-th free entry, row-major
+                assert m.rows == tuple(
+                    sum(((idx >> t) & 1) << j for t, (r, j) in enumerate(positions) if r == i)
+                    for i in range(n)
+                )
 
     def test_cap(self):
         with pytest.raises(DimensionTooLarge):

@@ -1,6 +1,9 @@
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realbott import (
     BottError,
@@ -25,6 +28,92 @@ from realbott import (
 from realbott.fixtures import load_fixture, orientable_not_spin_family
 
 from conftest import random_bott
+
+
+def _reference_parse(text, max_n):
+    """The per-character parser that parse_matrix replaced, kept as the
+    reference for its results and error messages."""
+    grid = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        row = []
+        for token in stripped.split():
+            for ch in token:
+                if ch == "0":
+                    row.append(0)
+                elif ch == "1":
+                    row.append(1)
+                else:
+                    raise NonBinary(f"line {lineno}: bad character {ch!r}")
+        grid.append(row)
+    if not grid:
+        raise NonSquare("no matrix rows found")
+    n = len(grid[0])
+    for i, row in enumerate(grid, 1):
+        if len(row) != n:
+            raise NonSquare(f"row {i} has {len(row)} entries, expected {n}")
+    if len(grid) != n:
+        raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
+    if max_n is not None and n > max_n:
+        raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
+    rows = tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
+    if all(rows[i] & ((2 << i) - 1) == 0 for i in range(n)):
+        return BottMatrix(n, rows)
+    return GeneralBottMatrix(n, rows)
+
+
+def _outcome(parse, text, max_n):
+    try:
+        M = parse(text, max_n)
+    except BottError as exc:
+        return type(exc), str(exc)
+    return type(M), M.n, M.rows
+
+
+# Whitespace that str.split() drops, line breaks that str.splitlines() adds
+# (\x1c), comment and separator marks, and characters int(_, 2) would accept
+# or that look like digits ("_", "+", "-", Arabic-Indic one), so the test
+# pins the order of the checks as well as the results.
+_ALPHABET = "01 \t\r\n\x1c\xa0#;_+-\x00\u0661"
+_ANY_TEXT = st.text(alphabet=_ALPHABET, max_size=40)
+_BITS = st.text(alphabet="01", min_size=1, max_size=6)
+_LINE = st.lists(_BITS, min_size=1, max_size=4).flatmap(
+    lambda tokens: st.sampled_from([" ", "", "\t", "\xa0 "]).map(lambda sep: sep.join(tokens))
+)
+_LINE_BREAK = st.sampled_from(["\n", "\r\n", "\x1c", "\r"])
+# Mostly well-formed lines, so the width and square checks are reached.
+_GRID_TEXT = st.builds(
+    str.join,
+    _LINE_BREAK,
+    st.lists(st.one_of(_LINE, _ANY_TEXT, st.just("# note")), min_size=1, max_size=7),
+)
+# Square grids with a zero diagonal: upper triangular, general or cyclic.
+_SQUARE_TEXT = st.integers(1, 5).flatmap(
+    lambda n: st.builds(
+        str.join,
+        _LINE_BREAK,
+        st.lists(
+            st.lists(st.sampled_from("01"), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ).map(lambda g: [" ".join("0" if i == j else v for j, v in enumerate(row))
+                         for i, row in enumerate(g)]),
+    )
+)
+
+
+def _random_matrices(rng):
+    """Random Bott matrices for n = 1..20, each with a conjugate of it that
+    is not upper triangular (a GeneralBottMatrix) when one was drawn."""
+    for n in range(1, 21):
+        for _ in range(3):
+            C = random_bott(rng, n)
+            G = conjugate(C, Permutation(tuple(rng.sample(range(1, n + 1), n))))
+            yield C
+            if any(G.rows[i] & ((2 << i) - 1) for i in range(n)):
+                yield G
 
 
 class TestParse:
@@ -85,15 +174,21 @@ class TestParse:
         assert parse_matrix(grid, max_n=None).n == n
 
     def test_round_trip_text(self, rng):
-        for _ in range(50):
-            m = random_bott(rng, rng.randint(1, 8))
-            again = parse_matrix(m.to_text())
-            assert again == m
+        for M in _random_matrices(rng):
+            assert parse_matrix(M.to_text()) == M
 
     def test_json_round_trip(self, rng):
-        m = random_bott(rng, 5)
-        again = matrix_from_json(m.to_json_dict())
-        assert again == m
+        for M in _random_matrices(rng):
+            assert matrix_from_json(M.to_json_dict()) == M
+            assert matrix_from_json(json.dumps(M.to_json_dict())) == M
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        text=st.one_of(_ANY_TEXT, _GRID_TEXT, _SQUARE_TEXT),
+        max_n=st.sampled_from([None, 1, 3, 20]),
+    )
+    def test_matches_per_character_reference(self, text, max_n):
+        assert _outcome(parse_matrix, text, max_n) == _outcome(_reference_parse, text, max_n)
 
     def test_json_bad_shape(self):
         with pytest.raises(NonSquare):
