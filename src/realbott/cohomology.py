@@ -19,6 +19,13 @@ addition is XOR and pairing with the fundamental class y_1*...*y_n reads bit
 2^n - 1.  An element of the n-dimensional ring takes 2^n bits, which bounds
 the ring to n <= MAX_SINGLE_N (20, the parse cap): 128 KiB per element.
 
+Two tables depend on n alone: the lanes that `CohomologyRing.times_linear`
+shifts through and the degree masks that split the total class.  They are
+built on first use for each n and then outlive the call, kept for the life
+of the process by `_ring_tables`, a cache of at most 8 sizes.  One entry
+holds 2n+1 ints of up to 2^n bits, 5.1 MiB at n = 20 and less than half
+as much for each size below, so the cache never holds more than 9.6 MiB.
+
 Reduction is confluent in practice (certified by `graded_dimension` and by
 comparing `reduce_power_product` orders); the default strategy rewrites the
 highest colliding index first, which terminates because every substitution
@@ -83,13 +90,25 @@ def _monomials(bits: int) -> Iterator[int]:
         m = s.find("1", m + 1)
 
 
-def _degree_masks(n: int) -> list[int]:
-    """masks[k] has bit m set iff m < 2^n has k set bits."""
-    masks = [1] + [0] * n
+@lru_cache(maxsize=8)
+def _ring_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lanes, degrees) of the n-variable ring, shared by every matrix of
+    size n (see the module docstring for the memory bound).
+
+    lanes[k] has bit m set iff bit k of m is clear: a run of 2^k ones at
+    each multiple of 2^(k+1) below 2^n, i.e. at each bit of `comb`.
+    degrees[d] has bit m set iff m < 2^n has d set bits.
+    """
+    lanes = [0] * n
+    comb = 1
+    for k in reversed(range(n)):
+        lanes[k] = (comb << (1 << k)) - comb
+        comb |= comb << (1 << k)
+    degrees = [1] + [0] * n
     for i in range(n):
-        for k in range(i + 1, 0, -1):
-            masks[k] |= masks[k - 1] << (1 << i)
-    return masks
+        for d in range(i + 1, 0, -1):
+            degrees[d] |= degrees[d - 1] << (1 << i)
+    return tuple(lanes), tuple(degrees)
 
 
 @dataclass(frozen=True)
@@ -166,8 +185,12 @@ class CohomologyRing:
     """Multiplication context for one matrix: its column masks and, per
     variable, the lane of monomials that variable does not divide.
 
-    All arithmetic funnels through `times_linear`, which multiplies a whole
-    dense element by a sum of generators at once.
+    The column masks are the matrix's own memoised `columns()`.  The lanes
+    depend on n alone: they come from `_ring_tables` and outlive the ring,
+    shared with every ring of the same size (at most 9.6 MiB for all
+    sizes together, see the module docstring).  All arithmetic funnels through
+    `times_linear`, which multiplies a whole dense element by a sum of
+    generators at once.
     """
 
     def __init__(self, matrix: BottMatrix):
@@ -180,14 +203,7 @@ class CohomologyRing:
         self.n = matrix.n
         # cols[i] = 0-based mask of rows j with entry (j+1, i+1) = 1
         self.cols: tuple[int, ...] = matrix.columns()
-        # lanes[k] has bit m set iff bit k of m is clear: a run of 2^k ones
-        # at each multiple of 2^(k+1) below 2^n, i.e. at each bit of `comb`
-        lanes = [0] * self.n
-        comb = 1
-        for k in reversed(range(self.n)):
-            lanes[k] = (comb << (1 << k)) - comb
-            comb |= comb << (1 << k)
-        self.lanes: tuple[int, ...] = tuple(lanes)
+        self.lanes: tuple[int, ...] = _ring_tables(self.n)[0]
 
     def times_linear(self, E: int, col: int) -> int:
         """E * (sum of y_{j+1} over the bits j of `col`), both dense.
@@ -301,24 +317,32 @@ def reduce_power_product(
 
 @dataclass(frozen=True)
 class SWProfile:
-    """All Stiefel-Whitney data of one matrix: the graded classes w_0..w_n,
-    the derived orientable/spin flags, and (on demand) every SW number."""
+    """All Stiefel-Whitney data of one matrix: the total class as one dense
+    element, and derived from it the graded classes w_0..w_n, the
+    orientable/spin flags and (on demand) every SW number."""
 
     matrix: BottMatrix
-    classes: tuple[RingElement, ...]
+    total: int
+
+    @cached_property
+    def classes(self) -> tuple[RingElement, ...]:
+        """w_0..w_n: the total class split by degree."""
+        degrees = _ring_tables(self.matrix.n)[1]
+        return tuple(RingElement(self.total & mask) for mask in degrees)
 
     @property
     def orientable(self) -> bool:
-        return self.classes[1].is_zero()
+        """w_1 = 0."""
+        return not self.total & _ring_tables(self.matrix.n)[1][1]
 
     @property
     def spin(self) -> bool | None:
-        """True/False when orientable, None otherwise."""
+        """w_2 = 0: True/False when orientable, None otherwise."""
         if not self.orientable:
             return None
         if self.matrix.n < 2:
             return True
-        return self.classes[2].is_zero()
+        return not self.total & _ring_tables(self.matrix.n)[1][2]
 
     @cached_property
     def sw_numbers(self) -> dict[tuple[int, ...], int]:
@@ -342,13 +366,12 @@ class SWProfile:
 
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
-    columns of C and split it by degree."""
+    columns of C; the profile splits it by degree on demand."""
     ring = CohomologyRing(C)
-    cur = 1
+    total = 1
     for col in ring.cols:
-        cur ^= ring.times_linear(cur, col)
-    classes = tuple(RingElement(cur & mask) for mask in _degree_masks(C.n))
-    return SWProfile(matrix=C, classes=classes)
+        total ^= ring.times_linear(total, col)
+    return SWProfile(matrix=C, total=total)
 
 
 def w1_formula(C: BottMatrix) -> RingElement:

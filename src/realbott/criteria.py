@@ -14,7 +14,7 @@ these shortcuts are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Sequence, Union
 
 from .cohomology import RingElement
 from .errors import IndexOutOfRange
@@ -105,11 +105,19 @@ def _closed_form_terms(rows: tuple[int, ...], j: int, k: int) -> tuple[int, int]
 
 
 def _verdict_scan(
-    rows: tuple[int, ...],
-    terms: Callable[[tuple[int, ...], int, int], tuple[int, int]],
+    rows: Sequence[int], cols: Sequence[int], qmask: int
 ) -> SpinVerdict:
     """The verdict every spin route shares: the first odd row, then the
-    first pair j < k whose terms (P, Q) = terms(rows, j-1, k-1) differ.
+    first pair j < k whose terms P_jk and Q_jk differ.
+
+    The pairs are scanned a row at a time, every k at once.  Row j's P
+    over all k is the XOR of cols[c] over the ones c of row j, so its bit
+    k is |r_j & r_k| mod 2.  Bit k of `qmask` is the pair-sum bit of row
+    k, the route's own formula for C(N_k, 2) mod 2, so row j's Q over all
+    k is (r_j & qmask), the edges j -> k, plus cols[j] when bit j of
+    `qmask` is set, the edges k -> j (only general matrices have them).
+    The first failing pair of row j is the lowest set bit of
+    (P ^ Q) >> (j + 1).
 
     A non-orientable matrix still gets the pair scan so the verdict can
     carry a pair witness for diagnostics, but its spin flag is False.
@@ -121,26 +129,45 @@ def _verdict_scan(
             orientable = False
             witnesses.append(RowWitness(i))
             break
-    n = len(rows)
-    for j in range(n):
-        for k in range(j + 1, n):
-            P, Q = terms(rows, j, k)
-            if P != Q:
-                witnesses.append(PairWitness(j + 1, k + 1, P, Q))
-                return SpinVerdict(orientable, False, tuple(witnesses))
+    for j, row in enumerate(rows):
+        P = 0
+        r = row
+        while r:
+            low = r & -r
+            P ^= cols[low.bit_length() - 1]
+            r ^= low
+        Q = row & qmask
+        if (qmask >> j) & 1:
+            Q ^= cols[j]
+        D = (P ^ Q) >> (j + 1)
+        if D:
+            k = j + (D & -D).bit_length()
+            witnesses.append(PairWitness(j + 1, k + 1, (P >> k) & 1, (Q >> k) & 1))
+            return SpinVerdict(orientable, False, tuple(witnesses))
     return SpinVerdict(orientable, orientable, tuple(witnesses))
+
+
+def _pair_sum_mask(rows: Sequence[int]) -> int:
+    """Bit k set iff C(N_k, 2) is odd for the row sum N_k: bit 1 of N_k."""
+    q = 0
+    for k, row in enumerate(rows):
+        if row.bit_count() & 2:
+            q |= 1 << k
+    return q
 
 
 def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     """Full verdict for a Bott matrix, triangular or general.
 
-    A general acyclic matrix is evaluated directly on its rows, without
-    conjugating to triangular form, and agrees with the verdict on the
-    normalized matrix: each pair takes its pair-sum term on the head row
-    of whichever edge joins it, which is what the pair condition of the
-    triangular form becomes under conjugation.
+    Scans the closed-form terms a row at a time over the column masks,
+    with C(N_k, 2) mod 2 read as bit 1 of each row sum.  A general acyclic
+    matrix is evaluated directly on its rows, without conjugating to
+    triangular form, and agrees with the verdict on the normalized matrix:
+    each pair takes its pair-sum term on the head row of whichever edge
+    joins it, which is what the pair condition of the triangular form
+    becomes under conjugation.
     """
-    return _verdict_scan(C.rows, _closed_form_terms)
+    return _verdict_scan(C.rows, C.columns(), _pair_sum_mask(C.rows))
 
 
 #: Kept for callers that name the general case; identical to `is_spin`.
@@ -149,13 +176,21 @@ is_spin_general = is_spin
 
 def spin_by_pairs(C: BottMatrix) -> bool:
     """Spin decided through the two-row extractions: true iff every matrix
-    keeping only rows j and k of C is spin."""
-    for j in range(C.n):
-        for k in range(j + 1, C.n):
-            rows = [0] * C.n
+    keeping only rows j and k of C is spin.
+
+    Each extraction gets the full scan.  Its other rows are zero, so its
+    column masks are C's masked to the two rows, and so are its pair-sum
+    bits."""
+    n = C.n
+    cols = C.columns()
+    q = _pair_sum_mask(C.rows)
+    for j in range(n):
+        for k in range(j + 1, n):
+            keep = (1 << j) | (1 << k)
+            rows = [0] * n
             rows[j] = C.rows[j]
             rows[k] = C.rows[k]
-            if not _verdict_scan(tuple(rows), _closed_form_terms).spin:
+            if not _verdict_scan(rows, [c & keep for c in cols], q & keep).spin:
                 return False
     return True
 

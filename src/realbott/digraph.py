@@ -72,25 +72,20 @@ def common_out(D: BottDigraph, j: int, k: int) -> int:
     return (D.out_masks[j - 1] & D.out_masks[k - 1]).bit_count()
 
 
-def _digraph_terms(out: tuple[int, ...], j: int, k: int) -> tuple[int, int]:
-    """(M_jk mod 2, Q_jk) for the 0-based vertices j < k, with exact integer
-    binomials of the out-degrees reduced afterwards.  The count is taken at
-    the head of whichever edge joins the pair (for a triangular matrix only
-    j -> k can exist)."""
-    nj = out[j].bit_count()
-    nk = out[k].bit_count()
-    q = (
-        ((out[j] >> k) & 1) * (nk * (nk - 1) // 2)
-        + ((out[k] >> j) & 1) * (nj * (nj - 1) // 2)
-    ) & 1
-    return (out[j] & out[k]).bit_count() & 1, q
-
-
 def digraph_spin(D: BottDigraph) -> SpinVerdict:
     """Spin verdict from the digraph alone: all out-degrees even, and for
     every pair j < k the common-neighbour count M_jk has the parity of the
-    adjacency bit times C(N_k, 2)."""
-    return _verdict_scan(D.out_masks, _digraph_terms)
+    adjacency bit times C(N_k, 2).
+
+    A vertex's M_jk over all k is the XOR of the in-masks of its
+    out-neighbours; C(N_k, 2) is the exact integer binomial of the
+    out-degree, reduced afterwards, and counts at the head of whichever
+    edge joins the pair (for a triangular matrix only j -> k can exist)."""
+    q = 0
+    for k, out in enumerate(D.out_masks):
+        N = out.bit_count()
+        q |= ((N * (N - 1) // 2) & 1) << k
+    return _verdict_scan(D.out_masks, D.in_masks, q)
 
 
 def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:

@@ -72,14 +72,22 @@ class _BinaryMatrix:
         return self.rows[i - 1].bit_count()
 
     def columns(self) -> tuple[int, ...]:
-        """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1."""
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            while row:
-                low = row & -row
-                cols[low.bit_length() - 1] |= 1 << i
-                row ^= low
-        return tuple(cols)
+        """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1.
+
+        Computed on the first call and kept in the instance ``__dict__``,
+        outside the dataclass fields, so equality, hashing and repr never
+        see it.  Every spin route and the ring read this one tuple.
+        """
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            acc = [0] * self.n
+            for i, row in enumerate(self.rows):
+                while row:
+                    low = row & -row
+                    acc[low.bit_length() - 1] |= 1 << i
+                    row ^= low
+            cols = self.__dict__["_columns"] = tuple(acc)
+        return cols
 
     def column_mask(self, j: int) -> int:
         """Bitmask of 0-based rows i with c_{i+1,j} = 1."""

@@ -1,8 +1,12 @@
 import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realbott import NonBinary, NonSquare, load_matrix, matrix_from_json
 from realbott.cli import main
@@ -91,6 +95,42 @@ class TestCheck:
         monkeypatch.setattr("sys.stdin", io.StringIO('{"n":2,"rows":[[0,1],[0,0]]}'))
         assert main(["check", "-"]) == 0
         assert "orientable=false" in capsys.readouterr().out
+
+
+#: Arbitrary bytes, text over the characters of both matrix formats, and
+#: square 0/1 grids up to n = 7 (which `sw` answers at once) as text or
+#: JSON.  A grid has zero diagonal, and half of them are strictly upper
+#: triangular too: most others are cyclic.
+_GRIDS = st.tuples(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(st.text("01", min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.booleans(),
+).map(lambda g: [
+    ("0" * (i + 1) if g[1] else r[:i] + "0") + r[i + 1:] for i, r in enumerate(g[0])
+])
+STDIN_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.text(alphabet='01 \t\n\r#;{}[],:"nrows-.e', max_size=64).map(str.encode),
+    _GRIDS.map(lambda rows: "\n".join(rows).encode()),
+    _GRIDS.map(lambda rows: json.dumps({"rows": [[int(c) for c in r] for r in rows]}).encode()),
+)
+
+
+class TestArbitraryStdin:
+    # "strict" is stdin under a UTF-8 locale, "surrogateescape" under C/POSIX
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=STDIN_BYTES,
+        command=st.sampled_from(["check", "sw", "digraph"]),
+        errors=st.sampled_from(["strict", "surrogateescape"]),
+    )
+    def test_exit_code_contract(self, data, command, errors):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        with mock.patch("sys.stdin", stdin), redirect_stdout(io.StringIO()), \
+                redirect_stderr(io.StringIO()):
+            code = main([command, "-"])
+        assert code in (0, 1, 2)
 
 
 class TestSw:

@@ -266,6 +266,26 @@ class TestTotalClass:
         assert d["spin"] is None
         assert total_sw_class(KLEIN).sw_numbers_all_zero is True
 
+    def test_lazy_split_matches_eager(self):
+        # n = 1 has no degree-2 mask: spin comes from orientability alone
+        for n in range(1, 6):
+            degree = [
+                sum(1 << m for m in range(1 << n) if m.bit_count() == d)
+                for d in range(n + 1)
+            ]
+            for m in enumerate_all(n):
+                profile = total_sw_class(m)
+                eager = tuple(RingElement(profile.total & mask) for mask in degree)
+                assert profile.classes == eager
+                orientable = eager[1].is_zero()
+                spin = (n < 2 or eager[2].is_zero()) if orientable else None
+                assert (profile.orientable, profile.spin) == (orientable, spin)
+                assert profile.to_json_dict() == {
+                    "w": [str(w) for w in eager],
+                    "orientable": orientable,
+                    "spin": spin,
+                }
+
     def test_classes_homogeneous(self, rng):
         for _ in range(30):
             m = random_bott(rng, rng.randint(1, 7))

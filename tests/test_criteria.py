@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from realbott import (
@@ -7,8 +9,11 @@ from realbott import (
     PairWitness,
     Permutation,
     RowWitness,
+    SpinVerdict,
+    build_digraph,
     conjugate,
     delete_leading,
+    digraph_spin,
     fibre_chain_verdicts,
     is_orientable,
     is_spin,
@@ -21,7 +26,8 @@ from realbott import (
     total_sw_class,
     w_top_minus_one,
 )
-from realbott.enumeration import enumerate_all
+from realbott.criteria import _closed_form_terms
+from realbott.enumeration import enumerate_all, free_positions
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
     REPRESENTATIVE_SPIN,
@@ -245,3 +251,102 @@ class TestFibreChain:
                     assert all(v.orientable for v in chain)
                 if top.spin:
                     assert all(v.spin for v in chain)
+
+
+def _exact_binomial_terms(out, j, k):
+    """The digraph route's (M_jk mod 2, Q_jk) for one pair, with exact
+    integer binomials of the out-degrees reduced afterwards."""
+    nj = out[j].bit_count()
+    nk = out[k].bit_count()
+    q = (
+        ((out[j] >> k) & 1) * (nk * (nk - 1) // 2)
+        + ((out[k] >> j) & 1) * (nj * (nj - 1) // 2)
+    ) & 1
+    return (out[j] & out[k]).bit_count() & 1, q
+
+
+def _pair_scan(rows, terms) -> SpinVerdict:
+    """Reference verdict: the first odd row, then the first pair j < k, in
+    lexicographic order, whose terms (P, Q) = terms(rows, j-1, k-1) differ,
+    one pair at a time."""
+    witnesses = []
+    orientable = True
+    for i, row in enumerate(rows, 1):
+        if row.bit_count() & 1:
+            orientable = False
+            witnesses.append(RowWitness(i))
+            break
+    n = len(rows)
+    for j in range(n):
+        for k in range(j + 1, n):
+            P, Q = terms(rows, j, k)
+            if P != Q:
+                witnesses.append(PairWitness(j + 1, k + 1, P, Q))
+                return SpinVerdict(orientable, False, tuple(witnesses))
+    return SpinVerdict(orientable, orientable, tuple(witnesses))
+
+
+def _pairs_reference(C) -> bool:
+    """spin_by_pairs by the reference scan of every two-row extraction."""
+    for j in range(C.n):
+        for k in range(j + 1, C.n):
+            rows = [0] * C.n
+            rows[j] = C.rows[j]
+            rows[k] = C.rows[k]
+            if not _pair_scan(tuple(rows), _closed_form_terms).spin:
+                return False
+    return True
+
+
+def _random_density(rng: random.Random, n: int, p: float) -> BottMatrix:
+    rows = [0] * n
+    for i, j in free_positions(n):
+        if rng.random() < p:
+            rows[i] |= 1 << j
+    return BottMatrix(n, tuple(rows))
+
+
+def _spin_sum(rng: random.Random, n: int, blocks) -> BottMatrix:
+    """Direct sum of random spin blocks: spin, since pairs in different
+    blocks share no column and no edge."""
+    rows: list[int] = []
+    while len(rows) < n:
+        block = rng.choice([B for B in blocks if B.n <= n - len(rows)])
+        rows += [row << len(rows) for row in block.rows]
+    return BottMatrix(n, tuple(rows))
+
+
+def _scan_cases():
+    """Every matrix with n <= 5, then seeded random ones at n = 7..20: at
+    three densities, and as direct sums of spin blocks (their scans run to
+    the end) with and without one entry flipped."""
+    yield from (C for n in range(1, 6) for C in enumerate_all(n))
+    blocks = [C for n in range(1, 5) for C in enumerate_all(n) if total_sw_class(C).spin]
+    rng = random.Random(5)
+    for n in range(7, 21):
+        for p in (0.05, 0.15, 0.5):
+            for _ in range(4):
+                yield _random_density(rng, n, p)
+        for _ in range(4):
+            S = _spin_sum(rng, n, blocks)
+            yield S
+            i, j = rng.choice(free_positions(n))
+            rows = list(S.rows)
+            rows[i] ^= 1 << j
+            yield BottMatrix(n, tuple(rows))
+
+
+class TestRowScanMatchesPairScan:
+    def test_routes_match_per_pair_reference(self):
+        rng = random.Random(11)
+        spin_seen = 0
+        for C in _scan_cases():
+            sigma = Permutation(tuple(rng.sample(range(1, C.n + 1), C.n)))
+            for M in (C, conjugate(C, sigma)):
+                closed = _pair_scan(M.rows, _closed_form_terms)
+                assert is_spin(M) == closed, M
+                binomial = _pair_scan(M.rows, _exact_binomial_terms)
+                assert digraph_spin(build_digraph(M)) == binomial, M
+            assert spin_by_pairs(C) == _pairs_reference(C), C
+            spin_seen += C.n >= 7 and is_spin(C).spin
+        assert spin_seen >= 56  # full-length scans at n >= 7 were compared

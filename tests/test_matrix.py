@@ -230,6 +230,7 @@ class TestConstruction:
         assert not isinstance(B, BottMatrix)
 
     def test_columns_transpose_rows(self, rng):
+        # a BottMatrix and a GeneralBottMatrix conjugate of it
         for _ in range(50):
             n = rng.randint(1, 8)
             C = random_bott(rng, n)
@@ -239,8 +240,16 @@ class TestConstruction:
                     sum(bit << i for i, bit in enumerate(col))
                     for col in zip(*M.to_lists())
                 ]
+                # the memo is filled by the first call and invisible to
+                # equality, hashing and repr
+                fresh = type(M)(M.n, M.rows)
+                seen = (repr(M), hash(M))
                 assert list(M.columns()) == cols
+                assert M.columns() is M.columns()
                 assert [M.column_mask(j) for j in range(1, n + 1)] == cols
+                assert M == fresh and fresh == M
+                assert (repr(M), hash(M)) == seen == (repr(fresh), hash(fresh))
+                assert list(fresh.columns()) == cols
 
     def test_permutation_validation(self):
         with pytest.raises(BottError):
