@@ -16,14 +16,8 @@ from .cohomology import total_sw_class
 from .criteria import PairWitness, RowWitness, is_spin
 from .digraph import build_digraph, digraph_spin, export_dot
 from .enumeration import sweep, verify_fixture_suite
-from .errors import BottError, NonBinary
-from .matrix import (
-    AnyBottMatrix,
-    BottMatrix,
-    load_matrix,
-    matrix_from_json,
-    parse_matrix,
-)
+from .errors import BottError
+from .matrix import AnyBottMatrix, BottMatrix, _read_stream, load_matrix, parse_matrix
 
 
 def _bool(v) -> str:
@@ -40,13 +34,7 @@ def _read_matrix(args) -> AnyBottMatrix:
     if path is None:
         raise BottError("no input: pass a matrix file (or '-') or --matrix")
     if path == "-":
-        try:
-            text = sys.stdin.read()
-        except UnicodeDecodeError as exc:
-            raise NonBinary(f"stdin: not UTF-8 text: {exc}") from exc
-        if text.lstrip().startswith("{"):
-            return matrix_from_json(text)
-        return parse_matrix(text)
+        return _read_stream(sys.stdin, "stdin")
     return load_matrix(path)
 
 

@@ -19,6 +19,10 @@ addition is XOR and pairing with the fundamental class y_1*...*y_n reads bit
 2^n - 1.  An element of the n-dimensional ring takes 2^n bits, which bounds
 the ring to n <= MAX_SINGLE_N (20, the parse cap): 128 KiB per element.
 
+All SW data come from one product, by the total class w = prod_j (1 + the
+sum of column j), `CohomologyRing.times_total`: the classes are w split by
+degree, and a * w_i = (a * w) & degrees[d + i] for a homogeneous of degree d.
+
 Two tables depend on n alone: the lanes that `CohomologyRing.times_linear`
 shifts through and the degree masks that split the total class.  They are
 built on first use for each n and then outlive the call, kept for the life
@@ -186,11 +190,11 @@ class CohomologyRing:
     variable, the lane of monomials that variable does not divide.
 
     The column masks are the matrix's own memoised `columns()`.  The lanes
-    depend on n alone: they come from `_ring_tables` and outlive the ring,
-    shared with every ring of the same size (at most 9.6 MiB for all
-    sizes together, see the module docstring).  All arithmetic funnels through
-    `times_linear`, which multiplies a whole dense element by a sum of
-    generators at once.
+    and degree masks depend on n alone: they come from `_ring_tables` and
+    outlive the ring, shared with every ring of the same size (at most 9.6
+    MiB for all sizes, see the module docstring).  All arithmetic funnels
+    through `times_linear`, which multiplies a whole dense element by a sum
+    of generators at once.
     """
 
     def __init__(self, matrix: BottMatrix):
@@ -203,7 +207,7 @@ class CohomologyRing:
         self.n = matrix.n
         # cols[i] = 0-based mask of rows j with entry (j+1, i+1) = 1
         self.cols: tuple[int, ...] = matrix.columns()
-        self.lanes: tuple[int, ...] = _ring_tables(self.n)[0]
+        self.lanes, self.degrees = _ring_tables(self.n)
 
     def times_linear(self, E: int, col: int) -> int:
         """E * (sum of y_{j+1} over the bits j of `col`), both dense.
@@ -234,6 +238,12 @@ class CohomologyRing:
                     pending[(c & -c).bit_length() - 1] ^= hi
                     c &= c - 1
         return out
+
+    def times_total(self, E: int) -> int:
+        """E * w, w = prod over the columns of (1 + the column's sum)."""
+        for col in self.cols:
+            E ^= self.times_linear(E, col)
+        return E
 
 
 def _product(ring: CohomologyRing, a: int, b: int) -> int:
@@ -367,11 +377,7 @@ class SWProfile:
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
     columns of C; the profile splits it by degree on demand."""
-    ring = CohomologyRing(C)
-    total = 1
-    for col in ring.cols:
-        total ^= ring.times_linear(total, col)
-    return SWProfile(matrix=C, total=total)
+    return SWProfile(matrix=C, total=CohomologyRing(C).times_total(1))
 
 
 def w1_formula(C: BottMatrix) -> RingElement:
@@ -417,7 +423,9 @@ def sw_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
     """Coefficient of y_1*...*y_n in the product of the classes raised to
-    the exponents in `partition` (the fundamental-class pairing)."""
+    the exponents in `partition` (the fundamental-class pairing).  Each
+    factor is a * w_i = (a * w) & degrees[d + i] for the product a so far, of
+    degree d: the ring is graded and w = w_0 + ... + w_n (splitting principle)."""
     C = profile.matrix
     n = C.n
     r = tuple(partition)
@@ -426,10 +434,11 @@ def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
     if sum(i * ri for i, ri in enumerate(r, 1)) != n:
         raise BadPartition(f"weighted degree of {r} is not {n}")
     ring = CohomologyRing(C)
-    acc = 1
+    acc, deg = 1, 0
     for i, ri in enumerate(r, 1):
         for _ in range(ri):
-            acc = _product(ring, acc, profile.classes[i].bits)
+            deg += i
+            acc = ring.times_total(acc) & ring.degrees[deg]
             if not acc:
                 return 0
     return (acc >> ((1 << n) - 1)) & 1

@@ -35,12 +35,6 @@ from .fixtures import (
 from .matrix import MAX_SINGLE_N, BottMatrix
 
 DEFAULT_EXHAUSTIVE_CAP = 7
-DEFAULT_SAMPLE_CAP = MAX_SINGLE_N
-
-
-def free_positions(n: int) -> list[tuple[int, int]]:
-    """0-based (row, col) positions above the diagonal, row-major."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def index_space(n: int) -> int:
@@ -65,10 +59,6 @@ def matrix_index(C: BottMatrix) -> int:
     return index
 
 
-def random_matrix(n: int, rng: random.Random) -> BottMatrix:
-    return matrix_from_index(n, rng.randrange(index_space(n)))
-
-
 def enumerate_all(
     n: int,
     mode: str = "exhaustive",
@@ -77,7 +67,7 @@ def enumerate_all(
     cap: int | None = None,
 ) -> Iterator[BottMatrix]:
     """Yield matrices of dimension n: each one exactly once in packed-index
-    order (exhaustive), or `count` reproducible draws (sample)."""
+    order (exhaustive, n <= `cap`), or `count` seeded draws (sample, n <= 20)."""
     for index in _indices(n, mode, count, seed, cap):
         yield matrix_from_index(n, index)
 
@@ -93,9 +83,8 @@ def _indices(n, mode, count, seed, cap) -> list[int] | range:
             )
         return range(index_space(n))
     if mode == "sample":
-        limit = DEFAULT_SAMPLE_CAP if cap is None else cap
-        if n > limit:
-            raise DimensionTooLarge(f"sampling capped at n={limit}, got n={n}")
+        if n > MAX_SINGLE_N:
+            raise DimensionTooLarge(f"sampling: n={n} exceeds the cap {MAX_SINGLE_N}")
         if seed is None:
             raise BottError("sample mode requires a seed")
         if count is None or count < 1:
@@ -175,11 +164,10 @@ class SweepReport:
         )
 
 
-def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict], list[int]]:
-    n, indices, collect_spin = args
+def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict]]:
+    n, indices = args
     orientable = spin = 0
     mismatches: list[dict] = []
-    spin_indices: list[int] = []
     for index in indices:
         C = matrix_from_index(n, index)
         o, s, mismatch = evaluate_matrix(C)
@@ -188,9 +176,7 @@ def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict], list[int]]:
         if mismatch is not None:
             mismatch["index"] = index
             mismatches.append(mismatch)
-        if s and collect_spin:
-            spin_indices.append(index)
-    return orientable, spin, mismatches, spin_indices
+    return orientable, spin, mismatches
 
 
 def sweep(
@@ -207,17 +193,17 @@ def sweep(
     contiguous chunks, one worker process each; merged results are
     identical to the serial ones.  At n=4 exhaustive the spin set is additionally
     matched against the packaged list of the eight dimension-4 spin
-    matrices (reference_ok).
+    matrices (reference_ok); each index is visited once, so a spin count
+    equal to the list's size with every listed matrix spin means equal sets.
     """
     start = time.perf_counter()
     indices = _indices(n, mode, count, seed, cap)
     total = len(indices)
-    collect_spin = mode == "exhaustive" and n == 4
     # More workers than cores only adds start-up cost, and fork starts them
     # all at once; slicing a range keeps a range, a list keeps a list.
     jobs = max(1, min(jobs, os.cpu_count() or 1))
     step = -(-total // jobs) if total else 1
-    chunks = [(n, indices[lo:lo + step], collect_spin) for lo in range(0, total, step)]
+    chunks = [(n, indices[lo:lo + step]) for lo in range(0, total, step)]
     if len(chunks) <= 1:
         results = [_sweep_chunk(c) for c in chunks]
     else:
@@ -225,18 +211,15 @@ def sweep(
             results = list(pool.map(_sweep_chunk, chunks))
     orientable = spin = 0
     mismatches: list[dict] = []
-    spin_indices: list[int] = []
-    for o, s, mm, si in results:
+    for o, s, mm in results:
         orientable += o
         spin += s
         mismatches.extend(mm)
-        spin_indices.extend(si)
     reference_ok = None
-    if collect_spin:
-        expected = {
-            matrix_index(load_fixture(name)) for name in DIM4_SPIN_LIST
-        }
-        reference_ok = set(spin_indices) == expected
+    if mode == "exhaustive" and n == 4:
+        expected = {matrix_index(load_fixture(name)) for name in DIM4_SPIN_LIST}
+        listed_spin = all(is_spin(matrix_from_index(4, i)).spin for i in expected)
+        reference_ok = spin == len(expected) and listed_spin
     return SweepReport(
         n=n,
         mode=mode,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, TextIO, Union
 
 from .errors import (
     BottError,
@@ -287,10 +287,16 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
 def load_matrix(path, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     """Read a matrix file, JSON or text grid (auto-detected)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise NonBinary(f"{path}: not UTF-8 text: {exc}") from exc
+        return _read_stream(fh, path, max_n)
+
+
+def _read_stream(fh: TextIO, name, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
+    """Read a text stream to the end and parse it as JSON when it starts
+    with '{', else as a text grid; a decoding error becomes NonBinary."""
+    try:
+        text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise NonBinary(f"{name}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return matrix_from_json(text, max_n=max_n)
     return parse_matrix(text, max_n=max_n)
@@ -315,16 +321,7 @@ def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:
     if order is None:  # unreachable for validated inputs
         raise CyclicDigraph("matrix digraph contains a directed cycle")
     sigma = Permutation(tuple(v + 1 for v in order))
-    n = B.n
-    rows = []
-    for i in range(n):
-        src = B.rows[order[i]]
-        mask = 0
-        for j in range(n):
-            if (src >> order[j]) & 1:
-                mask |= 1 << j
-        rows.append(mask)
-    return sigma, BottMatrix(n, tuple(rows))
+    return sigma, BottMatrix(B.n, _relabel(B.rows, [i - 1 for i in sigma.inverse().sigma]))
 
 
 def conjugate(C: AnyBottMatrix, sigma: Permutation) -> GeneralBottMatrix:
@@ -332,16 +329,21 @@ def conjugate(C: AnyBottMatrix, sigma: Permutation) -> GeneralBottMatrix:
     entry (i, j) of C."""
     if sigma.n != C.n:
         raise IndexOutOfRange(f"permutation on 1..{sigma.n} vs matrix n={C.n}")
-    n = C.n
-    rows = [0] * n
-    for i in range(1, n + 1):
-        src = C.rows[i - 1]
+    return GeneralBottMatrix(C.n, _relabel(C.rows, [v - 1 for v in sigma.sigma]))
+
+
+def _relabel(rows: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
+    """Rows of the matrix whose entry (new[i], new[j]) is entry (i, j) of
+    `rows`, all 0-based: one step per set bit."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
         mask = 0
-        for j in range(1, n + 1):
-            if (src >> (j - 1)) & 1:
-                mask |= 1 << (sigma(j) - 1)
-        rows[sigma(i) - 1] = mask
-    return GeneralBottMatrix(n, tuple(rows))
+        while row:
+            low = row & -row
+            mask |= 1 << new[low.bit_length() - 1]
+            row ^= low
+        out[new[i]] = mask
+    return tuple(out)
 
 
 def row_pair_matrix(C: BottMatrix, j: int, k: int) -> BottMatrix:

@@ -223,6 +223,12 @@ class TestEnumerate:
         assert main(["enumerate", "-n", "8", "--mode", "sample", "--count", "5",
                       "--seed", "1", "--threads", "1"]) == 0
 
+    def test_env_cap_is_exhaustive_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("BOTT_MAX_N", "5")
+        assert main(["enumerate", "-n", "6", "--mode", "sample", "--count", "3",
+                     "--threads", "1"]) == 0
+        assert "total=3" in capsys.readouterr().out
+
     def test_ring_cap_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("BOTT_MAX_N", "21")
         assert main(["enumerate", "-n", "21", "--mode", "sample", "--count", "1",

@@ -1,11 +1,13 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from realbott import (
     BadPartition,
     BottMatrix,
+    CohomologyRing,
     DimensionMismatch,
     DimensionTooLarge,
     IndexOutOfRange,
@@ -23,6 +25,7 @@ from realbott import (
     w1_formula,
     wk_recursive,
 )
+from realbott.cohomology import _product
 from realbott.enumeration import enumerate_all
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
@@ -375,6 +378,47 @@ class TestSWNumbers:
         for _ in range(100):
             m = random_bott(rng, rng.randint(1, 7))
             assert total_sw_class(m).sw_numbers_all_zero
+
+
+    def test_masked_chain_matches_product_chain(self, monkeypatch):
+        # Every SW number is 0, so equal numbers prove nothing: compare the
+        # partial products instead.  sw_number passes each of them, in order,
+        # to times_total; the last one has degree n, so its top coefficient,
+        # the returned number, is the whole element.
+        rng = random.Random(13)
+        cases = [_all_ones(10)]
+        for n in range(1, 9):
+            for p in (0.1, 0.3, 0.7):
+                for _ in range(6):
+                    rows = [sum(1 << j for j in range(i + 1, n) if rng.random() < p)
+                            for i in range(n)]
+                    cases.append(BottMatrix(n, tuple(rows)))
+        profiles = [total_sw_class(C) for C in cases]
+        fed = []
+        times_total = CohomologyRing.times_total
+
+        def recording(ring, E):
+            fed.append(E)
+            return times_total(ring, E)
+
+        monkeypatch.setattr(CohomologyRing, "times_total", recording)
+        chains = 0
+        for profile in profiles:
+            n = profile.matrix.n
+            ring = CohomologyRing(profile.matrix)
+            for r in sw_partitions(n):
+                prefixes = [1]
+                for i, ri in enumerate(r, 1):
+                    for _ in range(ri):
+                        prefixes.append(_product(ring, prefixes[-1], profile.classes[i].bits))
+                # sw_number stops at the first zero product
+                stop = next((k for k, a in enumerate(prefixes) if not a), len(prefixes))
+                fed.clear()
+                value = sw_number(profile, r)
+                assert fed == prefixes[:min(stop, len(prefixes) - 1)], (profile.matrix, r)
+                assert prefixes[-1] == value << ((1 << n) - 1)
+                chains += 1
+        assert chains == 42 + 18 * sum(1 for n in range(1, 9) for _ in sw_partitions(n))
 
 
 class TestStructuralFacts:

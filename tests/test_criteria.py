@@ -27,7 +27,7 @@ from realbott import (
     w_top_minus_one,
 )
 from realbott.criteria import _closed_form_terms
-from realbott.enumeration import enumerate_all, free_positions
+from realbott.enumeration import enumerate_all
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
     REPRESENTATIVE_SPIN,
@@ -300,7 +300,7 @@ def _pairs_reference(C) -> bool:
 
 def _random_density(rng: random.Random, n: int, p: float) -> BottMatrix:
     rows = [0] * n
-    for i, j in free_positions(n):
+    for i, j in [(i, j) for i in range(n) for j in range(i + 1, n)]:
         if rng.random() < p:
             rows[i] |= 1 << j
     return BottMatrix(n, tuple(rows))
@@ -330,7 +330,7 @@ def _scan_cases():
         for _ in range(4):
             S = _spin_sum(rng, n, blocks)
             yield S
-            i, j = rng.choice(free_positions(n))
+            i, j = rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)])
             rows = list(S.rows)
             rows[i] ^= 1 << j
             yield BottMatrix(n, tuple(rows))

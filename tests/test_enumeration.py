@@ -8,13 +8,15 @@ from realbott import (
     DimensionTooLarge,
     enumerate_all,
     evaluate_matrix,
+    is_spin,
     matrix_from_index,
     matrix_index,
     sweep,
     verify_fixture_suite,
     verify_representatives,
 )
-from realbott.fixtures import default_fixture_dir, load_fixture
+from realbott.cli import main
+from realbott.fixtures import DIM4_SPIN_LIST, default_fixture_dir, load_fixture
 
 
 class TestEnumerate:
@@ -46,6 +48,10 @@ class TestEnumerate:
         with pytest.raises(DimensionTooLarge):
             list(enumerate_all(8))
         assert sum(1 for _ in enumerate_all(8, cap=8, mode="sample", seed=1, count=3)) == 3
+        # the cap governs exhaustive mode only; sampling stops at n = 20
+        assert sum(1 for _ in enumerate_all(6, mode="sample", cap=5, seed=1, count=3)) == 3
+        with pytest.raises(DimensionTooLarge, match="exceeds the cap 20"):
+            list(enumerate_all(21, mode="sample", cap=30, seed=1, count=1))
 
     def test_sample_reproducible(self):
         a = [m.rows for m in enumerate_all(6, mode="sample", count=50, seed=9)]
@@ -79,6 +85,26 @@ class TestSweep:
     def test_dim4_reference_set(self):
         r = sweep(4)
         assert r.reference_ok is True
+
+    @pytest.mark.parametrize("case", ["list-short", "non-spin-listed"])
+    def test_dim4_reference_mismatch(self, case, monkeypatch, capsys):
+        if case == "list-short":
+            monkeypatch.setattr("realbott.enumeration.DIM4_SPIN_LIST", DIM4_SPIN_LIST[:-1])
+        else:
+            non_spin = matrix_from_index(4, 1)  # row 1 has an odd sum
+            assert not is_spin(non_spin).spin
+
+            def swapped(name, directory=None):
+                if name == DIM4_SPIN_LIST[0]:
+                    return non_spin
+                return load_fixture(name, directory)
+
+            monkeypatch.setattr("realbott.enumeration.load_fixture", swapped)
+        r = sweep(4)
+        assert r.reference_ok is False
+        assert r.ok is False
+        assert main(["enumerate", "-n", "4"]) == 1
+        assert "reference_ok=false" in capsys.readouterr().out
 
     def test_dim5_computed_counts(self):
         # raw matrix counts at n=5 (not class counts): frozen from the

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,16 @@ from realbott import (
     leading_submatrix,
     load_matrix,
     matrix_from_json,
+    build_digraph,
+    digraph_spin,
+    enumerate_all,
+    is_spin,
+    matrix_from_index,
     normalize,
     parse_matrix,
     row_pair_matrix,
 )
+from realbott.enumeration import index_space
 from realbott.fixtures import load_fixture, orientable_not_spin_family
 
 from conftest import random_bott
@@ -307,11 +314,49 @@ class TestNormalize:
             # sanity: count of labelled DAGs on n vertices
             assert len(seen) == {1: 1, 2: 3, 3: 25, 4: 543, 5: 29281}[n]
 
+    def test_relabelling_matches_definitions(self):
+        # checked entry by entry, not one operation against the other
+        rng = random.Random(17)
+        for n in range(1, 6):
+            for C in enumerate_all(n):
+                sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                G = conjugate(C, sigma)
+                _assert_conjugate(C, sigma, G)
+                for B in (C, G):
+                    _assert_normal_form(B, *normalize(B))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_conjugation_property(self, data, n):
+        C = matrix_from_index(n, data.draw(st.integers(0, index_space(n) - 1)))
+        sigma = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        G = conjugate(C, sigma)
+        _assert_conjugate(C, sigma, G)
+        _assert_normal_form(G, *normalize(G))
+        v = is_spin(C)
+        for w in (is_spin(G), digraph_spin(build_digraph(G))):
+            assert (w.orientable, w.spin) == (v.orientable, v.spin)
+
     def test_ties_broken_by_smallest_index(self):
         # vertices 1 and 2 both sources; 1 must come first
         m = GeneralBottMatrix(3, (4, 4, 0))  # edges 1->3, 2->3
         sigma, _ = normalize(m)
         assert sigma.sigma == (1, 2, 3)
+
+
+def _assert_conjugate(C, sigma, G):
+    """Entry (sigma(i), sigma(j)) of G is c_ij."""
+    c, g, s = C.to_lists(), G.to_lists(), sigma.sigma
+    for i in range(C.n):
+        for j in range(C.n):
+            assert g[s[i] - 1][s[j] - 1] == c[i][j], (C, sigma)
+
+
+def _assert_normal_form(B, tau, C):
+    """C is strictly upper triangular and b_{tau(i),tau(j)} = c_ij."""
+    assert type(C) is BottMatrix
+    assert all(row & ((2 << i) - 1) == 0 for i, row in enumerate(C.rows))
+    _assert_conjugate(C, tau, B)
 
 
 class TestSubmatrices:
