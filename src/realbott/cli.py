@@ -17,7 +17,7 @@ from .criteria import PairWitness, RowWitness, is_spin
 from .digraph import build_digraph, digraph_spin, export_dot
 from .enumeration import sweep, verify_fixture_suite
 from .errors import BottError
-from .matrix import AnyBottMatrix, BottMatrix, _read_stream, load_matrix, parse_matrix
+from .matrix import AnyBottMatrix, _read_stream, load_matrix, parse_matrix
 
 
 def _bool(v) -> str:
@@ -69,13 +69,7 @@ def _partition_label(r) -> str:
 
 
 def cmd_sw(args) -> int:
-    m = _read_matrix(args)
-    if not isinstance(m, BottMatrix):
-        raise BottError(
-            "classes need a strictly upper triangular matrix; "
-            "normalize the general one first"
-        )
-    profile = total_sw_class(m)
+    profile = total_sw_class(_read_matrix(args))
     if args.format == "json":
         d = profile.to_json_dict()
         if args.numbers:
@@ -212,10 +206,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BottError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BottError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadPartition, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
+from .errors import BadPartition, BottError, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
 from .matrix import MAX_SINGLE_N, BottMatrix
 
 
@@ -185,6 +185,13 @@ class RingElement:
         return "+".join(_monomial_strs(ordered))
 
 
+def _require_triangular(C) -> None:
+    """The ring reads each column above the diagonal only: refuse a general matrix."""
+    if not isinstance(C, BottMatrix):
+        raise BottError("classes need a strictly upper triangular matrix; "
+                        "normalize the general one first")
+
+
 class CohomologyRing:
     """Multiplication context for one matrix: its column masks and, per
     variable, the lane of monomials that variable does not divide.
@@ -198,6 +205,7 @@ class CohomologyRing:
     """
 
     def __init__(self, matrix: BottMatrix):
+        _require_triangular(matrix)
         if matrix.n > MAX_SINGLE_N:
             raise DimensionTooLarge(
                 f"ring elements take 2^n bits; "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .cohomology import RingElement
+from .cohomology import RingElement, _require_triangular
 from .errors import IndexOutOfRange
 from .matrix import AnyBottMatrix, BottMatrix, delete_leading
 
@@ -198,6 +198,7 @@ def spin_by_pairs(C: BottMatrix) -> bool:
 def w_top_minus_one(C: BottMatrix) -> RingElement:
     """Degree n-1 class: the product of the superdiagonal entries times
     y_1*...*y_{n-1}; zero as soon as one superdiagonal entry vanishes."""
+    _require_triangular(C)
     if C.n < 2:
         raise IndexOutOfRange("needs n >= 2")
     for i in range(C.n - 1):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -81,7 +82,11 @@ def _indices(n, mode, count, seed, cap) -> list[int] | range:
             raise DimensionTooLarge(
                 f"exhaustive enumeration capped at n={limit}, got n={n}"
             )
-        return range(index_space(n))
+        space = index_space(n)
+        if space > sys.maxsize:  # a longer range has no len()
+            raise DimensionTooLarge(f"exhaustive enumeration: n={n} has {space} "
+                                    f"matrices, more than {sys.maxsize}")
+        return range(space)
     if mode == "sample":
         if n > MAX_SINGLE_N:
             raise DimensionTooLarge(f"sampling: n={n} exceeds the cap {MAX_SINGLE_N}")

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BottError, IndexOutOfRange
-from .matrix import AnyBottMatrix, BottMatrix, parse_matrix
+from .matrix import AnyBottMatrix, BottMatrix, load_matrix
 
 
 def default_fixture_dir() -> Path:
@@ -27,7 +27,7 @@ def load_fixture(name: str, directory: Path | str | None = None) -> AnyBottMatri
     path = base / f"{name}.txt"
     if not path.is_file():
         raise BottError(f"fixture file missing: {path}")
-    return parse_matrix(path.read_text(encoding="utf-8"))
+    return load_matrix(path)
 
 
 #: Orientable representatives per dimension and which of them are spin.

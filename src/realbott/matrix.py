@@ -13,7 +13,6 @@ the cohomology and digraph modules share.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
@@ -72,11 +71,11 @@ class _BinaryMatrix:
         return self.rows[i - 1].bit_count()
 
     def columns(self) -> tuple[int, ...]:
-        """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1.
-
-        Computed on the first call and kept in the instance ``__dict__``,
-        outside the dataclass fields, so equality, hashing and repr never
-        see it.  Every spin route and the ring read this one tuple.
+        """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1,
+        i.e. the in-neighbours of vertex j.  Computed on the first call and
+        kept in the instance ``__dict__``, outside the dataclass fields, so
+        equality, hashing and repr never see it.  Validating a general matrix
+        fills it; every spin route and the ring read this one tuple.
         """
         cols = self.__dict__.get("_columns")
         if cols is None:
@@ -138,7 +137,7 @@ class GeneralBottMatrix(_BinaryMatrix):
         for i, row in enumerate(self.rows):
             if (row >> i) & 1:
                 raise DiagonalNonzero(f"diagonal entry ({i + 1},{i + 1}) is 1")
-        if _topological_order(self.n, self.rows) is None:
+        if _topological_order(self.columns()) is None:
             raise CyclicDigraph("matrix digraph contains a directed cycle")
 
 
@@ -187,31 +186,25 @@ def _mask_from_bits(bits: Iterable[int]) -> int:
     return mask
 
 
-def _topological_order(n: int, rows: tuple[int, ...]) -> list[int] | None:
-    """Topological order of the digraph (edge i->j iff bit set), smallest
-    original index first among the ready vertices; None on a cycle."""
-    indeg = [0] * n
-    for row in rows:
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            indeg[j] += 1
-            r &= r - 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    heapq.heapify(ready)
+def _topological_order(cols: tuple[int, ...]) -> list[int] | None:
+    """Topological order, 0-based, of the digraph whose in-neighbour masks
+    are `cols` (a matrix's `columns()`); None on a directed cycle.  Each step
+    peels the smallest remaining vertex with no remaining in-neighbour, the
+    vertex a Kahn sort with a min-heap of ready vertices would pop."""
+    left = (1 << len(cols)) - 1
     order: list[int] = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        r = rows[i]
-        while r:
-            j = (r & -r).bit_length() - 1
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
-            r &= r - 1
-    if len(order) != n:
-        return None
+    while left:
+        rest = left
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            if not cols[v] & left:
+                break
+            rest ^= low
+        else:
+            return None
+        order.append(v)
+        left ^= low
     return order
 
 
@@ -317,9 +310,7 @@ def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:
     sigma comes from a topological sort of the digraph of B, ties broken
     by smallest original index, so the result is deterministic.
     """
-    order = _topological_order(B.n, B.rows)
-    if order is None:  # unreachable for validated inputs
-        raise CyclicDigraph("matrix digraph contains a directed cycle")
+    order = _topological_order(B.columns())  # not None: B was validated acyclic
     sigma = Permutation(tuple(v + 1 for v in order))
     return sigma, BottMatrix(B.n, _relabel(B.rows, [i - 1 for i in sigma.inverse().sigma]))
 

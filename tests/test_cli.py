@@ -167,6 +167,10 @@ class TestSw:
 
     def test_general_matrix_rejected(self, capsys):
         assert main(["sw", "--matrix", "00;10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: classes need a strictly upper triangular matrix; "
+            "normalize the general one first\n"
+        )
 
 
 class TestDigraph:
@@ -223,6 +227,13 @@ class TestEnumerate:
         assert main(["enumerate", "-n", "8", "--mode", "sample", "--count", "5",
                       "--seed", "1", "--threads", "1"]) == 0
 
+    def test_index_space_exit_2(self, capsys, monkeypatch):
+        # n = 12 has 2^66 indices, more than a range can count
+        monkeypatch.setenv("BOTT_MAX_N", "12")
+        assert main(["enumerate", "-n", "12", "--threads", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: exhaustive enumeration: n=12 has 73786976294838206464 matrices")
+
     def test_env_cap_is_exhaustive_only(self, capsys, monkeypatch):
         monkeypatch.setenv("BOTT_MAX_N", "5")
         assert main(["enumerate", "-n", "6", "--mode", "sample", "--count", "3",
@@ -266,6 +277,14 @@ class TestVerifyPaper:
         assert main(["verify-paper", "--fixtures", str(fixtures)]) == 1
         out = capsys.readouterr().out
         assert "FAIL reps_n4_1" in out
+
+    def test_non_utf8_fixture_exit_2(self, tmp_path, capsys):
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        (fixtures / "reps_n4_1.txt").write_bytes(b"\xff0 1\n0 0\n")
+        assert main(["verify-paper", "--fixtures", str(fixtures)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "reps_n4_1.txt: not UTF-8" in err
 
     def test_empty_dir_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

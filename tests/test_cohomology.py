@@ -1,21 +1,27 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from realbott import (
     BadPartition,
+    BottError,
     BottMatrix,
     CohomologyRing,
     DimensionMismatch,
     DimensionTooLarge,
     IndexOutOfRange,
+    Permutation,
     RingElement,
+    conjugate,
+    evaluate_matrix,
     graded_dimension,
     is_spin,
     monomial_str,
     multiply,
+    normalize,
     parse_matrix,
     reduce_power_product,
     reduce_square,
@@ -23,12 +29,14 @@ from realbott import (
     sw_partitions,
     total_sw_class,
     w1_formula,
+    w_top_minus_one,
     wk_recursive,
 )
 from realbott.cohomology import _product
 from realbott.enumeration import enumerate_all
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
+    REPRESENTATIVES,
     load_fixture,
     orientable_not_spin_family,
 )
@@ -468,3 +476,25 @@ class TestParseCap:
             RingElement.from_masks([1 << 20])
         with pytest.raises(DimensionTooLarge):
             total_sw_class(BottMatrix.zero(21))
+
+
+class TestTriangularPrecondition:
+    MESSAGE = ("classes need a strictly upper triangular matrix; "
+               "normalize the general one first")
+
+    @pytest.mark.parametrize("call", [
+        total_sw_class,
+        lambda G: multiply(G, RingElement.variable(1), RingElement.variable(2)),
+        lambda G: wk_recursive(G, 2),
+        w_top_minus_one,
+        evaluate_matrix,
+    ], ids=["total_sw_class", "multiply", "wk_recursive", "w_top_minus_one",
+            "evaluate_matrix"])
+    def test_general_matrix_refused(self, call):
+        # reversed conjugates of the n = 4 spin list and n = 5 representatives
+        for name in DIM4_SPIN_LIST + REPRESENTATIVES[5]:
+            C = load_fixture(name)
+            G = conjugate(C, Permutation(tuple(range(C.n, 0, -1))))
+            with pytest.raises(BottError, match=re.escape(self.MESSAGE)):
+                call(G)
+            call(normalize(G)[1])  # the triangular form is accepted

@@ -53,6 +53,16 @@ class TestEnumerate:
         with pytest.raises(DimensionTooLarge, match="exceeds the cap 20"):
             list(enumerate_all(21, mode="sample", cap=30, seed=1, count=1))
 
+    def test_index_space_beyond_a_range(self):
+        # refused before any matrix is built or any worker started
+        message = "n=12 has 73786976294838206464 matrices"
+        with pytest.raises(DimensionTooLarge, match=message):
+            sweep(12, cap=12)
+        with pytest.raises(DimensionTooLarge, match=message):
+            next(enumerate_all(12, cap=12))
+        # 2^55 indices still fit
+        assert next(enumerate_all(11, cap=11)).rows == (0,) * 11
+
     def test_sample_reproducible(self):
         a = [m.rows for m in enumerate_all(6, mode="sample", count=50, seed=9)]
         b = [m.rows for m in enumerate_all(6, mode="sample", count=50, seed=9)]

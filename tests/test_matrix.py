@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import json
 import random
@@ -32,6 +33,7 @@ from realbott import (
     row_pair_matrix,
 )
 from realbott.enumeration import index_space
+from realbott.matrix import _topological_order
 from realbott.fixtures import load_fixture, orientable_not_spin_family
 
 from conftest import random_bott
@@ -342,6 +344,74 @@ class TestNormalize:
         m = GeneralBottMatrix(3, (4, 4, 0))  # edges 1->3, 2->3
         sigma, _ = normalize(m)
         assert sigma.sigma == (1, 2, 3)
+
+
+def _heap_kahn(n, rows):
+    """The heap-based Kahn sort that `_topological_order` replaced, kept as
+    its reference: edge i -> j iff bit j of rows[i], the smallest ready
+    vertex first; None when a cycle leaves vertices unsorted."""
+    indeg = [sum((row >> j) & 1 for row in rows) for j in range(n)]
+    ready = [i for i in range(n) if indeg[i] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in range(n):
+            if (rows[i] >> j) & 1:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(ready, j)
+    return order if len(order) == n else None
+
+
+def _in_masks(n, rows):
+    return tuple(sum(((rows[i] >> j) & 1) << i for i in range(n)) for j in range(n))
+
+
+class TestTopologicalOrder:
+    def test_every_small_grid(self):
+        # every zero-diagonal 0/1 grid with n <= 4, cyclic ones included
+        for n in range(1, 5):
+            off = [(i, j) for i in range(n) for j in range(n) if i != j]
+            cyclic = 0
+            for bits in range(1 << len(off)):
+                rows = [0] * n
+                for t, (i, j) in enumerate(off):
+                    rows[i] |= ((bits >> t) & 1) << j
+                rows = tuple(rows)
+                expected = _heap_kahn(n, rows)
+                assert _topological_order(_in_masks(n, rows)) == expected, rows
+                if expected is None:
+                    cyclic += 1
+                    with pytest.raises(CyclicDigraph):
+                        GeneralBottMatrix(n, rows)
+                else:
+                    assert GeneralBottMatrix(n, rows).rows == rows
+            # labelled DAGs on n vertices, the rest of the 2^(n(n-1)) grids cyclic
+            assert (1 << len(off)) - cyclic == {1: 1, 2: 3, 3: 25, 4: 543}[n]
+
+    def test_conjugates_of_every_small_matrix(self):
+        rng = random.Random(23)
+        for n in range(1, 6):
+            for C in enumerate_all(n):
+                G = conjugate(C, Permutation(tuple(rng.sample(range(1, n + 1), n))))
+                for M in (C, G):
+                    assert _topological_order(M.columns()) == _heap_kahn(n, M.rows)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 12))
+    def test_matches_heap_kahn(self, data, n):
+        # a random conjugate, with a few edges flipped so that some are cyclic
+        C = matrix_from_index(n, data.draw(st.integers(0, index_space(n) - 1)))
+        sigma = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)))))
+        rows = list(conjugate(C, sigma).rows)
+        if n > 1:
+            pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2))
+            for i, j in data.draw(st.lists(pair, max_size=3)):
+                rows[i] ^= 1 << (j + (j >= i))  # j skips the diagonal
+        rows = tuple(rows)
+        assert _topological_order(_in_masks(n, rows)) == _heap_kahn(n, rows)
 
 
 def _assert_conjugate(C, sigma, G):
