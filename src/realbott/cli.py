@@ -124,15 +124,7 @@ def cmd_enumerate(args) -> int:
         print(report.CSV_HEADER)
         print(report.to_csv_row())
     else:
-        line = (
-            f"n={report.n} mode={report.mode} total={report.total} "
-            f"orientable={report.orientable_count} spin={report.spin_count} "
-            f"mismatches={len(report.mismatches)}"
-        )
-        if report.reference_ok is not None:
-            line += f" reference_ok={_bool(report.reference_ok)}"
-        line += f" elapsed_ms={round(report.elapsed * 1000.0, 1)}"
-        print(line)
+        print(report.to_text_line())
     return 0 if report.ok else 1
 
 

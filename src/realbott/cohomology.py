@@ -276,15 +276,15 @@ def _check_element(C: BottMatrix, e: RingElement) -> None:
 
 
 def reduce_square(C: BottMatrix, i: int) -> RingElement:
-    """Normal form of y_i^2: the sum of y_j*y_i over rows j < i with a 1 in
-    column i.  Valid for every i up to n (see the module docstring for the
-    top-variable case)."""
+    """Normal form of y_i^2: the sum of y_j*y_i over every row j with a 1 in
+    column i (only j < i on a BottMatrix).  Valid for every i up to n (see
+    the module docstring for the top-variable case)."""
     if not 1 <= i <= C.n:
         raise IndexOutOfRange(f"index {i} outside 1..{C.n}")
     col = C.columns()[i - 1]
     bit = 1 << (i - 1)
     return RingElement.from_masks(
-        (1 << j) | bit for j in range(i - 1) if (col >> j) & 1
+        (1 << j) | bit for j in range(C.n) if (col >> j) & 1
     )
 
 

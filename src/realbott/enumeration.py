@@ -44,13 +44,13 @@ def index_space(n: int) -> int:
 
 def matrix_from_index(n: int, index: int) -> BottMatrix:
     # row i's free entries (i+1, i+2), ..., (i+1, n) are the next n-1-i
-    # index bits, in column order
+    # index bits, in column order, so every row is strictly upper triangular
     rows = []
     for i in range(n):
         width = n - 1 - i
         rows.append((index & ((1 << width) - 1)) << (i + 1))
         index >>= width
-    return BottMatrix(n, tuple(rows))
+    return BottMatrix._trusted(n, tuple(rows))
 
 
 def matrix_index(C: BottMatrix) -> int:
@@ -166,6 +166,16 @@ class SweepReport:
             f"{self.n},{self.total},{self.orientable_count},"
             f"{self.spin_count},{len(self.mismatches)},"
             f"{round(self.elapsed * 1000.0, 3)}"
+        )
+
+    def to_text_line(self) -> str:
+        ref = self.reference_ok
+        return (
+            f"n={self.n} mode={self.mode} total={self.total} "
+            f"orientable={self.orientable_count} spin={self.spin_count} "
+            f"mismatches={len(self.mismatches)}"
+            + ("" if ref is None else f" reference_ok={str(ref).lower()}")
+            + f" elapsed_ms={round(self.elapsed * 1000.0, 1)}"
         )
 
 

@@ -128,6 +128,15 @@ class BottMatrix(_BinaryMatrix):
     def zero(cls, n: int) -> "BottMatrix":
         return cls(n, (0,) * n)
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "BottMatrix":
+        """Checks n >= 1 only: `rows` must be a tuple of n strictly upper triangular masks."""
+        if n < 1:
+            raise NonSquare(f"dimension must be >= 1, got {n}")
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, rows=rows)
+        return self
+
 
 class GeneralBottMatrix(_BinaryMatrix):
     """Binary matrix with zero diagonal whose digraph is acyclic."""
@@ -209,6 +218,9 @@ def _topological_order(cols: tuple[int, ...]) -> list[int] | None:
 
 
 _DROP_BINARY_DIGITS = str.maketrans("", "", "01")
+#: What str.split() splits on but str.splitlines() does not break at.
+_DROP_INLINE_SPACE = str.maketrans("", "", "\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+                                   "\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000")
 
 
 def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -221,30 +233,31 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     Blank lines and lines whose first non-space character is '#' are
     ignored.  Errors are reported in this order: the first bad character of
     the first bad line, ragged rows, a non-square grid, the ``max_n`` cap.
+
+    Each step works on the whole text: split the lines before any space
+    goes (so "\\r \\n" stays two breaks), drop the in-line spaces, then
+    check every row at once; only a failed check walks the lines to name one.
     """
-    rows: list[int] = []
-    widths: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        bits = "".join(line.split())
-        if not bits or bits[0] == "#":
-            continue
-        # int(_, 2) alone would also take "_", "+", "-" and non-ASCII digits
-        bad = bits.translate(_DROP_BINARY_DIGITS)
-        if bad:
-            raise NonBinary(f"line {lineno}: bad character {bad[0]!r}")
-        rows.append(int(bits[::-1], 2))  # first character is column 1, bit 0
-        widths.append(len(bits))
-    if not rows:
+    lines = "\n".join(text.splitlines()).translate(_DROP_INLINE_SPACE).split("\n")
+    grid = [bits for bits in lines if bits and bits[0] != "#"]
+    # int(_, 2) alone would also take "_", "+", "-" and non-ASCII digits
+    if "".join(grid).translate(_DROP_BINARY_DIGITS):
+        for lineno, bits in enumerate(lines, 1):
+            bad = bits.translate(_DROP_BINARY_DIGITS)
+            if bad and bits[0] != "#":
+                raise NonBinary(f"line {lineno}: bad character {bad[0]!r}")
+    if not grid:
         raise NonSquare("no matrix rows found")
-    n = widths[0]
-    for i, width in enumerate(widths, 1):
-        if width != n:
-            raise NonSquare(f"row {i} has {width} entries, expected {n}")
-    if len(rows) != n:
-        raise NonSquare(f"{len(rows)} rows of width {n}: matrix is not square")
+    n = len(grid[0])
+    if len(set(map(len, grid))) > 1:
+        for i, bits in enumerate(grid, 1):
+            if len(bits) != n:
+                raise NonSquare(f"row {i} has {len(bits)} entries, expected {n}")
+    if len(grid) != n:
+        raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    return _matrix_from_rows(tuple(rows))
+    return _matrix_from_rows(tuple([int(bits[::-1], 2) for bits in grid]))  # column 1: bit 0
 
 
 def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -298,8 +311,8 @@ def _read_stream(fh: TextIO, name, max_n: int | None = MAX_SINGLE_N) -> AnyBottM
 def _matrix_from_rows(rows: tuple[int, ...]) -> AnyBottMatrix:
     n = len(rows)
     upper = all(rows[i] & ((2 << i) - 1) == 0 for i in range(n))
-    if upper:
-        return BottMatrix(n, rows)
+    if upper:  # parse and JSON have fixed the widths: nothing left to check
+        return BottMatrix._trusted(n, rows)
     return GeneralBottMatrix(n, rows)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -201,9 +202,15 @@ class TestEnumerate:
     def test_dim4_text(self, capsys):
         assert main(["enumerate", "-n", "4", "--threads", "1"]) == 0
         out = capsys.readouterr().out
-        assert "orientable=8 spin=8" in out
-        assert "mismatches=0" in out
-        assert "reference_ok=true" in out
+        assert re.fullmatch(r"n=4 mode=exhaustive total=64 orientable=8 spin=8 "
+                            r"mismatches=0 reference_ok=true elapsed_ms=\d+\.\d\n", out)
+
+    def test_sample_text(self, capsys):
+        assert main(["enumerate", "-n", "5", "--mode", "sample", "--count", "40",
+                     "--seed", "11", "--threads", "1"]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"n=5 mode=sample total=40 orientable=\d+ spin=\d+ "
+                            r"mismatches=0 elapsed_ms=\d+\.\d\n", out)
 
     def test_dim3_json(self, capsys):
         assert main(["enumerate", "-n", "3", "--threads", "1", "--format", "json"]) == 0

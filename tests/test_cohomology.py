@@ -117,6 +117,18 @@ class TestReduceSquare:
         with pytest.raises(IndexOutOfRange):
             reduce_square(BottMatrix.zero(3), 4)
 
+    def test_general_matrix_reads_whole_column(self):
+        # on a general matrix column i may have ones below row i
+        rev3 = Permutation((3, 2, 1))
+        G = conjugate(parse_matrix("0 1 1\n0 0 1\n0 0 0"), rev3)
+        assert masks(reduce_square(G, 1)) == {0b011, 0b101}
+        for n in range(1, 6):
+            rev = Permutation(tuple(range(n, 0, -1)))
+            for C in enumerate_all(n):
+                G = conjugate(C, rev)
+                for i in range(1, n + 1):
+                    assert reduce_square(G, i) == reduce_power_product(G, [i, i])
+
     def test_homogeneous_degree_two(self, rng):
         for _ in range(30):
             m = random_bott(rng, rng.randint(2, 7))

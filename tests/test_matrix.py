@@ -2,6 +2,7 @@ import heapq
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from realbott import (
     row_pair_matrix,
 )
 from realbott.enumeration import index_space
-from realbott.matrix import _topological_order
+from realbott.matrix import _DROP_INLINE_SPACE, _topological_order
 from realbott.fixtures import load_fixture, orientable_not_spin_family
 
 from conftest import random_bott
@@ -199,6 +200,30 @@ class TestParse:
     def test_matches_per_character_reference(self, text, max_n):
         assert _outcome(parse_matrix, text, max_n) == _outcome(_reference_parse, text, max_n)
 
+    def test_inline_space_table(self):
+        # exactly the whitespace str.split() drops that str.splitlines()
+        # does not break at: one translate stands in for a per-line split
+        inline = {c for c in map(chr, range(sys.maxunicode + 1))
+                  if c.isspace() and len(("a" + c + "a").splitlines()) == 1}
+        assert {chr(c) for c in _DROP_INLINE_SPACE} == inline
+        assert set(_DROP_INLINE_SPACE.values()) == {None}
+
+    @pytest.mark.parametrize("text, outcome", [
+        # lines are split before spaces go, so CR, space, LF is two breaks
+        ("0\r \n;", (NonBinary, "line 3: bad character ';'")),
+        ("0 1\u20280 0", (BottMatrix, 2, (2, 0))),
+        ("0 1\x850 0", (BottMatrix, 2, (2, 0))),
+        ("0\x85\u2028x", (NonBinary, "line 3: bad character 'x'")),
+        ("0\xa01\n0\x1f0", (BottMatrix, 2, (2, 0))),
+        ("# x+y_\u0661 ;\n \xa0# 2\n0 1\n0 0", (BottMatrix, 2, (2, 0))),
+        ("0 1\n# x\n0 x", (NonBinary, "line 3: bad character 'x'")),
+        ("0 0 0\n0 0\n0 0 0 0", (NonSquare, "row 2 has 2 entries, expected 3")),
+        ("0 0\n0 0\n0 0 0", (NonSquare, "row 3 has 3 entries, expected 2")),
+    ])
+    def test_whole_text_passes(self, text, outcome):
+        assert _outcome(parse_matrix, text, 20) == outcome
+        assert _outcome(_reference_parse, text, 20) == outcome
+
     def test_json_bad_shape(self):
         with pytest.raises(NonSquare):
             matrix_from_json({"n": 3, "rows": [[0, 1], [0, 0]]})
@@ -210,6 +235,37 @@ class TestParse:
         t = tmp_path / "m.txt"
         t.write_text("0 1\n0 0\n")
         assert load_matrix(t).rows == (2, 0)
+
+
+class TestTrustedConstruction:
+    """The decoder and the parsers build a BottMatrix without re-running
+    the checks they have already made; the result must be indistinguishable
+    from the validated one."""
+
+    def _assert_same(self, M):
+        V = BottMatrix(M.n, M.rows)
+        assert type(M) is BottMatrix and type(M.rows) is tuple
+        assert M == V and V == M
+        assert (hash(M), repr(M)) == (hash(V), repr(V))
+        assert M.columns() is M.columns()
+        assert M.columns() == V.columns()
+
+    def test_every_small_index(self):
+        for n in range(1, 6):
+            for index in range(index_space(n)):
+                self._assert_same(matrix_from_index(n, index))
+
+    def test_parsed_triangular(self, rng):
+        for M in _random_matrices(rng):
+            if isinstance(M, BottMatrix):
+                self._assert_same(parse_matrix(M.to_text()))
+                self._assert_same(matrix_from_json(M.to_json_dict()))
+
+    def test_dimension_still_checked(self):
+        with pytest.raises(NonSquare):
+            matrix_from_index(0, 0)
+        with pytest.raises(NonSquare):
+            matrix_from_json({"rows": []})
 
 
 class TestConstruction:
