@@ -342,6 +342,9 @@ class SWProfile:
     matrix: BottMatrix
     total: int
 
+    def __init__(self, matrix: BottMatrix, total: int) -> None:  # see criteria.RowWitness
+        self.__dict__.update(matrix=matrix, total=total)
+
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
         """w_0..w_n: the total class split by degree."""

@@ -27,6 +27,13 @@ class RowWitness:
 
     i: int
 
+    # The spin routes build these records per matrix.  An __init__ in the
+    # class body keeps @dataclass from generating its frozen one, which
+    # sets each field through object.__setattr__ at several times the
+    # cost; equality, hashing, repr, fields() and replace() are unchanged.
+    def __init__(self, i: int) -> None:
+        self.__dict__.update(i=i)
+
     def to_json_dict(self) -> dict:
         return {"kind": "row", "i": self.i}
 
@@ -39,6 +46,9 @@ class PairWitness:
     k: int
     P: int
     Q: int
+
+    def __init__(self, j: int, k: int, P: int, Q: int) -> None:  # see RowWitness
+        self.__dict__.update(j=j, k=k, P=P, Q=Q)
 
     def to_json_dict(self) -> dict:
         return {"kind": "pair", "j": self.j, "k": self.k, "P": self.P, "Q": self.Q}
@@ -60,6 +70,11 @@ class SpinVerdict:
     orientable: bool
     spin: bool
     witnesses: tuple[Witness, ...] = ()
+
+    def __init__(  # see RowWitness
+        self, orientable: bool, spin: bool, witnesses: tuple[Witness, ...] = ()
+    ) -> None:
+        self.__dict__.update(orientable=orientable, spin=spin, witnesses=witnesses)
 
     @property
     def witness(self) -> Witness | None:
@@ -104,11 +119,12 @@ def _closed_form_terms(rows: tuple[int, ...], j: int, k: int) -> tuple[int, int]
     return P, Q
 
 
-def _verdict_scan(
+def _scan(
     rows: Sequence[int], cols: Sequence[int], qmask: int
-) -> SpinVerdict:
-    """The verdict every spin route shares: the first odd row, then the
-    first pair j < k whose terms P_jk and Q_jk differ.
+) -> tuple[int, tuple[int, int, int, int] | None]:
+    """The verdict rule every spin route shares, as plain values: the first
+    odd row, 1-based, or 0; and the first pair j < k whose terms P_jk and
+    Q_jk differ, as a 1-based (j, k, P, Q) tuple, or None.
 
     The pairs are scanned a row at a time, every k at once.  Row j's P
     over all k is the XOR of cols[c] over the ones c of row j, so its bit
@@ -120,14 +136,12 @@ def _verdict_scan(
     (P ^ Q) >> (j + 1).
 
     A non-orientable matrix still gets the pair scan so the verdict can
-    carry a pair witness for diagnostics, but its spin flag is False.
+    carry a pair witness for diagnostics.
     """
-    witnesses: list[Witness] = []
-    orientable = True
+    odd = 0
     for i, row in enumerate(rows, 1):
         if row.bit_count() & 1:
-            orientable = False
-            witnesses.append(RowWitness(i))
+            odd = i
             break
     for j, row in enumerate(rows):
         P = 0
@@ -142,9 +156,20 @@ def _verdict_scan(
         D = (P ^ Q) >> (j + 1)
         if D:
             k = j + (D & -D).bit_length()
-            witnesses.append(PairWitness(j + 1, k + 1, (P >> k) & 1, (Q >> k) & 1))
-            return SpinVerdict(orientable, False, tuple(witnesses))
-    return SpinVerdict(orientable, orientable, tuple(witnesses))
+            return odd, (j + 1, k + 1, (P >> k) & 1, (Q >> k) & 1)
+    return odd, None
+
+
+def _verdict_scan(
+    rows: Sequence[int], cols: Sequence[int], qmask: int
+) -> SpinVerdict:
+    """`_scan` as a verdict: spin needs both an even matrix and no failing
+    pair, and the witnesses are the odd row, then the failing pair."""
+    odd, pair = _scan(rows, cols, qmask)
+    witnesses = (RowWitness(odd),) if odd else ()
+    if pair is not None:
+        witnesses += (PairWitness(*pair),)
+    return SpinVerdict(not odd, not odd and pair is None, witnesses)
 
 
 def _pair_sum_mask(rows: Sequence[int]) -> int:
@@ -178,9 +203,10 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     """Spin decided through the two-row extractions: true iff every matrix
     keeping only rows j and k of C is spin.
 
-    Each extraction gets the full scan.  Its other rows are zero, so its
-    column masks are C's masked to the two rows, and so are its pair-sum
-    bits."""
+    Each extraction gets the full scan, read bare: spin is no odd row and
+    no failing pair, and no verdict is built.  Its other rows are zero, so
+    its column masks are C's masked to the two rows, and so are its
+    pair-sum bits."""
     n = C.n
     cols = C.columns()
     q = _pair_sum_mask(C.rows)
@@ -190,7 +216,8 @@ def spin_by_pairs(C: BottMatrix) -> bool:
             rows = [0] * n
             rows[j] = C.rows[j]
             rows[k] = C.rows[k]
-            if not _verdict_scan(rows, [c & keep for c in cols], q & keep).spin:
+            odd, pair = _scan(rows, [c & keep for c in cols], q & keep)
+            if odd or pair:
                 return False
     return True
 

@@ -24,6 +24,11 @@ class BottDigraph:
     out_masks: tuple[int, ...]
     in_masks: tuple[int, ...]
 
+    def __init__(  # see criteria.RowWitness
+        self, n: int, out_masks: tuple[int, ...], in_masks: tuple[int, ...]
+    ) -> None:
+        self.__dict__.update(n=n, out_masks=out_masks, in_masks=in_masks)
+
     def has_edge(self, i: int, j: int) -> int:
         self._check(i)
         self._check(j)

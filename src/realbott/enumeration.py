@@ -23,7 +23,7 @@ from typing import Iterator
 from .cohomology import total_sw_class
 from .criteria import PairWitness, is_spin, spin_by_pairs
 from .digraph import build_digraph, common_out, digraph_spin
-from .errors import BottError, DimensionTooLarge
+from .errors import BottError, DimensionTooLarge, IndexOutOfRange
 from .fixtures import (
     DIGRAPH_FIXTURES,
     DIM4_SPIN_LIST,
@@ -43,17 +43,26 @@ def index_space(n: int) -> int:
 
 
 def matrix_from_index(n: int, index: int) -> BottMatrix:
+    """The matrix packed as `index`, which must lie in range(index_space(n))."""
     # row i's free entries (i+1, i+2), ..., (i+1, n) are the next n-1-i
     # index bits, in column order, so every row is strictly upper triangular
     rows = []
+    rest = index
     for i in range(n):
         width = n - 1 - i
-        rows.append((index & ((1 << width) - 1)) << (i + 1))
-        index >>= width
+        rows.append((rest & ((1 << width) - 1)) << (i + 1))
+        rest >>= width
+    if rest:  # bits above the n(n-1)/2 entries, or a negative index (-1 >> k is -1)
+        raise IndexOutOfRange(f"index {index} outside 0..2^{n * (n - 1) // 2}-1")
     return BottMatrix._trusted(n, tuple(rows))
 
 
 def matrix_index(C: BottMatrix) -> int:
+    """Inverse of `matrix_from_index`; only strictly upper triangular
+    matrices have an index."""
+    if not isinstance(C, BottMatrix):
+        raise BottError("a packed index needs a strictly upper triangular "
+                        "matrix; normalize the general one first")
     index = 0
     for i in reversed(range(C.n)):
         index = (index << (C.n - 1 - i)) | (C.rows[i] >> (i + 1))

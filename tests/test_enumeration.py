@@ -6,11 +6,15 @@ import pytest
 from realbott import (
     BottError,
     DimensionTooLarge,
+    IndexOutOfRange,
+    Permutation,
+    conjugate,
     enumerate_all,
     evaluate_matrix,
     is_spin,
     matrix_from_index,
     matrix_index,
+    normalize,
     sweep,
     verify_fixture_suite,
     verify_representatives,
@@ -43,6 +47,18 @@ class TestEnumerate:
                     sum(((idx >> t) & 1) << j for t, (r, j) in enumerate(positions) if r == i)
                     for i in range(n)
                 )
+
+    @pytest.mark.parametrize("n,index", [(2, 2), (2, 5), (3, 8), (3, -1), (5, -1024), (1, 1)])
+    def test_index_outside_space(self, n, index):
+        # the decoder would drop the high bits, or read -1 as all ones
+        with pytest.raises(IndexOutOfRange, match=f"index {index} outside"):
+            matrix_from_index(n, index)
+
+    def test_index_needs_triangular(self):
+        G = conjugate(matrix_from_index(3, 5), Permutation((3, 2, 1)))
+        with pytest.raises(BottError, match="strictly upper triangular"):
+            matrix_index(G)
+        assert matrix_index(normalize(G)[1]) == 5
 
     def test_cap(self):
         with pytest.raises(DimensionTooLarge):
