@@ -11,6 +11,7 @@ merge to identical reports.
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import sys
@@ -78,11 +79,22 @@ def enumerate_all(
 ) -> Iterator[BottMatrix]:
     """Yield matrices of dimension n: each one exactly once in packed-index
     order (exhaustive, n <= `cap`), or `count` seeded draws (sample, n <= 20)."""
-    for index in _indices(n, mode, count, seed, cap):
+    for index in itertools.chain.from_iterable(_index_batches(n, mode, count, seed, cap)[2]):
         yield matrix_from_index(n, index)
 
 
-def _indices(n, mode, count, seed, cap) -> list[int] | range:
+#: Most indices drawn, or handed to a worker, at a time, and runs handed
+#: out per worker at a time: memory stays bounded whatever the count.
+BATCH = 1 << 14
+WINDOW = 4
+
+
+def _index_batches(n, mode, count, seed, cap,
+                   jobs=1) -> tuple[int, int, Iterator]:
+    """(total, size, batches): the indices in order, in runs of `size` (the
+    last one shorter), at most BATCH and at most total / `jobs` so that
+    `jobs` workers all get one.  Sample draws come from one seeded RNG as
+    the runs are read, so a seed gives the same indices whatever `size`."""
     if n < 1:
         raise BottError(f"dimension must be >= 1, got {n}")
     if mode == "exhaustive":
@@ -92,21 +104,28 @@ def _indices(n, mode, count, seed, cap) -> list[int] | range:
                 f"exhaustive enumeration capped at n={limit}, got n={n}"
             )
         space = index_space(n)
-        if space > sys.maxsize:  # a longer range has no len()
+        if space > sys.maxsize:  # no sweep that long ends
             raise DimensionTooLarge(f"exhaustive enumeration: n={n} has {space} "
                                     f"matrices, more than {sys.maxsize}")
-        return range(space)
-    if mode == "sample":
+        total = space
+    elif mode == "sample":
         if n > MAX_SINGLE_N:
             raise DimensionTooLarge(f"sampling: n={n} exceeds the cap {MAX_SINGLE_N}")
         if seed is None:
             raise BottError("sample mode requires a seed")
         if count is None or count < 1:
             raise BottError("sample mode requires a positive count")
-        rng = random.Random(seed)
-        space = index_space(n)
-        return [rng.randrange(space) for _ in range(count)]
-    raise BottError(f"unknown mode {mode!r}")
+        total = count
+    else:
+        raise BottError(f"unknown mode {mode!r}")
+    size = min(BATCH, -(-total // jobs))
+    starts = range(0, total, size)
+    if mode == "exhaustive":
+        return total, size, (range(lo, min(lo + size, total)) for lo in starts)
+    rng = random.Random(seed)
+    space = index_space(n)
+    return total, size, ([rng.randrange(space) for _ in range(min(size, total - lo))]
+                         for lo in starts)
 
 
 def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
@@ -203,6 +222,17 @@ def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict]]:
     return orientable, spin, mismatches
 
 
+def _chunk_results(chunks: Iterator[tuple], workers: int) -> Iterator[tuple]:
+    """`_sweep_chunk` of each chunk, in order, in `workers` processes."""
+    if workers <= 1:
+        yield from map(_sweep_chunk, chunks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # map submits all its items at once: hand it one window at a time
+        while window := list(itertools.islice(chunks, WINDOW * workers)):
+            yield from pool.map(_sweep_chunk, window)
+
+
 def sweep(
     n: int,
     mode: str = "exhaustive",
@@ -213,29 +243,23 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every enumerated matrix on all criteria and tally.
 
-    With jobs > 1 the index space is split into min(jobs, CPU count)
-    contiguous chunks, one worker process each; merged results are
+    With jobs > 1 the indices are split into contiguous runs of at most
+    BATCH, shared among min(jobs, CPU count) worker processes with at most
+    WINDOW runs per worker handed out at once; merged results are
     identical to the serial ones.  At n=4 exhaustive the spin set is additionally
     matched against the packaged list of the eight dimension-4 spin
     matrices (reference_ok); each index is visited once, so a spin count
     equal to the list's size with every listed matrix spin means equal sets.
     """
     start = time.perf_counter()
-    indices = _indices(n, mode, count, seed, cap)
-    total = len(indices)
     # More workers than cores only adds start-up cost, and fork starts them
-    # all at once; slicing a range keeps a range, a list keeps a list.
+    # all at once
     jobs = max(1, min(jobs, os.cpu_count() or 1))
-    step = -(-total // jobs) if total else 1
-    chunks = [(n, indices[lo:lo + step]) for lo in range(0, total, step)]
-    if len(chunks) <= 1:
-        results = [_sweep_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_sweep_chunk, chunks))
+    total, size, batches = _index_batches(n, mode, count, seed, cap, jobs)
     orientable = spin = 0
     mismatches: list[dict] = []
-    for o, s, mm in results:
+    for o, s, mm in _chunk_results(((n, batch) for batch in batches),
+                                   min(jobs, -(-total // size))):
         orientable += o
         spin += s
         mismatches.extend(mm)

@@ -9,12 +9,21 @@ Rows are stored as int bitmasks: ``rows[i]`` has bit ``j`` set iff the
 1-based entry ``c_{i+1,j+1}`` is 1.  All public methods and functions
 speak 1-based indices; the 0-based masks are an internal convention that
 the cohomology and digraph modules share.
+
+The parsers read a grid into one packed word: entry (i, j), 0-based, is
+bit ``i*m + j``, m the smallest power of two >= n.  One AND with a mask
+tests the triangle, one the diagonal, and a word transpose gives the
+columns, so a parsed matrix needs no further validation and comes with
+``columns()`` filled.  Other constructors validate row by row.
 """
 
 from __future__ import annotations
 
 import json
+import struct
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, TextIO, Union
 
 from .errors import (
@@ -60,6 +69,18 @@ class _BinaryMatrix:
         rows = tuple(_mask_from_bits(row) for row in grid)
         return cls(len(rows), rows)
 
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...], columns: tuple[int, ...] | None = None):
+        """Checks n >= 1 only: `rows` must be a tuple of n masks that pass
+        the class's checks, and `columns`, when given, their transpose."""
+        if n < 1:
+            raise NonSquare(f"dimension must be >= 1, got {n}")
+        self = object.__new__(cls)
+        self.__dict__.update(n=n, rows=rows)
+        if columns is not None:  # not a third keyword above: it slows the decoder
+            self.__dict__["_columns"] = columns
+        return self
+
     def entry(self, i: int, j: int) -> int:
         """Entry c_{i,j}, 1-based."""
         self._check_index(i)
@@ -72,10 +93,11 @@ class _BinaryMatrix:
 
     def columns(self) -> tuple[int, ...]:
         """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1,
-        i.e. the in-neighbours of vertex j.  Computed on the first call and
-        kept in the instance ``__dict__``, outside the dataclass fields, so
-        equality, hashing and repr never see it.  Validating a general matrix
-        fills it; every spin route and the ring read this one tuple.
+        i.e. the in-neighbours of vertex j.  Kept in the instance
+        ``__dict__``, outside the dataclass fields, so equality, hashing and
+        repr never see it.  The parsers fill it from their word transpose;
+        for a matrix built any other way the first call computes it, one
+        step per set bit.  Every spin route and the ring read this one tuple.
         """
         cols = self.__dict__.get("_columns")
         if cols is None:
@@ -128,15 +150,6 @@ class BottMatrix(_BinaryMatrix):
     def zero(cls, n: int) -> "BottMatrix":
         return cls(n, (0,) * n)
 
-    @classmethod
-    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "BottMatrix":
-        """Checks n >= 1 only: `rows` must be a tuple of n strictly upper triangular masks."""
-        if n < 1:
-            raise NonSquare(f"dimension must be >= 1, got {n}")
-        self = object.__new__(cls)
-        self.__dict__.update(n=n, rows=rows)
-        return self
-
 
 class GeneralBottMatrix(_BinaryMatrix):
     """Binary matrix with zero diagonal whose digraph is acyclic."""
@@ -162,7 +175,9 @@ class Permutation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma", tuple(self.sigma))
         n = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, n + 1)):
+        # 2.0 and True compare equal to 2 and 1 but cannot index a row
+        ints = all(type(v) is int for v in self.sigma)
+        if not ints or sorted(self.sigma) != list(range(1, n + 1)):
             raise BottError(f"not a bijection on 1..{n}: {self.sigma}")
 
     @property
@@ -237,6 +252,9 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     Each step works on the whole text: split the lines before any space
     goes (so "\\r \\n" stays two breaks), drop the in-line spaces, then
     check every row at once; only a failed check walks the lines to name one.
+    The checked grid is already the packed word (see the module docstring):
+    its rows, joined with m - n zeros between them and reversed, are one
+    base-2 literal, and rows, columns and the matrix rules come from it.
     """
     lines = "\n".join(text.splitlines()).translate(_DROP_INLINE_SPACE).split("\n")
     grid = [bits for bits in lines if bits and bits[0] != "#"]
@@ -257,7 +275,8 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
         raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    return _matrix_from_rows(tuple([int(bits[::-1], 2) for bits in grid]))  # column 1: bit 0
+    m = 1 << (n - 1).bit_length()
+    return _matrix_from_word(int(("0" * (m - n)).join(grid)[::-1], 2), n, m)
 
 
 def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -287,7 +306,8 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
                 raise NonBinary(f"row {i}: entry {v!r} is not 0/1")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    return _matrix_from_rows(tuple(_mask_from_bits(row) for row in rows))
+    m = 1 << (n - 1).bit_length()
+    return _matrix_from_word(sum(_mask_from_bits(row) << i * m for i, row in enumerate(rows)), n, m)
 
 
 def load_matrix(path, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -308,12 +328,58 @@ def _read_stream(fh: TextIO, name, max_n: int | None = MAX_SINGLE_N) -> AnyBottM
     return parse_matrix(text, max_n=max_n)
 
 
-def _matrix_from_rows(rows: tuple[int, ...]) -> AnyBottMatrix:
-    n = len(rows)
-    upper = all(rows[i] & ((2 << i) - 1) == 0 for i in range(n))
-    if upper:  # parse and JSON have fixed the widths: nothing left to check
-        return BottMatrix._trusted(n, rows)
-    return GeneralBottMatrix(n, rows)
+@lru_cache(maxsize=8)
+def _word_tables(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """Masks over an m-by-m word: the lower triangle with the diagonal, the
+    diagonal, and (shift, mask) for each transpose step, which swaps entry
+    (i, j) with (i + b, j - b) where bit b is set in j but not in i
+    (Hacker's Delight, "transposing a bit matrix").  The masks span all m
+    rows: on its way an entry can pass through rows n..m-1."""
+    lower = sum(((2 << i) - 1) << i * m for i in range(m))
+    diagonal = sum(1 << i * (m + 1) for i in range(m))
+    steps = []
+    b = m >> 1
+    while b:
+        in_row = sum(1 << j for j in range(m) if j & b)
+        steps.append((b * (m - 1), in_row * sum(1 << i * m for i in range(m) if not i & b)))
+        b >>= 1
+    return lower, diagonal, tuple(steps)
+
+
+#: memoryview formats of the native unsigned ints, by width in bits; on a
+#: big-endian host lane 0 would come last, so every width takes the shifts
+_LANE_FORMATS = {struct.calcsize(c) * 8: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _lanes(x: int, n: int, m: int) -> tuple[int, ...]:
+    """The n lowest m-bit lanes of `x`, lane 0 first, for lanes with no
+    bit at or above n: read as native ints when m is a native width."""
+    fmt = _LANE_FORMATS.get(m)
+    if fmt:
+        return tuple(memoryview(x.to_bytes(n * m // 8, "little")).cast(fmt))
+    full = (1 << n) - 1
+    return tuple([(x >> s) & full for s in range(0, n * m, m)])
+
+
+def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
+    """The matrix whose entry (i, j) is bit i*m + j of `x`, each of the n
+    rows an m-bit lane with nothing beyond column n."""
+    lower, diagonal, steps = _word_tables(m)
+    rows = _lanes(x, n, m)
+    upper = not x & lower
+    bad = x & diagonal
+    if bad:
+        i = ((bad & -bad).bit_length() - 1) // (m + 1)
+        raise DiagonalNonzero(f"diagonal entry ({i + 1},{i + 1}) is 1")
+    for s, mask in steps:
+        t = (x ^ (x >> s)) & mask
+        x ^= t ^ (t << s)
+    cols = _lanes(x, n, m)
+    if upper:
+        return BottMatrix._trusted(n, rows, cols)
+    if _topological_order(cols) is None:
+        raise CyclicDigraph("matrix digraph contains a directed cycle")
+    return GeneralBottMatrix._trusted(n, rows, cols)
 
 
 def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:

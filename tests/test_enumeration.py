@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 
 import pytest
@@ -19,6 +20,7 @@ from realbott import (
     verify_fixture_suite,
     verify_representatives,
 )
+from realbott import enumeration
 from realbott.cli import main
 from realbott.fixtures import DIM4_SPIN_LIST, default_fixture_dir, load_fixture
 
@@ -93,6 +95,71 @@ class TestEnumerate:
             list(enumerate_all(4, mode="sample", seed=1))
         with pytest.raises(BottError):
             list(enumerate_all(4, mode="nope"))
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its draws across instances, and fails past
+    `limit` of them instead of filling memory."""
+    draws = 0
+    limit = 10**6
+
+    def randrange(self, *args):
+        type(self).draws += 1
+        assert self.draws <= self.limit, "drew ahead of the batches read"
+        return super().randrange(*args)
+
+
+class TestSampleBatches:
+    """Sample indices are drawn a batch at a time from one seeded RNG, so a
+    count costs no memory up front and every seed keeps its indices."""
+
+    def test_enumerate_draws_as_it_goes(self, monkeypatch):
+        first = [m.rows for m in enumerate_all(6, mode="sample", count=12, seed=1)]
+        monkeypatch.setattr(enumeration, "BATCH", 5)
+        monkeypatch.setattr(enumeration.random, "Random", _CountingRandom)
+        monkeypatch.setattr(_CountingRandom, "draws", 0)
+        monkeypatch.setattr(_CountingRandom, "limit", 15)
+        gen = enumerate_all(6, mode="sample", count=10**12, seed=1)
+        assert [next(gen).rows for _ in range(12)] == first
+        assert _CountingRandom.draws == 15  # three batches of five
+
+    @pytest.mark.parametrize("mode, count", [("sample", 100), ("exhaustive", None)])
+    def test_windows_keep_the_report(self, mode, count, monkeypatch):
+        def report(jobs):
+            r = sweep(5, mode=mode, count=count, seed=7, jobs=jobs).to_json_dict()
+            r.pop("elapsed_ms")
+            return json.dumps(r)
+
+        expected = report(1)
+        maps = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                maps.append(([len(batch) for _, batch in items], _CountingRandom.draws))
+                return map(fn, items)
+
+        monkeypatch.setattr(enumeration, "BATCH", 7)
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(enumeration.random, "Random", _CountingRandom)
+        monkeypatch.setattr(_CountingRandom, "draws", 0)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert report(1) == report(2) == expected
+        total = 100 if mode == "sample" else 1024
+        windows = [sizes for sizes, _ in maps]
+        assert sum(map(sum, windows)) == total
+        assert all(len(sizes) <= enumeration.WINDOW * 2 for sizes in windows)
+        assert all(size <= 7 for sizes in windows for size in sizes)
+        if mode == "sample":  # 100 serial draws, then only one window ahead
+            assert [draws for _, draws in maps] == [100 + 7 * 8, 100 + 7 * 15 - 5]
 
 
 class TestSweep:

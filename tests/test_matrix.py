@@ -1,8 +1,11 @@
 import heapq
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +37,8 @@ from realbott import (
     row_pair_matrix,
 )
 from realbott.enumeration import index_space
-from realbott.matrix import _DROP_INLINE_SPACE, _topological_order
+from realbott import matrix
+from realbott.matrix import MAX_SINGLE_N, _DROP_INLINE_SPACE, _topological_order, _word_tables
 from realbott.fixtures import load_fixture, orientable_not_spin_family
 
 from conftest import random_bott
@@ -268,6 +272,102 @@ class TestTrustedConstruction:
             matrix_from_json({"rows": []})
 
 
+def _upper(rows):
+    return all(row & ((2 << i) - 1) == 0 for i, row in enumerate(rows))
+
+
+def _constructed(n, rows):
+    """The matrix the validating constructors build from `rows`, or the
+    error they raise; a general matrix's constructor fills its memo."""
+    try:
+        M = (BottMatrix if _upper(rows) else GeneralBottMatrix)(n, rows)
+    except BottError as exc:
+        return type(exc), str(exc)
+    return type(M), M.n, M.rows, M.columns()
+
+
+def _packed(parse, *args):
+    """What the word path gives: the columns must be there before any call."""
+    try:
+        M = parse(*args)
+    except BottError as exc:
+        return type(exc), str(exc)
+    cols = M.__dict__["_columns"]
+    assert type(M.rows) is tuple and type(cols) is tuple
+    assert all(type(v) is int for v in M.rows + cols)
+    return type(M), M.n, M.rows, cols
+
+
+class TestPackedWord:
+    """The parsers read a grid into one word of m-bit lanes; they must build
+    the very matrices, columns and errors the validating constructors do."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.sampled_from([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 20, 31, 32, 33]),
+           seed=st.integers(0, 2**32), conjugated=st.booleans())
+    def test_matches_validated_construction(self, n, seed, conjugated):
+        rng = random.Random(seed)
+        M = random_bott(rng, n)
+        if conjugated:
+            M = conjugate(M, Permutation(tuple(rng.sample(range(1, n + 1), n))))
+        max_n = None if n > MAX_SINGLE_N else MAX_SINGLE_N
+        expected = _constructed(n, M.rows)
+        assert _packed(parse_matrix, M.to_text(), max_n) == expected
+        assert _packed(matrix_from_json, M.to_json_dict(), max_n) == expected
+
+    @staticmethod
+    def _grid_outcomes(n, rows):
+        text = "\n".join(" ".join(str((row >> j) & 1) for j in range(n)) for row in rows)
+        lists = [[(row >> j) & 1 for j in range(n)] for row in rows]
+        expected = _constructed(n, rows)
+        assert _packed(parse_matrix, text) == expected, rows
+        assert _packed(matrix_from_json, {"n": n, "rows": lists}) == expected, rows
+
+    def test_every_small_grid(self):
+        # diagonal entries set or not, cyclic digraphs included
+        for n in range(1, 4):
+            for grid in range(1 << (n * n)):
+                self._grid_outcomes(n, tuple((grid >> (i * n)) & ((1 << n) - 1)
+                                             for i in range(n)))
+
+    def test_sampled_grids_n4(self):
+        rng = random.Random(4)
+        for grid in rng.sample(range(1 << 16), 4000):
+            self._grid_outcomes(4, tuple((grid >> (4 * i)) & 15 for i in range(4)))
+
+    def test_lanes_by_shifts(self, monkeypatch):
+        # the shift loop, which non-native widths and big-endian hosts use,
+        # reads the same lanes as the native-int view
+        rng = random.Random(8)
+        cases = []
+        for n in (5, 8, 9, 16, 17, 32, 33, 64):
+            m = 1 << (n - 1).bit_length()
+            x = sum(rng.getrandbits(n) << i * m for i in range(n))
+            cases.append((x, n, m, matrix._lanes(x, n, m)))
+        monkeypatch.setattr(matrix, "_LANE_FORMATS", {})
+        for x, n, m, lanes in cases:
+            assert matrix._lanes(x, n, m) == lanes
+            assert lanes == tuple((x >> i * m) & ((1 << n) - 1) for i in range(n))
+
+    def test_tables_keyed_by_width(self):
+        texts = [random_bott(random.Random(n), n).to_text() for n in range(12, 21)]
+        for text in texts:
+            parse_matrix(text)
+        misses = _word_tables.cache_info().misses
+        for text in texts:
+            parse_matrix(text)
+        assert _word_tables.cache_info().misses == misses
+        assert _word_tables.cache_info().maxsize is not None
+
+    def test_import_builds_no_table(self):
+        code = ("import realbott.cli, realbott.matrix as m; "
+                "print(m._word_tables.cache_info().currsize)")
+        src = str(Path(matrix.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
+
+
 class TestConstruction:
     def test_n_must_be_positive(self):
         with pytest.raises(NonSquare):
@@ -315,6 +415,12 @@ class TestConstruction:
                 assert M == fresh and fresh == M
                 assert (repr(M), hash(M)) == seen == (repr(fresh), hash(fresh))
                 assert list(fresh.columns()) == cols
+
+    @pytest.mark.parametrize("sigma", [(2.0, 1.0), (True,), (1, 2.0), (2, True)])
+    def test_permutation_entries_are_ints(self, sigma):
+        # equal to a bijection's entries, but they cannot index a row
+        with pytest.raises(BottError):
+            Permutation(sigma)
 
     def test_permutation_validation(self):
         with pytest.raises(BottError):
