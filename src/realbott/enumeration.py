@@ -16,10 +16,11 @@ import os
 import random
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .cohomology import total_sw_class
 from .criteria import PairWitness, is_spin, spin_by_pairs
@@ -79,22 +80,21 @@ def enumerate_all(
 ) -> Iterator[BottMatrix]:
     """Yield matrices of dimension n: each one exactly once in packed-index
     order (exhaustive, n <= `cap`), or `count` seeded draws (sample, n <= 20)."""
-    for index in itertools.chain.from_iterable(_index_batches(n, mode, count, seed, cap)[2]):
+    for index in itertools.chain.from_iterable(_index_batches(n, mode, count, seed, cap)):
         yield matrix_from_index(n, index)
 
 
-#: Most indices drawn, or handed to a worker, at a time, and runs handed
-#: out per worker at a time: memory stays bounded whatever the count.
+#: Most indices drawn, or handed to a worker, at a time, and runs in
+#: flight per worker: memory stays bounded whatever the count.
 BATCH = 1 << 14
 WINDOW = 4
 
 
-def _index_batches(n, mode, count, seed, cap,
-                   jobs=1) -> tuple[int, int, Iterator]:
-    """(total, size, batches): the indices in order, in runs of `size` (the
-    last one shorter), at most BATCH and at most total / `jobs` so that
-    `jobs` workers all get one.  Sample draws come from one seeded RNG as
-    the runs are read, so a seed gives the same indices whatever `size`."""
+def _index_batches(n, mode, count, seed, cap, parts=1) -> Iterator[Sequence[int]]:
+    """The indices in order, in runs of equal size (the last one shorter),
+    at most BATCH and at most 1/`parts` of all, so that `parts` workers can
+    share even a short sweep.  Sample draws come from one seeded RNG as the
+    runs are read, so a seed gives the same indices whatever the run size."""
     if n < 1:
         raise BottError(f"dimension must be >= 1, got {n}")
     if mode == "exhaustive":
@@ -118,14 +118,13 @@ def _index_batches(n, mode, count, seed, cap,
         total = count
     else:
         raise BottError(f"unknown mode {mode!r}")
-    size = min(BATCH, -(-total // jobs))
+    size = min(BATCH, -(-total // parts))
     starts = range(0, total, size)
     if mode == "exhaustive":
-        return total, size, (range(lo, min(lo + size, total)) for lo in starts)
+        return (range(lo, min(lo + size, total)) for lo in starts)
     rng = random.Random(seed)
     space = index_space(n)
-    return total, size, ([rng.randrange(space) for _ in range(min(size, total - lo))]
-                         for lo in starts)
+    return ([rng.randrange(space) for _ in range(min(size, total - lo))] for lo in starts)
 
 
 def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
@@ -207,7 +206,7 @@ class SweepReport:
         )
 
 
-def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict]]:
+def _sweep_chunk(args: tuple) -> tuple[int, int, int, list[dict]]:
     n, indices = args
     orientable = spin = 0
     mismatches: list[dict] = []
@@ -219,18 +218,25 @@ def _sweep_chunk(args: tuple) -> tuple[int, int, list[dict]]:
         if mismatch is not None:
             mismatch["index"] = index
             mismatches.append(mismatch)
-    return orientable, spin, mismatches
+    return len(indices), orientable, spin, mismatches
 
 
 def _chunk_results(chunks: Iterator[tuple], workers: int) -> Iterator[tuple]:
-    """`_sweep_chunk` of each chunk, in order, in `workers` processes."""
-    if workers <= 1:
-        yield from map(_sweep_chunk, chunks)
+    """`_sweep_chunk` of each chunk, in order, in up to `workers` processes.
+    At most WINDOW chunks per worker are out at once, and the next one goes
+    out as the oldest result comes in, so no worker waits on a barrier."""
+    ahead = list(itertools.islice(chunks, WINDOW * workers if workers > 1 else 1))
+    if len(ahead) <= 1:
+        yield from map(_sweep_chunk, itertools.chain(ahead, chunks))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map submits all its items at once: hand it one window at a time
-        while window := list(itertools.islice(chunks, WINDOW * workers)):
-            yield from pool.map(_sweep_chunk, window)
+    with ProcessPoolExecutor(max_workers=min(workers, len(ahead))) as pool:
+        pending = deque(pool.submit(_sweep_chunk, chunk) for chunk in ahead)
+        for chunk in chunks:
+            done = pending.popleft().result()
+            pending.append(pool.submit(_sweep_chunk, chunk))
+            yield done
+        for future in pending:
+            yield future.result()
 
 
 def sweep(
@@ -245,7 +251,7 @@ def sweep(
 
     With jobs > 1 the indices are split into contiguous runs of at most
     BATCH, shared among min(jobs, CPU count) worker processes with at most
-    WINDOW runs per worker handed out at once; merged results are
+    WINDOW runs per worker in flight; merged results are
     identical to the serial ones.  At n=4 exhaustive the spin set is additionally
     matched against the packaged list of the eight dimension-4 spin
     matrices (reference_ok); each index is visited once, so a spin count
@@ -255,11 +261,11 @@ def sweep(
     # More workers than cores only adds start-up cost, and fork starts them
     # all at once
     jobs = max(1, min(jobs, os.cpu_count() or 1))
-    total, size, batches = _index_batches(n, mode, count, seed, cap, jobs)
-    orientable = spin = 0
+    batches = _index_batches(n, mode, count, seed, cap, parts=jobs)
+    total = orientable = spin = 0
     mismatches: list[dict] = []
-    for o, s, mm in _chunk_results(((n, batch) for batch in batches),
-                                   min(jobs, -(-total // size))):
+    for t, o, s, mm in _chunk_results(((n, batch) for batch in batches), jobs):
+        total += t
         orientable += o
         spin += s
         mismatches.extend(mm)

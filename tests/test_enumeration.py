@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+from concurrent.futures import Future
 
 import pytest
 
@@ -131,7 +132,17 @@ class TestSampleBatches:
             return json.dumps(r)
 
         expected = report(1)
-        maps = []
+        submits = []
+        out = []
+
+        class Done:
+            """A finished future that counts when its result is read."""
+            def __init__(self, value):
+                self.value = value
+
+            def result(self):
+                out.pop()
+                return self.value
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -143,9 +154,10 @@ class TestSampleBatches:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                maps.append(([len(batch) for _, batch in items], _CountingRandom.draws))
-                return map(fn, items)
+            def submit(self, fn, item):
+                out.append(item)
+                submits.append((len(item[1]), len(out), _CountingRandom.draws))
+                return Done(fn(item))
 
         monkeypatch.setattr(enumeration, "BATCH", 7)
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", SerialPool)
@@ -154,12 +166,16 @@ class TestSampleBatches:
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert report(1) == report(2) == expected
         total = 100 if mode == "sample" else 1024
-        windows = [sizes for sizes, _ in maps]
-        assert sum(map(sum, windows)) == total
-        assert all(len(sizes) <= enumeration.WINDOW * 2 for sizes in windows)
-        assert all(size <= 7 for sizes in windows for size in sizes)
-        if mode == "sample":  # 100 serial draws, then only one window ahead
-            assert [draws for _, draws in maps] == [100 + 7 * 8, 100 + 7 * 15 - 5]
+        assert sum(size for size, _, _ in submits) == total
+        assert all(size <= 7 for size, _, _ in submits)
+        # a sliding window: WINDOW runs per worker out, and one more goes
+        # out as each result is read, not after the whole window
+        window = enumeration.WINDOW * 2
+        assert [k for _, k, _ in submits] == [min(k, window) for k in range(1, len(submits) + 1)]
+        if mode == "sample":  # 100 serial draws, then one window ahead at most
+            ahead = 7 * enumeration.WINDOW * 2
+            assert [d for _, _, d in submits] == [100 + min(max(ahead, 7 * k), 100)
+                                                 for k in range(1, len(submits) + 1)]
 
 
 class TestSweep:
@@ -227,8 +243,10 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr("realbott.enumeration.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr("os.cpu_count", lambda: cores)
