@@ -23,8 +23,8 @@ All SW data come from one product, by the total class w = prod_j (1 + the
 sum of column j), `CohomologyRing.times_total`: the classes are w split by
 degree, and a * w_i = (a * w) & degrees[d + i] for a homogeneous of degree d.
 
-Two tables depend on n alone: the lanes that `CohomologyRing.times_linear`
-shifts through and the degree masks that split the total class.  They are
+Two tables depend on n alone: the lanes that `CohomologyRing`'s products
+shift through and the degree masks that split the total class.  They are
 built on first use for each n and then outlive the call, kept for the life
 of the process by `_ring_tables`, a cache of at most 8 sizes.  One entry
 holds 2n+1 ints of up to 2^n bits, 5.1 MiB at n = 20 and less than half
@@ -200,8 +200,8 @@ class CohomologyRing:
     and degree masks depend on n alone: they come from `_ring_tables` and
     outlive the ring, shared with every ring of the same size (at most 9.6
     MiB for all sizes, see the module docstring).  All arithmetic funnels
-    through `times_linear`, which multiplies a whole dense element by a sum
-    of generators at once.
+    through the rewrite loop of `times_linear` and `times_total`, which
+    multiplies a whole dense element by a sum of generators at once.
     """
 
     def __init__(self, matrix: BottMatrix):
@@ -218,7 +218,17 @@ class CohomologyRing:
         self.lanes, self.degrees = _ring_tables(self.n)
 
     def times_linear(self, E: int, col: int) -> int:
-        """E * (sum of y_{j+1} over the bits j of `col`), both dense.
+        """E * (sum of y_{j+1} over the bits j of `col`), both dense."""
+        return self._times(E, (col,), 0)
+
+    def times_total(self, E: int) -> int:
+        """E * w, w = prod over the columns of (1 + the column's sum), in
+        one call: E += E * sum, a rewrite pass per nonzero column."""
+        return self._times(E, self.cols, -1)
+
+    def _times(self, E: int, factors: Iterable[int], keep: int) -> int:
+        """E times each `col` of `factors` in turn: the sum of y_{j+1} over
+        the bits j of `col`, plus 1 when `keep` is -1 (not when it is 0).
 
         Walking k downward, X is what still has to be multiplied by
         y_{k+1}: E when bit k of `col` is set, plus what higher variables
@@ -227,30 +237,25 @@ class CohomologyRing:
         k+1's sum) for such m, so they pass down to the pending terms of
         that column's variables, all below k.  The map is GF(2)-linear, so
         merging pending terms is exact and one pass of O(n^2) big-int
-        operations finishes.
+        operations finishes each factor.
         """
-        if not E:
-            return 0
         lanes, cols = self.lanes, self.cols
-        top = col.bit_length()
-        pending = [0] * top
-        out = 0
-        for k in range(top - 1, -1, -1):
-            X = pending[k] ^ (E if (col >> k) & 1 else 0)
-            if X:
-                lo = X & lanes[k]
-                out ^= lo << (1 << k)
-                hi = X ^ lo
-                c = cols[k] if hi else 0
-                while c:
-                    pending[(c & -c).bit_length() - 1] ^= hi
-                    c &= c - 1
-        return out
-
-    def times_total(self, E: int) -> int:
-        """E * w, w = prod over the columns of (1 + the column's sum)."""
-        for col in self.cols:
-            E ^= self.times_linear(E, col)
+        for col in factors:
+            out = E & keep
+            if col and E:
+                top = col.bit_length()
+                pending = [0] * top
+                for k in range(top - 1, -1, -1):
+                    X = pending[k] ^ E if (col >> k) & 1 else pending[k]
+                    if X:
+                        lo = X & lanes[k]
+                        out ^= lo << (1 << k)
+                        hi = X ^ lo
+                        c = cols[k] if hi else 0
+                        while c:
+                            pending[(c & -c).bit_length() - 1] ^= hi
+                            c &= c - 1
+            E = out
         return E
 
 

@@ -14,7 +14,7 @@ these shortcuts are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .cohomology import RingElement, _require_triangular
 from .errors import IndexOutOfRange
@@ -120,30 +120,32 @@ def _closed_form_terms(rows: tuple[int, ...], j: int, k: int) -> tuple[int, int]
 
 
 def _scan(
-    rows: Sequence[int], cols: Sequence[int], qmask: int
+    rows: Iterator[tuple[int, int]], cols: Sequence[int], qmask: int, keep: int = -1
 ) -> tuple[int, tuple[int, int, int, int] | None]:
     """The verdict rule every spin route shares, as plain values: the first
     odd row, 1-based, or 0; and the first pair j < k whose terms P_jk and
     Q_jk differ, as a 1-based (j, k, P, Q) tuple, or None.
 
-    The pairs are scanned a row at a time, every k at once.  Row j's P
-    over all k is the XOR of cols[c] over the ones c of row j, so its bit
-    k is |r_j & r_k| mod 2.  Bit k of `qmask` is the pair-sum bit of row
-    k, the route's own formula for C(N_k, 2) mod 2, so row j's Q over all
-    k is (r_j & qmask), the edges j -> k, plus cols[j] when bit j of
-    `qmask` is set, the edges k -> j (only general matrices have them).
-    The first failing pair of row j is the lowest set bit of
-    (P ^ Q) >> (j + 1).
+    `rows` yields (j, row j), j increasing, once: odd rows are looked for
+    on the way, and past a failing pair in the rest of `rows`.  The pairs
+    are scanned a row at a time, every k at once.  Row j's P over all k is
+    the XOR of cols[c] over the ones c of row j, so its bit k is
+    |r_j & r_k| mod 2.  Bit k of `qmask` is the pair-sum bit of row k, the
+    route's own formula for C(N_k, 2) mod 2, so row j's Q over all k is
+    (r_j & qmask), the edges j -> k, plus cols[j] when bit j of `qmask` is
+    set, the edges k -> j (only general matrices have them).  The first
+    failing pair of row j is the lowest set bit of (P ^ Q) >> (j + 1) in
+    `keep`.  With `keep` the mask of the rows yielded, this scans the
+    matrix with zeros elsewhere, which add no odd row and no failing pair,
+    and with every column and `qmask` masked to `keep`, as P ^ Q is.
 
     A non-orientable matrix still gets the pair scan so the verdict can
     carry a pair witness for diagnostics.
     """
     odd = 0
-    for i, row in enumerate(rows, 1):
-        if row.bit_count() & 1:
-            odd = i
-            break
-    for j, row in enumerate(rows):
+    for j, row in rows:
+        if not odd and row.bit_count() & 1:
+            odd = j + 1
         P = 0
         r = row
         while r:
@@ -154,8 +156,14 @@ def _scan(
         if (qmask >> j) & 1:
             Q ^= cols[j]
         D = (P ^ Q) >> (j + 1)
-        if D:
+        if D and D & keep >> (j + 1):  # masked here, not on every row
+            D &= keep >> (j + 1)
             k = j + (D & -D).bit_length()
+            if not odd:
+                for i, row in rows:
+                    if row.bit_count() & 1:
+                        odd = i + 1
+                        break
             return odd, (j + 1, k + 1, (P >> k) & 1, (Q >> k) & 1)
     return odd, None
 
@@ -165,7 +173,7 @@ def _verdict_scan(
 ) -> SpinVerdict:
     """`_scan` as a verdict: spin needs both an even matrix and no failing
     pair, and the witnesses are the odd row, then the failing pair."""
-    odd, pair = _scan(rows, cols, qmask)
+    odd, pair = _scan(enumerate(rows), cols, qmask)
     witnesses = (RowWitness(odd),) if odd else ()
     if pair is not None:
         witnesses += (PairWitness(*pair),)
@@ -203,20 +211,16 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     """Spin decided through the two-row extractions: true iff every matrix
     keeping only rows j and k of C is spin.
 
-    Each extraction gets the full scan, read bare: spin is no odd row and
-    no failing pair, and no verdict is built.  Its other rows are zero, so
-    its column masks are C's masked to the two rows, and so are its
-    pair-sum bits."""
-    n = C.n
+    Each extraction gets the shared scan over its rows j and k, the others
+    being zero, read bare: spin is no odd row and no failing pair, and no
+    verdict is built.  Its column masks and pair-sum bits are C's restricted
+    to rows j and k, which the scan applies as its `keep` mask."""
+    rows = C.rows
     cols = C.columns()
-    q = _pair_sum_mask(C.rows)
-    for j in range(n):
-        for k in range(j + 1, n):
-            keep = (1 << j) | (1 << k)
-            rows = [0] * n
-            rows[j] = C.rows[j]
-            rows[k] = C.rows[k]
-            odd, pair = _scan(rows, [c & keep for c in cols], q & keep)
+    q = _pair_sum_mask(rows)
+    for j in range(C.n):
+        for k in range(j + 1, C.n):
+            odd, pair = _scan(zip((j, k), (rows[j], rows[k])), cols, q, (1 << j) | (1 << k))
             if odd or pair:
                 return False
     return True

@@ -19,13 +19,14 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from .cohomology import total_sw_class
 from .criteria import PairWitness, is_spin, spin_by_pairs
 from .digraph import build_digraph, common_out, digraph_spin
-from .errors import BottError, DimensionTooLarge, IndexOutOfRange
+from .errors import BottError, DimensionTooLarge, IndexOutOfRange, NonSquare
 from .fixtures import (
     DIGRAPH_FIXTURES,
     DIM4_SPIN_LIST,
@@ -35,7 +36,7 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import MAX_SINGLE_N, BottMatrix
+from .matrix import MAX_SINGLE_N, BottMatrix, _lanes
 
 DEFAULT_EXHAUSTIVE_CAP = 7
 
@@ -45,18 +46,38 @@ def index_space(n: int) -> int:
 
 
 def matrix_from_index(n: int, index: int) -> BottMatrix:
-    """The matrix packed as `index`, which must lie in range(index_space(n))."""
-    # row i's free entries (i+1, i+2), ..., (i+1, n) are the next n-1-i
-    # index bits, in column order, so every row is strictly upper triangular
-    rows = []
-    rest = index
-    for i in range(n):
-        width = n - 1 - i
-        rows.append((rest & ((1 << width) - 1)) << (i + 1))
-        rest >>= width
-    if rest:  # bits above the n(n-1)/2 entries, or a negative index (-1 >> k is -1)
-        raise IndexOutOfRange(f"index {index} outside 0..2^{n * (n - 1) // 2}-1")
-    return BottMatrix._trusted(n, tuple(rows))
+    """The matrix packed as `index` in range(index_space(n)), for 1 <= n <=
+    MAX_SINGLE_N, with `columns()` filled: one table word per index byte."""
+    if n < 1:
+        raise NonSquare(f"dimension must be >= 1, got {n}")
+    if n > MAX_SINGLE_N:
+        raise DimensionTooLarge(f"decoding: n={n} exceeds the cap {MAX_SINGLE_N}")
+    free = n * (n - 1) // 2
+    if index < 0 or index >> free:
+        raise IndexOutOfRange(f"index {index} outside 0..2^{free}-1")
+    m, tables = _decode_tables(n)
+    x = 0
+    for table, byte in zip(tables, index.to_bytes(len(tables), "little")):
+        x |= table[byte]
+    lanes = _lanes(x, 2 * n, m)
+    return BottMatrix._trusted(n, lanes[:n], lanes[n:])
+
+
+@lru_cache(maxsize=8)
+def _decode_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Lane width m, max(8, the power of two >= n), and per byte of an
+    index the words of its 2^8 values (fewer in a partial last byte), rows
+    in m-bit lanes 0..n-1 and columns in lanes n..2n-1.  Each table doubles
+    per index bit.  About 1.1 MiB at n = 20, 4.6 MiB for n = 13..20."""
+    m = max(8, 1 << (n - 1).bit_length())
+    bits = [(1 << i * m + j) | (1 << (n + j) * m + i) for i in range(n) for j in range(i + 1, n)]
+    tables = []
+    for lo in range(0, len(bits), 8):
+        table = [0]
+        for bit in bits[lo:lo + 8]:
+            table += [word | bit for word in table]
+        tables.append(tuple(table))
+    return m, tuple(tables)
 
 
 def matrix_index(C: BottMatrix) -> int:

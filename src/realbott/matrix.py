@@ -14,7 +14,7 @@ The parsers read a grid into one packed word: entry (i, j), 0-based, is
 bit ``i*m + j``, m the smallest power of two >= n.  One AND with a mask
 tests the triangle, one the diagonal, and a word transpose gives the
 columns, so a parsed matrix needs no further validation and comes with
-``columns()`` filled.  Other constructors validate row by row.
+``columns()`` filled, as does a decoded one.  Others validate row by row.
 """
 
 from __future__ import annotations
@@ -70,15 +70,13 @@ class _BinaryMatrix:
         return cls(len(rows), rows)
 
     @classmethod
-    def _trusted(cls, n: int, rows: tuple[int, ...], columns: tuple[int, ...] | None = None):
+    def _trusted(cls, n: int, rows: tuple[int, ...], columns: tuple[int, ...]):
         """Checks n >= 1 only: `rows` must be a tuple of n masks that pass
-        the class's checks, and `columns`, when given, their transpose."""
+        the class's checks, and `columns` their transpose (the memo)."""
         if n < 1:
             raise NonSquare(f"dimension must be >= 1, got {n}")
         self = object.__new__(cls)
-        self.__dict__.update(n=n, rows=rows)
-        if columns is not None:  # not a third keyword above: it slows the decoder
-            self.__dict__["_columns"] = columns
+        self.__dict__.update(n=n, rows=rows, _columns=columns)
         return self
 
     def entry(self, i: int, j: int) -> int:
@@ -95,9 +93,10 @@ class _BinaryMatrix:
         """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1,
         i.e. the in-neighbours of vertex j.  Kept in the instance
         ``__dict__``, outside the dataclass fields, so equality, hashing and
-        repr never see it.  The parsers fill it from their word transpose;
-        for a matrix built any other way the first call computes it, one
-        step per set bit.  Every spin route and the ring read this one tuple.
+        repr never see it.  The parsers and the index decoder fill it from
+        their words; for a matrix built any other way the first call
+        computes it, one step per set bit.  Every spin route and the ring
+        read this one tuple.
         """
         cols = self.__dict__.get("_columns")
         if cols is None:
@@ -347,13 +346,15 @@ def _word_tables(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
 
 
 #: memoryview formats of the native unsigned ints, by width in bits; on a
-#: big-endian host lane 0 would come last, so every width takes the shifts
-_LANE_FORMATS = {struct.calcsize(c) * 8: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+#: big-endian host lane 0 would come last, so those widths take the shifts
+_LANE_FORMATS = {struct.calcsize(c) * 8: c for c in "HIQ"} if sys.byteorder == "little" else {}
 
 
 def _lanes(x: int, n: int, m: int) -> tuple[int, ...]:
     """The n lowest m-bit lanes of `x`, lane 0 first, for lanes with no
-    bit at or above n: read as native ints when m is a native width."""
+    bit at or above n: read as bytes or native ints at a native width m."""
+    if m == 8:
+        return tuple(x.to_bytes(n, "little"))
     fmt = _LANE_FORMATS.get(m)
     if fmt:
         return tuple(memoryview(x.to_bytes(n * m // 8, "little")).cast(fmt))

@@ -318,6 +318,27 @@ class TestTotalClass:
             for k, w in enumerate(profile.classes):
                 assert w.is_homogeneous(k)
 
+    def test_one_pass_matches_linear_chain(self):
+        # times_total runs the rewrite loop over every column in one call;
+        # it must equal E += E * (column sum), one times_linear per column
+        rng = random.Random(17)
+        cases = [(random_bott(rng, n), rng.getrandbits(1 << n))
+                 for n in range(1, 11) for _ in range(6)]
+        for n in (14, 15, 16):  # balanced: column j holds j // 2 ones
+            rows = [0] * n
+            for j in range(n):
+                for i in rng.sample(range(j), j // 2):
+                    rows[i] |= 1 << j
+            cases.append((BottMatrix(n, tuple(rows)), rng.getrandbits(1 << n)))
+        for C, E in cases:
+            ring = CohomologyRing(C)
+            for start in (1, E, 0):
+                chain = start
+                for col in ring.cols:
+                    chain ^= ring.times_linear(chain, col)
+                assert ring.times_total(start) == chain, C
+            assert ring.times_linear(E, 0) == 0
+
 
 class TestFirstClassFormula:
     def test_zero(self):

@@ -26,7 +26,8 @@ from realbott import (
     total_sw_class,
     w_top_minus_one,
 )
-from realbott.criteria import _closed_form_terms
+from realbott import criteria
+from realbott.criteria import _closed_form_terms, _pair_sum_mask, _scan
 from realbott.enumeration import enumerate_all
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
@@ -350,3 +351,41 @@ class TestRowScanMatchesPairScan:
             assert spin_by_pairs(C) == _pairs_reference(C), C
             spin_seen += C.n >= 7 and is_spin(C).spin
         assert spin_seen >= 56  # full-length scans at n >= 7 were compared
+
+    def test_two_row_scan_matches_full_extraction(self):
+        # the two-row route scans only rows j and k under one mask; the
+        # extraction it stands for has n rows and every column masked
+        odd = failing = 0
+        for C in _scan_cases():
+            cols, q = C.columns(), _pair_sum_mask(C.rows)
+            for j in range(C.n):
+                for k in range(j + 1, C.n):
+                    keep = (1 << j) | (1 << k)
+                    rows = [0] * C.n
+                    rows[j], rows[k] = C.rows[j], C.rows[k]
+                    full = _scan(enumerate(rows), [c & keep for c in cols], q & keep)
+                    two = _scan(zip((j, k), (C.rows[j], C.rows[k])), cols, q, keep)
+                    assert two == full
+                    odd += full[0] > 0
+                    failing += full[1] is not None
+        assert odd > 10000 and failing > 4000  # both verdict parts were compared
+
+    def test_two_row_route_masks_each_extraction(self, monkeypatch):
+        # unmasked, the scan of rows j and k would read every pair (j, *)
+        # and (k, *): the route would still answer right, as the closed form
+        seen = []
+
+        def recording(rows, cols, qmask, keep=-1):
+            rows = list(rows)
+            seen.append((C, rows, cols, qmask, keep))
+            return _scan(iter(rows), cols, qmask, keep)
+
+        monkeypatch.setattr(criteria, "_scan", recording)
+        for C in enumerate_all(5):
+            spin_by_pairs(C)
+        assert len(seen) > 1024
+        for C, rows, cols, qmask, keep in seen:
+            (j, rj), (k, rk) = rows
+            assert (rj, rk) == (C.rows[j], C.rows[k]) and j < k
+            assert keep == (1 << j) | (1 << k)
+            assert (cols, qmask) == (C.columns(), _pair_sum_mask(C.rows))

@@ -1,14 +1,20 @@
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import pytest
 
 from realbott import (
     BottError,
+    BottMatrix,
     DimensionTooLarge,
     IndexOutOfRange,
+    NonSquare,
     Permutation,
     conjugate,
     enumerate_all,
@@ -23,7 +29,11 @@ from realbott import (
 )
 from realbott import enumeration
 from realbott.cli import main
+from realbott.enumeration import index_space
 from realbott.fixtures import DIM4_SPIN_LIST, default_fixture_dir, load_fixture
+from realbott.matrix import MAX_SINGLE_N
+
+from conftest import decode_rows
 
 
 class TestEnumerate:
@@ -96,6 +106,72 @@ class TestEnumerate:
             list(enumerate_all(4, mode="sample", seed=1))
         with pytest.raises(BottError):
             list(enumerate_all(4, mode="nope"))
+
+
+class TestDecoder:
+    """`matrix_from_index` ORs one table word per index byte and reads the
+    rows and columns out of it."""
+
+    @staticmethod
+    def _assert_decodes(n, index):
+        M = matrix_from_index(n, index)
+        V = BottMatrix(n, decode_rows(n, index))
+        cols = M.__dict__["_columns"]  # there before any columns() call
+        assert type(M) is BottMatrix and type(M.rows) is tuple and type(cols) is tuple
+        assert M.rows == V.rows and cols == V.columns()
+        assert all(type(v) is int for v in M.rows + cols)
+
+    def test_every_index_n6(self):
+        for index in range(index_space(6)):
+            self._assert_decodes(6, index)
+
+    def test_seeded_indices(self):
+        rng = random.Random(7)
+        for n in range(7, MAX_SINGLE_N + 1):
+            top = index_space(n) - 1
+            for index in [0, top] + [rng.randrange(top) for _ in range(200)]:
+                self._assert_decodes(n, index)
+
+    def test_index_bounds(self):
+        # n = 7 has 21 index bits: its last table covers a partial byte
+        for bad in (2**21, -1):
+            with pytest.raises(IndexOutOfRange, match=f"index {bad} outside 0..2\\^21-1"):
+                matrix_from_index(7, bad)
+        for n in range(1, MAX_SINGLE_N + 1):
+            space = index_space(n)
+            for bad in (space, -1, -space, 2 * space + 1):
+                with pytest.raises(IndexOutOfRange):
+                    matrix_from_index(n, bad)
+            self._assert_decodes(n, space - 1)
+
+    def test_dimension_bounds_build_no_table(self):
+        before = enumeration._decode_tables.cache_info()
+        for n in (0, -3):
+            with pytest.raises(NonSquare):
+                matrix_from_index(n, 5)
+        for n in (MAX_SINGLE_N + 1, 64):
+            with pytest.raises(DimensionTooLarge, match=f"n={n} exceeds the cap {MAX_SINGLE_N}"):
+                matrix_from_index(n, 0)
+        after = enumeration._decode_tables.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_tables_keyed_by_n(self):
+        # n = 3 and 4 share a lane width but not their tables
+        tables = enumeration._decode_tables
+        tables.cache_clear()
+        for n in (3, 4, 3, 4):
+            matrix_from_index(n, 1)
+        info = tables.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (2, 2, 8)
+        assert tables(3)[0] == tables(4)[0] and tables(3)[1] != tables(4)[1]
+
+    def test_import_builds_no_table(self):
+        code = ("import realbott.cli, realbott.enumeration as e; "
+                "print(e._decode_tables.cache_info().currsize)")
+        src = str(Path(enumeration.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout == "0\n"
 
 
 class _CountingRandom(random.Random):
