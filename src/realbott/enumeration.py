@@ -19,7 +19,6 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -36,7 +35,7 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import MAX_SINGLE_N, BottMatrix, _lanes
+from .matrix import MAX_SINGLE_N, BottMatrix, _decode_tables, _matrix_from_lanes
 
 DEFAULT_EXHAUSTIVE_CAP = 7
 
@@ -59,25 +58,7 @@ def matrix_from_index(n: int, index: int) -> BottMatrix:
     x = 0
     for table, byte in zip(tables, index.to_bytes(len(tables), "little")):
         x |= table[byte]
-    lanes = _lanes(x, 2 * n, m)
-    return BottMatrix._trusted(n, lanes[:n], lanes[n:])
-
-
-@lru_cache(maxsize=8)
-def _decode_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Lane width m, max(8, the power of two >= n), and per byte of an
-    index the words of its 2^8 values (fewer in a partial last byte), rows
-    in m-bit lanes 0..n-1 and columns in lanes n..2n-1.  Each table doubles
-    per index bit.  About 1.1 MiB at n = 20, 4.6 MiB for n = 13..20."""
-    m = max(8, 1 << (n - 1).bit_length())
-    bits = [(1 << i * m + j) | (1 << (n + j) * m + i) for i in range(n) for j in range(i + 1, n)]
-    tables = []
-    for lo in range(0, len(bits), 8):
-        table = [0]
-        for bit in bits[lo:lo + 8]:
-            table += [word | bit for word in table]
-        tables.append(tuple(table))
-    return m, tuple(tables)
+    return _matrix_from_lanes(x, n, m)
 
 
 def matrix_index(C: BottMatrix) -> int:

@@ -14,7 +14,8 @@ The parsers read a grid into one packed word: entry (i, j), 0-based, is
 bit ``i*m + j``, m the smallest power of two >= n.  One AND with a mask
 tests the triangle, one the diagonal, and a word transpose gives the
 columns, so a parsed matrix needs no further validation and comes with
-``columns()`` filled, as does a decoded one.  Others validate row by row.
+``columns()`` filled, as does one decoded from its index by ORing words
+of `_decode_tables`, rows then columns.  Others validate row by row.
 """
 
 from __future__ import annotations
@@ -350,16 +351,16 @@ def _word_tables(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
 _LANE_FORMATS = {struct.calcsize(c) * 8: c for c in "HIQ"} if sys.byteorder == "little" else {}
 
 
-def _lanes(x: int, n: int, m: int) -> tuple[int, ...]:
-    """The n lowest m-bit lanes of `x`, lane 0 first, for lanes with no
-    bit at or above n: read as bytes or native ints at a native width m."""
+def _lanes(x: int, k: int, m: int) -> tuple[int, ...]:
+    """The k lowest m-bit lanes of `x`, lane 0 first: read as bytes or
+    native ints at a native width m, by shifts otherwise."""
     if m == 8:
-        return tuple(x.to_bytes(n, "little"))
+        return tuple(x.to_bytes(k, "little"))
     fmt = _LANE_FORMATS.get(m)
     if fmt:
-        return tuple(memoryview(x.to_bytes(n * m // 8, "little")).cast(fmt))
-    full = (1 << n) - 1
-    return tuple([(x >> s) & full for s in range(0, n * m, m)])
+        return tuple(memoryview(x.to_bytes(k * m // 8, "little")).cast(fmt))
+    full = (1 << m) - 1
+    return tuple([(x >> s) & full for s in range(0, k * m, m)])
 
 
 def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
@@ -381,6 +382,29 @@ def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
     if _topological_order(cols) is None:
         raise CyclicDigraph("matrix digraph contains a directed cycle")
     return GeneralBottMatrix._trusted(n, rows, cols)
+
+
+@lru_cache(maxsize=8)
+def _decode_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Lane width m, max(8, the power of two >= n), and per byte of a packed
+    index the words of its 2^8 values (fewer in a partial last byte), rows
+    in m-bit lanes 0..n-1, columns in lanes n..2n-1; built by doubling per
+    index bit.  About 1.1 MiB at n = 20, 4.6 MiB for n = 13..20."""
+    m = max(8, 1 << (n - 1).bit_length())
+    bits = [(1 << i * m + j) | (1 << (n + j) * m + i) for i in range(n) for j in range(i + 1, n)]
+    tables = []
+    for lo in range(0, len(bits), 8):
+        table = [0]
+        for bit in bits[lo:lo + 8]:
+            table += [word | bit for word in table]
+        tables.append(tuple(table))
+    return m, tuple(tables)
+
+
+def _matrix_from_lanes(x: int, n: int, m: int) -> BottMatrix:
+    """The BottMatrix laid out in `x` as by `_decode_tables`, columns filled."""
+    lanes = _lanes(x, 2 * n, m)
+    return BottMatrix._trusted(n, lanes[:n], lanes[n:])
 
 
 def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:

@@ -27,7 +27,7 @@ from realbott import (
     verify_fixture_suite,
     verify_representatives,
 )
-from realbott import enumeration
+from realbott import enumeration, matrix
 from realbott.cli import main
 from realbott.enumeration import index_space
 from realbott.fixtures import DIM4_SPIN_LIST, default_fixture_dir, load_fixture
@@ -132,6 +132,16 @@ class TestDecoder:
             for index in [0, top] + [rng.randrange(top) for _ in range(200)]:
                 self._assert_decodes(n, index)
 
+    def test_seeded_indices_by_shifts(self, monkeypatch):
+        # without native lane formats (a big-endian host) the 2n lanes of
+        # width m < 2n are read by shifts, each masked to its own m bits
+        monkeypatch.setattr(matrix, "_LANE_FORMATS", {})
+        rng = random.Random(9)
+        for n in range(9, MAX_SINGLE_N + 1):
+            top = index_space(n) - 1
+            for index in [0, top] + [rng.randrange(top) for _ in range(50)]:
+                self._assert_decodes(n, index)
+
     def test_index_bounds(self):
         # n = 7 has 21 index bits: its last table covers a partial byte
         for bad in (2**21, -1):
@@ -145,19 +155,19 @@ class TestDecoder:
             self._assert_decodes(n, space - 1)
 
     def test_dimension_bounds_build_no_table(self):
-        before = enumeration._decode_tables.cache_info()
+        before = matrix._decode_tables.cache_info()
         for n in (0, -3):
             with pytest.raises(NonSquare):
                 matrix_from_index(n, 5)
         for n in (MAX_SINGLE_N + 1, 64):
             with pytest.raises(DimensionTooLarge, match=f"n={n} exceeds the cap {MAX_SINGLE_N}"):
                 matrix_from_index(n, 0)
-        after = enumeration._decode_tables.cache_info()
+        after = matrix._decode_tables.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_tables_keyed_by_n(self):
         # n = 3 and 4 share a lane width but not their tables
-        tables = enumeration._decode_tables
+        tables = matrix._decode_tables
         tables.cache_clear()
         for n in (3, 4, 3, 4):
             matrix_from_index(n, 1)
@@ -166,8 +176,8 @@ class TestDecoder:
         assert tables(3)[0] == tables(4)[0] and tables(3)[1] != tables(4)[1]
 
     def test_import_builds_no_table(self):
-        code = ("import realbott.cli, realbott.enumeration as e; "
-                "print(e._decode_tables.cache_info().currsize)")
+        code = ("import realbott.cli, realbott.matrix as m; "
+                "print(m._decode_tables.cache_info().currsize)")
         src = str(Path(enumeration.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})

@@ -344,10 +344,15 @@ class TestPackedWord:
             m = 1 << (n - 1).bit_length()
             x = sum(rng.getrandbits(n) << i * m for i in range(n))
             cases.append((x, n, m, matrix._lanes(x, n, m)))
+        # more lanes than bits per lane, as the decoder reads: 2n lanes of m
+        for n in (5, 9, 16, 17, 20):
+            m = max(8, 1 << (n - 1).bit_length())
+            x = rng.getrandbits(2 * n * m)
+            cases.append((x, 2 * n, m, matrix._lanes(x, 2 * n, m)))
         monkeypatch.setattr(matrix, "_LANE_FORMATS", {})
-        for x, n, m, lanes in cases:
-            assert matrix._lanes(x, n, m) == lanes
-            assert lanes == tuple((x >> i * m) & ((1 << n) - 1) for i in range(n))
+        for x, k, m, lanes in cases:
+            assert matrix._lanes(x, k, m) == lanes
+            assert lanes == tuple((x >> i * m) & ((1 << m) - 1) for i in range(k))
 
     def test_tables_keyed_by_width(self):
         texts = [random_bott(random.Random(n), n).to_text() for n in range(12, 21)]
