@@ -12,10 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .cohomology import total_sw_class
+# `check` runs on these alone; each other command imports its own modules
 from .criteria import PairWitness, RowWitness, is_spin
-from .digraph import build_digraph, digraph_spin, export_dot
-from .enumeration import sweep, verify_fixture_suite
 from .errors import BottError
 from .matrix import AnyBottMatrix, _read_stream, load_matrix, parse_matrix
 
@@ -69,6 +67,7 @@ def _partition_label(r) -> str:
 
 
 def cmd_sw(args) -> int:
+    from .cohomology import total_sw_class
     profile = total_sw_class(_read_matrix(args))
     if args.format == "json":
         d = profile.to_json_dict()
@@ -91,6 +90,7 @@ def cmd_sw(args) -> int:
 
 
 def cmd_digraph(args) -> int:
+    from .digraph import build_digraph, digraph_spin, export_dot
     m = _read_matrix(args)
     D = build_digraph(m)
     dot = export_dot(D, digraph_spin(D))
@@ -102,6 +102,7 @@ def cmd_digraph(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import sweep
     cap = None
     env_cap = os.environ.get("BOTT_MAX_N")
     if env_cap is not None:
@@ -129,6 +130,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .enumeration import verify_fixture_suite
     directory = args.fixtures
     if directory is not None:
         d = Path(directory)

@@ -14,11 +14,13 @@ these shortcuts are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .cohomology import RingElement, _require_triangular
 from .errors import IndexOutOfRange
 from .matrix import AnyBottMatrix, BottMatrix, delete_leading
+
+if TYPE_CHECKING:
+    from .cohomology import RingElement
 
 
 @dataclass(frozen=True)
@@ -229,6 +231,8 @@ def spin_by_pairs(C: BottMatrix) -> bool:
 def w_top_minus_one(C: BottMatrix) -> RingElement:
     """Degree n-1 class: the product of the superdiagonal entries times
     y_1*...*y_{n-1}; zero as soon as one superdiagonal entry vanishes."""
+    # imported here, so that the verdicts load no ring module
+    from .cohomology import RingElement, _require_triangular
     _require_triangular(C)
     if C.n < 2:
         raise IndexOutOfRange("needs n >= 2")

@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -221,6 +220,13 @@ def _sweep_chunk(args: tuple) -> tuple[int, int, int, list[dict]]:
             mismatch["index"] = index
             mismatches.append(mismatch)
     return len(indices), orientable, spin, mismatches
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The worker pool of a parallel sweep.  Its module is imported on the
+    first call, so serial sweeps never load multiprocessing."""
+    import concurrent.futures
+    return concurrent.futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _chunk_results(chunks: Iterator[tuple], workers: int) -> Iterator[tuple]:
