@@ -196,7 +196,7 @@ class CohomologyRing:
     """Multiplication context for one matrix: its column masks and, per
     variable, the lane of monomials that variable does not divide.
 
-    The column masks are the matrix's own memoised `columns()`.  The lanes
+    The column masks are the matrix's own stored `columns()`.  The lanes
     and degree masks depend on n alone: they come from `_ring_tables` and
     outlive the ring, shared with every ring of the same size (at most 9.6
     MiB for all sizes, see the module docstring).  All arithmetic funnels

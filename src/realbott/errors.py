@@ -18,7 +18,7 @@ class DiagonalNonzero(BottError, ValueError):
 
 
 class CyclicDigraph(BottError, ValueError):
-    """The digraph of the matrix contains a directed cycle."""
+    """The digraph of the matrix has a cycle."""
 
 
 class IndexOutOfRange(BottError, IndexError):

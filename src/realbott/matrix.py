@@ -10,12 +10,13 @@ Rows are stored as int bitmasks: ``rows[i]`` has bit ``j`` set iff the
 speak 1-based indices; the 0-based masks are an internal convention that
 the cohomology and digraph modules share.
 
-The parsers read a grid into one packed word: entry (i, j), 0-based, is
+Every matrix is checked in one packed word: entry (i, j), 0-based, is
 bit ``i*m + j``, m the smallest power of two >= n.  One AND with a mask
 tests the triangle, one the diagonal, and a word transpose gives the
-columns, so a parsed matrix needs no further validation and comes with
-``columns()`` filled, as does one decoded from its index by ORing words
-of `_decode_tables`, rows then columns.  Others validate row by row.
+columns (`_check_word`).  The parsers read a grid straight into that word
+and the constructors pack their rows into it, so every matrix comes with
+``columns()`` filled; one decoded from its index, by ORing words of
+`_decode_tables`, rows then columns, needs no check at all.
 """
 
 from __future__ import annotations
@@ -42,28 +43,33 @@ from .errors import (
 MAX_SINGLE_N = 20
 
 
-def _validate_rows(n: int, rows: tuple[int, ...]) -> None:
-    if n < 1:
-        raise NonSquare(f"dimension must be >= 1, got {n}")
-    if len(rows) != n:
-        raise NonSquare(f"expected {n} rows, got {len(rows)}")
-    full = (1 << n) - 1
-    for i, row in enumerate(rows):
-        if row & ~full:
-            raise NonSquare(f"row {i + 1} has entries beyond column {n}")
-
-
 @dataclass(frozen=True)
 class _BinaryMatrix:
     """Square binary matrix, rows as bitmasks: the fields and methods both
-    matrix classes share.  Subclasses add their own shape checks."""
+    matrix classes share.  A subclass's `_triangular` says whether it
+    refuses entries below the diagonal or only a cycle."""
 
     n: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        _validate_rows(self.n, self.rows)
+        n, rows = self.n, tuple(self.rows)
+        # 2.0 and True compare equal to 2 and 1 but are not dimensions or masks
+        if type(n) is not int:
+            raise NonSquare(f"dimension must be an int, got {n!r}")
+        if n < 1:
+            raise NonSquare(f"dimension must be >= 1, got {n}")
+        if len(rows) != n:
+            raise NonSquare(f"expected {n} rows, got {len(rows)}")
+        full = (1 << n) - 1
+        for i, row in enumerate(rows):
+            if type(row) is not int:
+                raise NonBinary(f"row {i + 1} is {row!r}, not an int bitmask")
+            if row & ~full:
+                raise NonSquare(f"row {i + 1} has entries beyond column {n}")
+        m = 1 << (n - 1).bit_length()
+        x = sum(row << i * m for i, row in enumerate(rows))
+        self.__dict__.update(rows=rows, _columns=_check_word(x, n, m, self._triangular)[1])
 
     @classmethod
     def from_lists(cls, grid: Iterable[Iterable[int]]):
@@ -73,7 +79,7 @@ class _BinaryMatrix:
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...], columns: tuple[int, ...]):
         """Checks n >= 1 only: `rows` must be a tuple of n masks that pass
-        the class's checks, and `columns` their transpose (the memo)."""
+        the class's checks, and `columns` their transpose."""
         if n < 1:
             raise NonSquare(f"dimension must be >= 1, got {n}")
         self = object.__new__(cls)
@@ -92,23 +98,13 @@ class _BinaryMatrix:
 
     def columns(self) -> tuple[int, ...]:
         """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1,
-        i.e. the in-neighbours of vertex j.  Kept in the instance
-        ``__dict__``, outside the dataclass fields, so equality, hashing and
-        repr never see it.  The parsers and the index decoder fill it from
-        their words; for a matrix built any other way the first call
-        computes it, one step per set bit.  Every spin route and the ring
-        read this one tuple.
+        i.e. the in-neighbours of vertex j.  Every construction stores them
+        in the instance ``__dict__``, outside the dataclass fields, so
+        equality, hashing and repr never see them: the constructors and the
+        parsers from their word transpose, the index decoder from its
+        tables.  Every spin route and the ring read this one tuple.
         """
-        cols = self.__dict__.get("_columns")
-        if cols is None:
-            acc = [0] * self.n
-            for i, row in enumerate(self.rows):
-                while row:
-                    low = row & -row
-                    acc[low.bit_length() - 1] |= 1 << i
-                    row ^= low
-            cols = self.__dict__["_columns"] = tuple(acc)
-        return cols
+        return self._columns
 
     def column_mask(self, j: int) -> int:
         """Bitmask of 0-based rows i with c_{i+1,j} = 1."""
@@ -135,16 +131,7 @@ class _BinaryMatrix:
 class BottMatrix(_BinaryMatrix):
     """Strictly upper triangular binary matrix, rows as bitmasks."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for i, row in enumerate(self.rows):
-            # bits 0..i must be clear: c_{i,j} = 0 for i >= j
-            low = row & ((2 << i) - 1)
-            if low:
-                j = low.bit_length()
-                raise DiagonalNonzero(
-                    f"entry ({i + 1},{j}) is on or below the diagonal"
-                )
+    _triangular = True
 
     @classmethod
     def zero(cls, n: int) -> "BottMatrix":
@@ -154,13 +141,7 @@ class BottMatrix(_BinaryMatrix):
 class GeneralBottMatrix(_BinaryMatrix):
     """Binary matrix with zero diagonal whose digraph is acyclic."""
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for i, row in enumerate(self.rows):
-            if (row >> i) & 1:
-                raise DiagonalNonzero(f"diagonal entry ({i + 1},{i + 1}) is 1")
-        if _topological_order(self.columns()) is None:
-            raise CyclicDigraph("matrix digraph contains a directed cycle")
+    _triangular = False
 
 
 AnyBottMatrix = Union[BottMatrix, GeneralBottMatrix]
@@ -203,7 +184,8 @@ class Permutation:
 def _mask_from_bits(bits: Iterable[int]) -> int:
     mask = 0
     for j, v in enumerate(bits):
-        if v not in (0, 1):
+        # 1.0 and True compare equal to 1 but are not entries
+        if type(v) is not int or v not in (0, 1):
             raise NonBinary(f"entry {v!r} is not 0/1")
         if v:
             mask |= 1 << j
@@ -212,7 +194,7 @@ def _mask_from_bits(bits: Iterable[int]) -> int:
 
 def _topological_order(cols: tuple[int, ...]) -> list[int] | None:
     """Topological order, 0-based, of the digraph whose in-neighbour masks
-    are `cols` (a matrix's `columns()`); None on a directed cycle.  Each step
+    are `cols` (a matrix's `columns()`); None on a cycle.  Each step
     peels the smallest remaining vertex with no remaining in-neighbour, the
     vertex a Kahn sort with a min-heap of ready vertices would pop."""
     left = (1 << len(cols)) - 1
@@ -363,12 +345,18 @@ def _lanes(x: int, k: int, m: int) -> tuple[int, ...]:
     return tuple([(x >> s) & full for s in range(0, k * m, m)])
 
 
-def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
-    """The matrix whose entry (i, j) is bit i*m + j of `x`, each of the n
-    rows an m-bit lane with nothing beyond column n."""
+def _check_word(x: int, n: int, m: int, triangular: bool) -> tuple[bool, tuple[int, ...]]:
+    """Check the matrix whose entry (i, j) is bit i*m + j of `x`, each of the
+    n rows an m-bit lane with nothing beyond column n, against the rules of a
+    BottMatrix when `triangular` is set, else of a GeneralBottMatrix.
+    Return whether it is upper triangular, and its columns."""
     lower, diagonal, steps = _word_tables(m)
-    rows = _lanes(x, n, m)
-    upper = not x & lower
+    low = x & lower
+    if triangular and low:
+        # the first bad row and its highest bad column
+        i = ((low & -low).bit_length() - 1) // m
+        j = ((low >> i * m) & ((1 << m) - 1)).bit_length()
+        raise DiagonalNonzero(f"entry ({i + 1},{j}) is on or below the diagonal")
     bad = x & diagonal
     if bad:
         i = ((bad & -bad).bit_length() - 1) // (m + 1)
@@ -377,11 +365,16 @@ def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
         t = (x ^ (x >> s)) & mask
         x ^= t ^ (t << s)
     cols = _lanes(x, n, m)
-    if upper:
-        return BottMatrix._trusted(n, rows, cols)
-    if _topological_order(cols) is None:
+    if low and _topological_order(cols) is None:
         raise CyclicDigraph("matrix digraph contains a directed cycle")
-    return GeneralBottMatrix._trusted(n, rows, cols)
+    return not low, cols
+
+
+def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
+    """The matrix whose entry (i, j) is bit i*m + j of `x`, each of the n
+    rows an m-bit lane with nothing beyond column n."""
+    upper, cols = _check_word(x, n, m, False)
+    return (BottMatrix if upper else GeneralBottMatrix)._trusted(n, _lanes(x, n, m), cols)
 
 
 @lru_cache(maxsize=8)

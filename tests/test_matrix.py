@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import itertools
 import json
@@ -76,6 +77,39 @@ def _reference_parse(text, max_n):
     if all(rows[i] & ((2 << i) - 1) == 0 for i in range(n)):
         return BottMatrix(n, rows)
     return GeneralBottMatrix(n, rows)
+
+
+def _upper(rows):
+    return all(row & ((2 << i) - 1) == 0 for i, row in enumerate(rows))
+
+
+def _reference_construct(n, rows, cls=None):
+    """The per-row checks the constructors made before they shared the
+    parsers' packed word, kept as the reference for the matrices, columns
+    and errors of both: builds `cls`, by default the class the parsers pick
+    (BottMatrix when `rows` is upper triangular), sorting a general
+    digraph by `_heap_kahn` and reading its columns bit by bit."""
+    if cls is None:
+        cls = BottMatrix if _upper(rows) else GeneralBottMatrix
+    try:
+        if n < 1:
+            raise NonSquare(f"dimension must be >= 1, got {n}")
+        if len(rows) != n:
+            raise NonSquare(f"expected {n} rows, got {len(rows)}")
+        for i, row in enumerate(rows):
+            if row & ~((1 << n) - 1):
+                raise NonSquare(f"row {i + 1} has entries beyond column {n}")
+        for i, row in enumerate(rows):
+            low = row & ((2 << i) - 1)
+            if cls is BottMatrix and low:
+                raise DiagonalNonzero(f"entry ({i + 1},{low.bit_length()}) is on or below the diagonal")
+            if (row >> i) & 1:
+                raise DiagonalNonzero(f"diagonal entry ({i + 1},{i + 1}) is 1")
+        if _heap_kahn(n, rows) is None:
+            raise CyclicDigraph("matrix digraph contains a directed cycle")
+    except BottError as exc:
+        return type(exc), str(exc)
+    return cls, n, tuple(rows), _in_masks(n, rows)
 
 
 def _outcome(parse, text, max_n):
@@ -272,20 +306,6 @@ class TestTrustedConstruction:
             matrix_from_json({"rows": []})
 
 
-def _upper(rows):
-    return all(row & ((2 << i) - 1) == 0 for i, row in enumerate(rows))
-
-
-def _constructed(n, rows):
-    """The matrix the validating constructors build from `rows`, or the
-    error they raise; a general matrix's constructor fills its memo."""
-    try:
-        M = (BottMatrix if _upper(rows) else GeneralBottMatrix)(n, rows)
-    except BottError as exc:
-        return type(exc), str(exc)
-    return type(M), M.n, M.rows, M.columns()
-
-
 def _packed(parse, *args):
     """What the word path gives: the columns must be there before any call."""
     try:
@@ -299,8 +319,9 @@ def _packed(parse, *args):
 
 
 class TestPackedWord:
-    """The parsers read a grid into one word of m-bit lanes; they must build
-    the very matrices, columns and errors the validating constructors do."""
+    """The parsers read a grid into one word of m-bit lanes, and the
+    constructors pack their rows into one; both must build the very
+    matrices, columns and errors the per-row reference does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(n=st.sampled_from([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 20, 31, 32, 33]),
@@ -311,7 +332,7 @@ class TestPackedWord:
         if conjugated:
             M = conjugate(M, Permutation(tuple(rng.sample(range(1, n + 1), n))))
         max_n = None if n > MAX_SINGLE_N else MAX_SINGLE_N
-        expected = _constructed(n, M.rows)
+        expected = _reference_construct(n, M.rows)
         assert _packed(parse_matrix, M.to_text(), max_n) == expected
         assert _packed(matrix_from_json, M.to_json_dict(), max_n) == expected
 
@@ -319,7 +340,7 @@ class TestPackedWord:
     def _grid_outcomes(n, rows):
         text = "\n".join(" ".join(str((row >> j) & 1) for j in range(n)) for row in rows)
         lists = [[(row >> j) & 1 for j in range(n)] for row in rows]
-        expected = _constructed(n, rows)
+        expected = _reference_construct(n, rows)
         assert _packed(parse_matrix, text) == expected, rows
         assert _packed(matrix_from_json, {"n": n, "rows": lists}) == expected, rows
 
@@ -334,6 +355,16 @@ class TestPackedWord:
         rng = random.Random(4)
         for grid in rng.sample(range(1 << 16), 4000):
             self._grid_outcomes(4, tuple((grid >> (4 * i)) & 15 for i in range(4)))
+
+    def test_constructors_match_reference(self):
+        # both classes on every n <= 3 grid, and rows too wide or too many
+        for n in range(1, 4):
+            grids = [tuple((grid >> (i * n)) & ((1 << n) - 1) for i in range(n))
+                     for grid in range(1 << (n * n))]
+            grids += [(1 << n,) + (0,) * (n - 1), (0,) * (n + 1), (-1,) * n]
+            for rows in grids:
+                for cls in (BottMatrix, GeneralBottMatrix):
+                    assert _packed(cls, n, rows) == _reference_construct(n, rows, cls), (cls, rows)
 
     def test_lanes_by_shifts(self, monkeypatch):
         # the shift loop, which non-native widths and big-endian hosts use,
@@ -410,8 +441,8 @@ class TestConstruction:
                     sum(bit << i for i, bit in enumerate(col))
                     for col in zip(*M.to_lists())
                 ]
-                # the memo is filled by the first call and invisible to
-                # equality, hashing and repr
+                # the stored columns are invisible to equality, hashing
+                # and repr
                 fresh = type(M)(M.n, M.rows)
                 seen = (repr(M), hash(M))
                 assert list(M.columns()) == cols
@@ -420,6 +451,48 @@ class TestConstruction:
                 assert M == fresh and fresh == M
                 assert (repr(M), hash(M)) == seen == (repr(fresh), hash(fresh))
                 assert list(fresh.columns()) == cols
+
+    def test_every_route_stores_columns(self, rng):
+        C = random_bott(rng, 6)
+        sigma = Permutation((3, 1, 6, 2, 5, 4))
+        G = conjugate(C, sigma)
+        built = [
+            BottMatrix(C.n, C.rows),
+            GeneralBottMatrix(G.n, G.rows),
+            BottMatrix.from_lists(C.to_lists()),
+            GeneralBottMatrix.from_lists(G.to_lists()),
+            BottMatrix.zero(4),
+            dataclasses.replace(C, rows=(0,) * 6),
+            dataclasses.replace(G, n=2, rows=(0, 1)),
+            G,
+            normalize(G)[1],
+            row_pair_matrix(C, 2, 4),
+            delete_leading(C, 2),
+            leading_submatrix(C, 4),
+            orientable_not_spin_family(7),
+        ]
+        for M in built:
+            assert "_columns" in M.__dict__, M
+            cols = tuple(sum(bit << i for i, bit in enumerate(col)) for col in zip(*M.to_lists()))
+            assert M.__dict__["_columns"] == cols and M.columns() is M.__dict__["_columns"]
+
+    @pytest.mark.parametrize("cls", [BottMatrix, GeneralBottMatrix])
+    @pytest.mark.parametrize("n, rows, error", [
+        # equal to an int dimension or mask, but neither one
+        (True, (0,), NonSquare),
+        (2.0, (2, 0), NonSquare),
+        (2, (2.0, 0), NonBinary),
+        (2, (0, False), NonBinary),
+    ])
+    def test_non_int_dimension_and_rows(self, cls, n, rows, error):
+        with pytest.raises(error):
+            cls(n, rows)
+
+    @pytest.mark.parametrize("grid", [[[0, 1.0], [0, 0]], [[0, True], [False, 0]]])
+    def test_from_lists_entries_are_ints(self, grid):
+        # refused as matrix_from_json refuses JSON 1.0 and true
+        with pytest.raises(NonBinary):
+            BottMatrix.from_lists(grid)
 
     @pytest.mark.parametrize("sigma", [(2.0, 1.0), (True,), (1, 2.0), (2, True)])
     def test_permutation_entries_are_ints(self, sigma):
