@@ -237,21 +237,26 @@ class CohomologyRing:
         k+1's sum) for such m, so they pass down to the pending terms of
         that column's variables, all below k.  The map is GF(2)-linear, so
         merging pending terms is exact and one pass of O(n^2) big-int
-        operations finishes each factor.
+        operations finishes each factor.  Only the k in `todo` can have a
+        nonzero X: the bits of `col` and of each column passed down to,
+        taken highest first.
         """
         lanes, cols = self.lanes, self.cols
         for col in factors:
             out = E & keep
             if col and E:
-                top = col.bit_length()
-                pending = [0] * top
-                for k in range(top - 1, -1, -1):
+                pending = [0] * col.bit_length()
+                todo = col
+                while todo:
+                    k = todo.bit_length() - 1
+                    todo ^= 1 << k
                     X = pending[k] ^ E if (col >> k) & 1 else pending[k]
                     if X:
                         lo = X & lanes[k]
                         out ^= lo << (1 << k)
                         hi = X ^ lo
                         c = cols[k] if hi else 0
+                        todo |= c
                         while c:
                             pending[(c & -c).bit_length() - 1] ^= hi
                             c &= c - 1

@@ -85,7 +85,8 @@ def digraph_spin(D: BottDigraph) -> SpinVerdict:
     A vertex's M_jk over all k is the XOR of the in-masks of its
     out-neighbours; C(N_k, 2) is the exact integer binomial of the
     out-degree, reduced afterwards, and counts at the head of whichever
-    edge joins the pair (for a triangular matrix only j -> k can exist)."""
+    edge joins the pair (for a triangular matrix only j -> k can exist).
+    The verdict record is the one `is_spin` shares for the same outcome."""
     q = 0
     for k, out in enumerate(D.out_masks):
         N = out.bit_count()

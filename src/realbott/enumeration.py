@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from . import __version__
 from .cohomology import total_sw_class
 from .criteria import PairWitness, is_spin, spin_by_pairs
 from .digraph import build_digraph, common_out, digraph_spin
@@ -132,7 +133,9 @@ def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
     """Run all four spin routes on one matrix.
 
     Returns (orientable, spin, mismatch); mismatch is None when the
-    closed-form, digraph, pairwise and ring verdicts all agree.
+    closed-form, digraph, pairwise and ring verdicts all agree, and
+    otherwise lists each route's verdict and, under "disagree", the routes
+    whose verdict differs from the ring's.
     """
     v = is_spin(C)
     d = digraph_spin(build_digraph(C))
@@ -146,12 +149,17 @@ def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
     )
     if agree:
         return v.orientable, v.spin, None
+    closed, graph = [v.orientable, v.spin], [d.orientable, d.spin]
+    ring = [ring_orientable, ring_spin]
+    differs = (("closed_form", closed != ring), ("digraph", graph != ring),
+               ("pairwise", p != ring_spin))
     mismatch = {
         "rows": C.to_lists(),
-        "closed_form": [v.orientable, v.spin],
-        "digraph": [d.orientable, d.spin],
+        "closed_form": closed,
+        "digraph": graph,
         "pairwise": p,
-        "ring": [ring_orientable, ring_spin],
+        "ring": ring,
+        "disagree": [route for route, differ in differs if differ],
     }
     return v.orientable, v.spin, mismatch
 
@@ -168,6 +176,8 @@ class SweepReport:
     count: int | None = None
     reference_ok: bool | None = None
     elapsed: float = 0.0
+    #: The exhaustive cap in force; None in sample mode.
+    cap: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -185,6 +195,8 @@ class SweepReport:
             "mismatches": self.mismatches,
             "reference_ok": self.reference_ok,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
+            "version": __version__,
+            "cap": self.cap,
         }
 
     CSV_HEADER = "n,total,orientable,spin,mismatches,elapsed_ms"
@@ -293,6 +305,7 @@ def sweep(
         count=count,
         reference_ok=reference_ok,
         elapsed=time.perf_counter() - start,
+        cap=(DEFAULT_EXHAUSTIVE_CAP if cap is None else cap) if mode == "exhaustive" else None,
     )
 
 

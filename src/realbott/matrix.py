@@ -53,7 +53,7 @@ class _BinaryMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n, rows = self.n, tuple(self.rows)
+        n, rows = self.n, tuple(_iterate(self.rows, NonSquare, "rows"))
         # 2.0 and True compare equal to 2 and 1 but are not dimensions or masks
         if type(n) is not int:
             raise NonSquare(f"dimension must be an int, got {n!r}")
@@ -73,7 +73,7 @@ class _BinaryMatrix:
 
     @classmethod
     def from_lists(cls, grid: Iterable[Iterable[int]]):
-        rows = tuple(_mask_from_bits(row) for row in grid)
+        rows = tuple(_mask_from_bits(row) for row in _iterate(grid, NonSquare, "grid"))
         return cls(len(rows), rows)
 
     @classmethod
@@ -181,9 +181,17 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
 
+def _iterate(items, error: type[BottError], what: str):
+    """iter(items), a non-iterable refused as `error`, not a bare TypeError."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise error(f"{what} must be iterable, got {items!r}") from None
+
+
 def _mask_from_bits(bits: Iterable[int]) -> int:
     mask = 0
-    for j, v in enumerate(bits):
+    for j, v in enumerate(_iterate(bits, NonBinary, "a row")):
         # 1.0 and True compare equal to 1 but are not entries
         if type(v) is not int or v not in (0, 1):
             raise NonBinary(f"entry {v!r} is not 0/1")

@@ -180,6 +180,24 @@ class TestMultiply:
                 m, a, multiply(m, b, c)
             )
 
+    def test_multi_bit_factor_matches_rewriter(self):
+        # y_m * (sum of y_{j+1} over the bits j of col) against the
+        # term-by-term rewriter, one generator of col at a time
+        for n in range(2, 5):
+            for m in enumerate_all(n):
+                ring = CohomologyRing(m)
+                for mono in range(1 << n):
+                    base = [i + 1 for i in range(n) if (mono >> i) & 1]
+                    by_var = [reduce_power_product(m, base + [j + 1]).bits for j in range(n)]
+                    for col in range(1 << n):
+                        if col.bit_count() < 2:
+                            continue
+                        expected = 0
+                        for j in range(n):
+                            if (col >> j) & 1:
+                                expected ^= by_var[j]
+                        assert ring.times_linear(1 << mono, col) == expected, (m, mono, col)
+
     def test_homogeneous_products(self, rng):
         for _ in range(50):
             n = rng.randint(2, 7)

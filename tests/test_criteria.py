@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -128,6 +129,32 @@ class TestIsSpin:
         assert d["witness"] == {"kind": "pair", "j": 1, "k": 2, "P": 1, "Q": 0}
         d = is_spin(KLEIN).to_json_dict()
         assert d["witness"] == {"kind": "row", "i": 1}
+
+    def test_returned_verdicts_are_frozen(self):
+        for m in enumerate_all(4):
+            for v in (is_spin(m), digraph_spin(build_digraph(m))):
+                with pytest.raises(FrozenInstanceError):
+                    v.spin = not v.spin
+                for w in v.witnesses:
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(w, fields(w)[0].name, 0)
+
+    def test_one_record_per_outcome(self):
+        # two matrices with row 1 odd and no failing pair
+        a = parse_matrix("0 1 0\n0 0 0\n0 0 0")
+        b = parse_matrix("0 0 1\n0 0 0\n0 0 0")
+        assert is_spin(a) is is_spin(b) is digraph_spin(build_digraph(a))
+        assert is_spin(a) == SpinVerdict(False, False, (RowWitness(1),))
+
+    def test_verdict_table_stays_bounded(self):
+        bound = criteria._verdict.cache_info().maxsize
+        assert bound == 1024
+        try:
+            for odd in range(bound + 100):
+                assert criteria._verdict(odd, None) == SpinVerdict(not odd, not odd, (RowWitness(odd),) if odd else ())
+            assert criteria._verdict.cache_info().currsize <= bound
+        finally:
+            criteria._verdict.cache_clear()
 
     def test_matches_ring_oracle_exhaustive(self):
         for n in range(1, 5):

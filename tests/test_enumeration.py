@@ -16,6 +16,7 @@ from realbott import (
     IndexOutOfRange,
     NonSquare,
     Permutation,
+    SpinVerdict,
     conjugate,
     enumerate_all,
     evaluate_matrix,
@@ -27,6 +28,7 @@ from realbott import (
     verify_fixture_suite,
     verify_representatives,
 )
+import realbott
 from realbott import enumeration, matrix
 from realbott.cli import main
 from realbott.enumeration import index_space
@@ -362,6 +364,33 @@ class TestSweep:
         assert r.CSV_HEADER == "n,total,orientable,spin,mismatches,elapsed_ms"
         row = r.to_csv_row().split(",")
         assert row[:5] == ["3", "8", "2", "2", "0"]
+
+    @pytest.mark.parametrize("route, name", [
+        ("closed_form", "is_spin"), ("digraph", "digraph_spin"), ("pairwise", "spin_by_pairs"),
+    ])
+    def test_mismatch_names_disagreeing_route(self, route, name, monkeypatch):
+        real = getattr(enumeration, name)
+
+        def flipped(arg):
+            v = real(arg)
+            if isinstance(v, bool):
+                return not v
+            return SpinVerdict(v.orientable, not v.spin, v.witnesses)
+
+        monkeypatch.setattr(enumeration, name, flipped)
+        r = sweep(4)
+        assert sorted(mm["index"] for mm in r.mismatches) == list(range(64))
+        assert all(mm["disagree"] == [route] for mm in r.mismatches)
+
+    def test_json_version_and_cap(self, monkeypatch, capsys):
+        report = sweep(3).to_json_dict()
+        assert report["version"] == realbott.__version__
+        assert report["cap"] == enumeration.DEFAULT_EXHAUSTIVE_CAP
+        assert sweep(3, cap=5).to_json_dict()["cap"] == 5
+        assert sweep(3, mode="sample", count=5, seed=1).to_json_dict()["cap"] is None
+        monkeypatch.setenv("BOTT_MAX_N", "4")
+        assert main(["enumerate", "-n", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cap"] == 4
 
     def test_evaluate_matrix_agreement(self):
         for m in enumerate_all(4):

@@ -488,6 +488,20 @@ class TestConstruction:
         with pytest.raises(error):
             cls(n, rows)
 
+    @pytest.mark.parametrize("cls", [BottMatrix, GeneralBottMatrix])
+    @pytest.mark.parametrize("rows", [5, None])
+    def test_non_iterable_rows(self, cls, rows):
+        with pytest.raises(NonSquare, match="rows must be iterable"):
+            cls(2, rows)
+
+    def test_from_lists_non_iterable_grid(self):
+        with pytest.raises(NonSquare, match="grid must be iterable"):
+            BottMatrix.from_lists(None)
+
+    def test_from_lists_non_iterable_row(self):
+        with pytest.raises(NonBinary, match="row must be iterable"):
+            BottMatrix.from_lists([5, 0])
+
     @pytest.mark.parametrize("grid", [[[0, 1.0], [0, 0]], [[0, True], [False, 0]]])
     def test_from_lists_entries_are_ints(self, grid):
         # refused as matrix_from_json refuses JSON 1.0 and true
