@@ -28,8 +28,7 @@ _EXPORTS = {
     "digraph": ("BottDigraph", "build_digraph", "common_out", "digraph_spin", "export_dot"),
     "enumeration": (
         "SweepReport", "VerificationReport", "enumerate_all", "evaluate_matrix",
-        "matrix_from_index", "matrix_index", "sweep", "verify_fixture_suite",
-        "verify_representatives",
+        "sweep", "verify_fixture_suite", "verify_representatives",
     ),
     "errors": (
         "BadPartition", "BottError", "CyclicDigraph", "DiagonalNonzero",
@@ -39,8 +38,9 @@ _EXPORTS = {
     "fixtures": ("orientable_not_spin_family",),
     "matrix": (
         "BottMatrix", "GeneralBottMatrix", "Permutation", "conjugate",
-        "delete_leading", "leading_submatrix", "load_matrix", "matrix_from_json",
-        "normalize", "parse_matrix", "row_pair_matrix",
+        "delete_leading", "leading_submatrix", "load_matrix", "matrix_from_index",
+        "matrix_from_json", "matrix_index", "normalize", "parse_matrix",
+        "row_pair_matrix",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

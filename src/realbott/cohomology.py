@@ -352,7 +352,7 @@ class SWProfile:
     matrix: BottMatrix
     total: int
 
-    def __init__(self, matrix: BottMatrix, total: int) -> None:  # see criteria.RowWitness
+    def __init__(self, matrix: BottMatrix, total: int) -> None:  # see digraph.BottDigraph
         self.__dict__.update(matrix=matrix, total=total)
 
     @cached_property

@@ -35,13 +35,6 @@ class RowWitness:
 
     i: int
 
-    # The spin routes build these records per matrix.  An __init__ in the
-    # class body keeps @dataclass from generating its frozen one, which
-    # sets each field through object.__setattr__ at several times the
-    # cost; equality, hashing, repr, fields() and replace() are unchanged.
-    def __init__(self, i: int) -> None:
-        self.__dict__.update(i=i)
-
     def to_json_dict(self) -> dict:
         return {"kind": "row", "i": self.i}
 
@@ -54,9 +47,6 @@ class PairWitness:
     k: int
     P: int
     Q: int
-
-    def __init__(self, j: int, k: int, P: int, Q: int) -> None:  # see RowWitness
-        self.__dict__.update(j=j, k=k, P=P, Q=Q)
 
     def to_json_dict(self) -> dict:
         return {"kind": "pair", "j": self.j, "k": self.k, "P": self.P, "Q": self.Q}
@@ -81,11 +71,6 @@ class SpinVerdict:
     orientable: bool
     spin: bool
     witnesses: tuple[Witness, ...] = ()
-
-    def __init__(  # see RowWitness
-        self, orientable: bool, spin: bool, witnesses: tuple[Witness, ...] = ()
-    ) -> None:
-        self.__dict__.update(orientable=orientable, spin=spin, witnesses=witnesses)
 
     @property
     def witness(self) -> Witness | None:

@@ -24,9 +24,11 @@ class BottDigraph:
     out_masks: tuple[int, ...]
     in_masks: tuple[int, ...]
 
-    def __init__(  # see criteria.RowWitness
-        self, n: int, out_masks: tuple[int, ...], in_masks: tuple[int, ...]
-    ) -> None:
+    # `build_digraph` builds one per matrix.  An __init__ in the class body
+    # keeps @dataclass from generating its frozen one, which sets each field
+    # through object.__setattr__ at several times the cost; equality,
+    # hashing, repr, fields() and replace() are unchanged.
+    def __init__(self, n: int, out_masks: tuple[int, ...], in_masks: tuple[int, ...]) -> None:
         self.__dict__.update(n=n, out_masks=out_masks, in_masks=in_masks)
 
     def has_edge(self, i: int, j: int) -> int:
@@ -107,7 +109,8 @@ def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:
     lines = ["digraph {"]
     if verdict is not None:
         lines.append(
-            f'  label="orientable={_b(verdict.orientable)} spin={_b(verdict.spin)}";'
+            f'  label="orientable={str(verdict.orientable).lower()} '
+            f'spin={str(verdict.spin).lower()}";'
         )
     for i in range(1, D.n + 1):
         lines.append(f"  u{i};")
@@ -126,6 +129,3 @@ def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def _b(v: bool) -> str:
-    return "true" if v else "false"

@@ -2,8 +2,7 @@
 cross-validation of every spin criterion against the ring oracle, and the
 built-in fixture suite.
 
-The n(n-1)/2 free entries of a matrix pack row-major into an integer index
-(bit 0 is entry (1,2), then (1,3), ...); exhaustive mode walks indices in
+Exhaustive mode walks the packed indices of `matrix.matrix_index` in
 increasing order, which fixes the enumeration order everywhere.  Sweeps
 split the index space into contiguous chunks, so parallel and serial runs
 merge to identical reports.
@@ -25,7 +24,7 @@ from . import __version__
 from .cohomology import total_sw_class
 from .criteria import PairWitness, is_spin, spin_by_pairs
 from .digraph import build_digraph, common_out, digraph_spin
-from .errors import BottError, DimensionTooLarge, IndexOutOfRange, NonSquare
+from .errors import BottError, DimensionTooLarge
 from .fixtures import (
     DIGRAPH_FIXTURES,
     DIM4_SPIN_LIST,
@@ -35,42 +34,9 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import MAX_SINGLE_N, BottMatrix, _decode_tables, _matrix_from_lanes
+from .matrix import MAX_SINGLE_N, BottMatrix, index_space, matrix_from_index, matrix_index
 
 DEFAULT_EXHAUSTIVE_CAP = 7
-
-
-def index_space(n: int) -> int:
-    return 1 << (n * (n - 1) // 2)
-
-
-def matrix_from_index(n: int, index: int) -> BottMatrix:
-    """The matrix packed as `index` in range(index_space(n)), for 1 <= n <=
-    MAX_SINGLE_N, with `columns()` filled: one table word per index byte."""
-    if n < 1:
-        raise NonSquare(f"dimension must be >= 1, got {n}")
-    if n > MAX_SINGLE_N:
-        raise DimensionTooLarge(f"decoding: n={n} exceeds the cap {MAX_SINGLE_N}")
-    free = n * (n - 1) // 2
-    if index < 0 or index >> free:
-        raise IndexOutOfRange(f"index {index} outside 0..2^{free}-1")
-    m, tables = _decode_tables(n)
-    x = 0
-    for table, byte in zip(tables, index.to_bytes(len(tables), "little")):
-        x |= table[byte]
-    return _matrix_from_lanes(x, n, m)
-
-
-def matrix_index(C: BottMatrix) -> int:
-    """Inverse of `matrix_from_index`; only strictly upper triangular
-    matrices have an index."""
-    if not isinstance(C, BottMatrix):
-        raise BottError("a packed index needs a strictly upper triangular "
-                        "matrix; normalize the general one first")
-    index = 0
-    for i in reversed(range(C.n)):
-        index = (index << (C.n - 1 - i)) | (C.rows[i] >> (i + 1))
-    return index
 
 
 def enumerate_all(
@@ -172,6 +138,7 @@ class SweepReport:
     orientable_count: int
     spin_count: int
     mismatches: list[dict] = field(default_factory=list)
+    #: The sampling parameters; None in exhaustive mode.
     seed: int | None = None
     count: int | None = None
     reference_ok: bool | None = None
@@ -301,8 +268,8 @@ def sweep(
         orientable_count=orientable,
         spin_count=spin,
         mismatches=mismatches,
-        seed=seed,
-        count=count,
+        seed=seed if mode == "sample" else None,
+        count=count if mode == "sample" else None,
         reference_ok=reference_ok,
         elapsed=time.perf_counter() - start,
         cap=(DEFAULT_EXHAUSTIVE_CAP if cap is None else cap) if mode == "exhaustive" else None,

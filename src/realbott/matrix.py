@@ -10,6 +10,10 @@ Rows are stored as int bitmasks: ``rows[i]`` has bit ``j`` set iff the
 speak 1-based indices; the 0-based masks are an internal convention that
 the cohomology and digraph modules share.
 
+The n(n-1)/2 free entries of a Bott matrix pack row-major into an integer
+index (bit 0 is entry (1,2), then (1,3), ...): `matrix_index` encodes,
+`matrix_from_index` decodes.
+
 Every matrix is checked in one packed word: entry (i, j), 0-based, is
 bit ``i*m + j``, m the smallest power of two >= n.  One AND with a mask
 tests the triangle, one the diagonal, and a word transpose gives the
@@ -78,10 +82,8 @@ class _BinaryMatrix:
 
     @classmethod
     def _trusted(cls, n: int, rows: tuple[int, ...], columns: tuple[int, ...]):
-        """Checks n >= 1 only: `rows` must be a tuple of n masks that pass
-        the class's checks, and `columns` their transpose."""
-        if n < 1:
-            raise NonSquare(f"dimension must be >= 1, got {n}")
+        """No checks: `rows` must be a tuple of n >= 1 masks that pass the
+        class's checks, and `columns` their transpose."""
         self = object.__new__(cls)
         self.__dict__.update(n=n, rows=rows, _columns=columns)
         return self
@@ -287,6 +289,8 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
         raise NonSquare(f'"n" must be an integer, got {n!r}')
     if n != len(rows):
         raise NonSquare(f'"n" is {n} but {len(rows)} rows given')
+    if n < 1:
+        raise NonSquare(f"dimension must be >= 1, got {n}")
     for i, row in enumerate(rows, 1):
         if len(row) != n:
             raise NonSquare(f"row {i} has {len(row)} entries, expected {n}")
@@ -402,10 +406,38 @@ def _decode_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return m, tuple(tables)
 
 
-def _matrix_from_lanes(x: int, n: int, m: int) -> BottMatrix:
-    """The BottMatrix laid out in `x` as by `_decode_tables`, columns filled."""
+def index_space(n: int) -> int:
+    return 1 << (n * (n - 1) // 2)
+
+
+def matrix_from_index(n: int, index: int) -> BottMatrix:
+    """The matrix packed as `index` in range(index_space(n)), for 1 <= n <=
+    MAX_SINGLE_N, with `columns()` filled: one table word per index byte."""
+    if n < 1:
+        raise NonSquare(f"dimension must be >= 1, got {n}")
+    if n > MAX_SINGLE_N:
+        raise DimensionTooLarge(f"decoding: n={n} exceeds the cap {MAX_SINGLE_N}")
+    free = n * (n - 1) // 2
+    if index < 0 or index >> free:
+        raise IndexOutOfRange(f"index {index} outside 0..2^{free}-1")
+    m, tables = _decode_tables(n)
+    x = 0
+    for table, byte in zip(tables, index.to_bytes(len(tables), "little")):
+        x |= table[byte]
     lanes = _lanes(x, 2 * n, m)
     return BottMatrix._trusted(n, lanes[:n], lanes[n:])
+
+
+def matrix_index(C: BottMatrix) -> int:
+    """Inverse of `matrix_from_index`; only strictly upper triangular
+    matrices have an index."""
+    if not isinstance(C, BottMatrix):
+        raise BottError("a packed index needs a strictly upper triangular "
+                        "matrix; normalize the general one first")
+    index = 0
+    for i in reversed(range(C.n)):
+        index = (index << (C.n - 1 - i)) | (C.rows[i] >> (i + 1))
+    return index
 
 
 def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:

@@ -218,6 +218,16 @@ class TestEnumerate:
         assert (d["total"], d["orientable"], d["spin"]) == (8, 2, 2)
         assert d["mismatches"] == []
 
+    def test_json_sampling_parameters(self, capsys):
+        # seed and count apply to sample mode only
+        assert main(["enumerate", "-n", "3", "--threads", "1", "--format", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert (d["seed"], d["count"]) == (None, None)
+        assert main(["enumerate", "-n", "3", "--mode", "sample", "--count", "7",
+                     "--seed", "5", "--threads", "1", "--format", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert (d["seed"], d["count"], d["total"]) == (5, 7, 7)
+
     def test_csv(self, capsys):
         assert main(["enumerate", "-n", "2", "--threads", "1", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -302,8 +302,9 @@ class TestTrustedConstruction:
     def test_dimension_still_checked(self):
         with pytest.raises(NonSquare):
             matrix_from_index(0, 0)
-        with pytest.raises(NonSquare):
-            matrix_from_json({"rows": []})
+        for data in ({"rows": []}, {"n": 0, "rows": []}):
+            with pytest.raises(NonSquare, match=r"^dimension must be >= 1, got 0$"):
+                matrix_from_json(data)
 
 
 def _packed(parse, *args):

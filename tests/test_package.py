@@ -28,8 +28,7 @@ EXPORTS = {
     "digraph": ["BottDigraph", "build_digraph", "common_out", "digraph_spin", "export_dot"],
     "enumeration": [
         "SweepReport", "VerificationReport", "enumerate_all", "evaluate_matrix",
-        "matrix_from_index", "matrix_index", "sweep", "verify_fixture_suite",
-        "verify_representatives",
+        "sweep", "verify_fixture_suite", "verify_representatives",
     ],
     "errors": [
         "BadPartition", "BottError", "CyclicDigraph", "DiagonalNonzero",
@@ -39,8 +38,9 @@ EXPORTS = {
     "fixtures": ["orientable_not_spin_family"],
     "matrix": [
         "BottMatrix", "GeneralBottMatrix", "Permutation", "conjugate",
-        "delete_leading", "leading_submatrix", "load_matrix", "matrix_from_json",
-        "normalize", "parse_matrix", "row_pair_matrix",
+        "delete_leading", "leading_submatrix", "load_matrix", "matrix_from_index",
+        "matrix_from_json", "matrix_index", "normalize", "parse_matrix",
+        "row_pair_matrix",
     ],
 }
 EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -106,6 +106,11 @@ class TestStartupImports:
         loaded = loaded_after(code)
         assert {"realbott.cli", "realbott.criteria", "realbott.matrix"} <= loaded
         assert not NOT_FOR_CHECK & loaded
+
+    def test_decoder_loads_no_sweep(self):
+        loaded = loaded_after("import realbott\nrealbott.matrix_from_index(6, 5)")
+        assert "realbott.matrix" in loaded
+        assert "realbott.enumeration" not in loaded
 
     def test_sw_loads_the_ring_only(self):
         loaded = loaded_after(cli_main("sw", "--matrix", "0110;0011;0001;0000"))

@@ -1,7 +1,9 @@
-"""Value semantics of the per-matrix records, whose __init__ writes the
-instance __dict__ directly, against plain frozen-dataclass declarations of
-the same fields: construction, ==, hash, repr, immutability, fields(),
-replace() and pickling must not tell them apart."""
+"""Value semantics of the records against plain frozen-dataclass
+declarations of the same fields: construction, ==, hash, repr,
+immutability, fields(), replace() and pickling must not tell them apart.
+The verdict records are generated dataclasses; `BottDigraph` and
+`SWProfile`, built once per matrix, write the instance __dict__ in their
+own __init__."""
 
 import dataclasses
 import itertools
