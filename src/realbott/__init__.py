@@ -18,12 +18,12 @@ _EXPORTS = {
         "CohomologyRing", "RingElement", "SWProfile", "graded_dimension",
         "monomial_degree", "monomial_str", "multiply", "reduce_power_product",
         "reduce_square", "sw_number", "sw_partitions", "total_sw_class",
-        "w1_formula", "wk_recursive",
+        "w1_formula", "w_top_minus_one", "wk_recursive",
     ),
     "criteria": (
         "PairTerms", "PairWitness", "RowWitness", "SpinVerdict",
         "fibre_chain_verdicts", "is_orientable", "is_spin", "is_spin_general",
-        "pair_terms", "spin_by_pairs", "w_top_minus_one",
+        "pair_terms", "spin_by_pairs",
     ),
     "digraph": ("BottDigraph", "build_digraph", "common_out", "digraph_spin", "export_dot"),
     "enumeration": (

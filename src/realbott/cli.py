@@ -103,6 +103,8 @@ def cmd_digraph(args) -> int:
 
 def cmd_enumerate(args) -> int:
     from .enumeration import sweep
+    if args.threads < 0:
+        raise BottError(f"--threads must be >= 0, got {args.threads}")
     cap = None
     env_cap = os.environ.get("BOTT_MAX_N")
     if env_cap is not None:

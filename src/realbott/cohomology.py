@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadPartition, BottError, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
-from .matrix import MAX_SINGLE_N, BottMatrix
+from .errors import BadPartition, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
+from .matrix import MAX_SINGLE_N, BottMatrix, _check_index, _iterate, _require_triangular
 
 
 def monomial_degree(mask: int) -> int:
@@ -185,13 +185,6 @@ class RingElement:
         return "+".join(_monomial_strs(ordered))
 
 
-def _require_triangular(C) -> None:
-    """The ring reads each column above the diagonal only: refuse a general matrix."""
-    if not isinstance(C, BottMatrix):
-        raise BottError("classes need a strictly upper triangular matrix; "
-                        "normalize the general one first")
-
-
 class CohomologyRing:
     """Multiplication context for one matrix: its column masks and, per
     variable, the lane of monomials that variable does not divide.
@@ -205,7 +198,8 @@ class CohomologyRing:
     """
 
     def __init__(self, matrix: BottMatrix):
-        _require_triangular(matrix)
+        # the ring reads each column above the diagonal only
+        _require_triangular(matrix, "classes need")
         if matrix.n > MAX_SINGLE_N:
             raise DimensionTooLarge(
                 f"ring elements take 2^n bits; "
@@ -289,8 +283,7 @@ def reduce_square(C: BottMatrix, i: int) -> RingElement:
     """Normal form of y_i^2: the sum of y_j*y_i over every row j with a 1 in
     column i (only j < i on a BottMatrix).  Valid for every i up to n (see
     the module docstring for the top-variable case)."""
-    if not 1 <= i <= C.n:
-        raise IndexOutOfRange(f"index {i} outside 1..{C.n}")
+    _check_index(i, C.n)
     col = C.columns()[i - 1]
     bit = 1 << (i - 1)
     return RingElement.from_masks(
@@ -320,8 +313,7 @@ def reduce_power_product(
     if order not in ("highest", "lowest"):
         raise ValueError(f"order must be 'highest' or 'lowest', got {order!r}")
     for i in indices:
-        if not 1 <= i <= C.n:
-            raise IndexOutOfRange(f"index {i} outside 1..{C.n}")
+        _check_index(i, C.n)
     cols = C.columns()
     out: set[tuple[int, ...]] = set()
     stack: list[tuple[int, ...]] = [tuple(sorted(i - 1 for i in indices))]
@@ -409,6 +401,18 @@ def w1_formula(C: BottMatrix) -> RingElement:
     )
 
 
+def w_top_minus_one(C: BottMatrix) -> RingElement:
+    """Degree n-1 class: the product of the superdiagonal entries times
+    y_1*...*y_{n-1}; zero as soon as one superdiagonal entry vanishes."""
+    _require_triangular(C, "classes need")
+    if C.n < 2:
+        raise IndexOutOfRange("needs n >= 2")
+    for i in range(C.n - 1):
+        if not (C.rows[i] >> (i + 1)) & 1:
+            return RingElement.zero()
+    return RingElement.from_masks(((1 << (C.n - 1)) - 1,))
+
+
 def wk_recursive(C: BottMatrix, k: int) -> RingElement:
     """Degree-k class via the recursion over leading principal submatrices,
     w_k(t) = sum over s < t of w_{k-1}(s) * (column s+1's sum); must agree
@@ -449,9 +453,10 @@ def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
     degree d: the ring is graded and w = w_0 + ... + w_n (splitting principle)."""
     C = profile.matrix
     n = C.n
-    r = tuple(partition)
-    if len(r) != n or any(x < 0 for x in r):
-        raise BadPartition(f"need {n} nonnegative exponents, got {r}")
+    r = tuple(_iterate(partition, BadPartition, "a partition"))
+    # 2.0 and False compare equal to 2 and 0 but are not exponents
+    if len(r) != n or any(type(x) is not int or x < 0 for x in r):
+        raise BadPartition(f"need {n} nonnegative int exponents, got {r}")
     if sum(i * ri for i, ri in enumerate(r, 1)) != n:
         raise BadPartition(f"weighted degree of {r} is not {n}")
     ring = CohomologyRing(C)

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import IndexOutOfRange
-from .matrix import AnyBottMatrix, BottMatrix, delete_leading
-
-if TYPE_CHECKING:
-    from .cohomology import RingElement
+from .matrix import AnyBottMatrix, BottMatrix, _check_pair, _require_triangular, delete_leading
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,7 @@ def is_orientable(M: AnyBottMatrix) -> bool:
 
 def pair_terms(C: BottMatrix, j: int, k: int) -> PairTerms:
     """P and Q for one pair of rows of a Bott matrix, 1 <= j < k <= n."""
-    if not 1 <= j < k <= C.n:
-        raise IndexOutOfRange(f"need 1 <= j < k <= {C.n}, got ({j},{k})")
+    _check_pair(j, k, C.n)
     return PairTerms(*_closed_form_terms(C.rows, j - 1, k - 1))
 
 
@@ -168,13 +163,6 @@ def _scan(
     return odd, None
 
 
-def _verdict_scan(
-    rows: Sequence[int], cols: Sequence[int], qmask: int
-) -> SpinVerdict:
-    """`_scan` as a verdict, the one shared record of its outcome."""
-    return _verdict(*_scan(enumerate(rows), cols, qmask))
-
-
 @lru_cache(maxsize=1024)
 def _verdict(odd: int, pair: tuple[int, int, int, int] | None) -> SpinVerdict:
     """The verdict of one `_scan` outcome: spin needs both an even matrix
@@ -209,7 +197,7 @@ def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     becomes under conjugation.  The verdict is shared with every matrix
     of the same outcome (see the module docstring).
     """
-    return _verdict_scan(C.rows, C.columns(), _pair_sum_mask(C.rows))
+    return _verdict(*_scan(enumerate(C.rows), C.columns(), _pair_sum_mask(C.rows)))
 
 
 #: Kept for callers that name the general case; identical to `is_spin`.
@@ -235,22 +223,9 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     return True
 
 
-def w_top_minus_one(C: BottMatrix) -> RingElement:
-    """Degree n-1 class: the product of the superdiagonal entries times
-    y_1*...*y_{n-1}; zero as soon as one superdiagonal entry vanishes."""
-    # imported here, so that the verdicts load no ring module
-    from .cohomology import RingElement, _require_triangular
-    _require_triangular(C)
-    if C.n < 2:
-        raise IndexOutOfRange("needs n >= 2")
-    for i in range(C.n - 1):
-        if not (C.rows[i] >> (i + 1)) & 1:
-            return RingElement.zero()
-    return RingElement.from_masks(((1 << (C.n - 1)) - 1,))
-
-
 def fibre_chain_verdicts(C: BottMatrix) -> list[SpinVerdict]:
     """Verdicts for C and each successive fibre matrix obtained by deleting
     leading rows/columns, down to size 2 (size 1 when n = 1).  Orientable
     or spin at the top implies the same all the way down."""
+    _require_triangular(C, "fibres need")
     return [is_spin(delete_leading(C, k)) for k in range(max(C.n - 1, 1))]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import PairWitness, SpinVerdict, _verdict_scan
+from .criteria import PairWitness, SpinVerdict, _scan, _verdict
 from .errors import IndexOutOfRange
-from .matrix import AnyBottMatrix
+from .matrix import AnyBottMatrix, _check_pair
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ def build_digraph(M: AnyBottMatrix) -> BottDigraph:
 
 def common_out(D: BottDigraph, j: int, k: int) -> int:
     """Number of common out-neighbours of u_j and u_k, 1 <= j < k <= n."""
-    if not 1 <= j < k <= D.n:
-        raise IndexOutOfRange(f"need 1 <= j < k <= {D.n}, got ({j},{k})")
+    _check_pair(j, k, D.n)
     return (D.out_masks[j - 1] & D.out_masks[k - 1]).bit_count()
 
 
@@ -93,7 +92,7 @@ def digraph_spin(D: BottDigraph) -> SpinVerdict:
     for k, out in enumerate(D.out_masks):
         N = out.bit_count()
         q |= ((N * (N - 1) // 2) & 1) << k
-    return _verdict_scan(D.out_masks, D.in_masks, q)
+    return _verdict(*_scan(enumerate(D.out_masks), D.in_masks, q))
 
 
 def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:

@@ -77,7 +77,7 @@ class _BinaryMatrix:
 
     @classmethod
     def from_lists(cls, grid: Iterable[Iterable[int]]):
-        rows = tuple(_mask_from_bits(row) for row in _iterate(grid, NonSquare, "grid"))
+        rows = _grid_masks(grid)
         return cls(len(rows), rows)
 
     @classmethod
@@ -90,12 +90,12 @@ class _BinaryMatrix:
 
     def entry(self, i: int, j: int) -> int:
         """Entry c_{i,j}, 1-based."""
-        self._check_index(i)
-        self._check_index(j)
+        _check_index(i, self.n)
+        _check_index(j, self.n)
         return (self.rows[i - 1] >> (j - 1)) & 1
 
     def row_sum(self, i: int) -> int:
-        self._check_index(i)
+        _check_index(i, self.n)
         return self.rows[i - 1].bit_count()
 
     def columns(self) -> tuple[int, ...]:
@@ -110,7 +110,7 @@ class _BinaryMatrix:
 
     def column_mask(self, j: int) -> int:
         """Bitmask of 0-based rows i with c_{i+1,j} = 1."""
-        self._check_index(j)
+        _check_index(j, self.n)
         return self.columns()[j - 1]
 
     def to_lists(self) -> list[list[int]]:
@@ -124,10 +124,6 @@ class _BinaryMatrix:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": self.to_lists()}
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"index {i} outside 1..{self.n}")
 
 
 class BottMatrix(_BinaryMatrix):
@@ -156,7 +152,7 @@ class Permutation:
     sigma: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", tuple(self.sigma))
+        object.__setattr__(self, "sigma", tuple(_iterate(self.sigma, BottError, "sigma")))
         n = len(self.sigma)
         # 2.0 and True compare equal to 2 and 1 but cannot index a row
         ints = all(type(v) is int for v in self.sigma)
@@ -168,8 +164,7 @@ class Permutation:
         return len(self.sigma)
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"index {i} outside 1..{self.n}")
+        _check_index(i, self.n)
         return self.sigma[i - 1]
 
     def inverse(self) -> "Permutation":
@@ -191,15 +186,40 @@ def _iterate(items, error: type[BottError], what: str):
         raise error(f"{what} must be iterable, got {items!r}") from None
 
 
-def _mask_from_bits(bits: Iterable[int]) -> int:
-    mask = 0
-    for j, v in enumerate(_iterate(bits, NonBinary, "a row")):
-        # 1.0 and True compare equal to 1 but are not entries
-        if type(v) is not int or v not in (0, 1):
-            raise NonBinary(f"entry {v!r} is not 0/1")
-        if v:
-            mask |= 1 << j
-    return mask
+def _check_index(i: int, n: int) -> None:
+    if not 1 <= i <= n:
+        raise IndexOutOfRange(f"index {i} outside 1..{n}")
+
+
+def _check_pair(j: int, k: int, n: int) -> None:
+    if not 1 <= j < k <= n:
+        raise IndexOutOfRange(f"need 1 <= j < k <= {n}, got ({j},{k})")
+
+
+def _require_triangular(C, needs: str) -> None:
+    """Refuse a general matrix: only a triangular one has what `needs` names."""
+    if not isinstance(C, BottMatrix):
+        raise BottError(f"{needs} a strictly upper triangular matrix; "
+                        "normalize the general one first")
+
+
+def _grid_masks(grid: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """Row masks of a grid of n rows of n entries, each the int 0 or 1.
+    Rows are checked in order, each for its width, then its entries."""
+    grid = list(_iterate(grid, NonSquare, "grid"))
+    masks = []
+    for i, row in enumerate(grid, 1):
+        row = list(_iterate(row, NonBinary, "a row"))
+        if len(row) != len(grid):
+            raise NonSquare(f"row {i} has {len(row)} entries, expected {len(grid)}")
+        mask = 0
+        for j, v in enumerate(row):
+            # 1.0 and True compare equal to 1 but are not entries
+            if type(v) is not int or v not in (0, 1):
+                raise NonBinary(f"row {i}: entry {v!r} is not 0/1")
+            mask |= v << j
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _topological_order(cols: tuple[int, ...]) -> list[int] | None:
@@ -291,17 +311,11 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
         raise NonSquare(f'"n" is {n} but {len(rows)} rows given')
     if n < 1:
         raise NonSquare(f"dimension must be >= 1, got {n}")
-    for i, row in enumerate(rows, 1):
-        if len(row) != n:
-            raise NonSquare(f"row {i} has {len(row)} entries, expected {n}")
-        for v in row:
-            # JSON true and 1.0 compare equal to 1 but are not entries
-            if type(v) is not int:
-                raise NonBinary(f"row {i}: entry {v!r} is not 0/1")
+    masks = _grid_masks(rows)
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
     m = 1 << (n - 1).bit_length()
-    return _matrix_from_word(sum(_mask_from_bits(row) << i * m for i, row in enumerate(rows)), n, m)
+    return _matrix_from_word(sum(row << i * m for i, row in enumerate(masks)), n, m)
 
 
 def load_matrix(path, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -413,6 +427,9 @@ def index_space(n: int) -> int:
 def matrix_from_index(n: int, index: int) -> BottMatrix:
     """The matrix packed as `index` in range(index_space(n)), for 1 <= n <=
     MAX_SINGLE_N, with `columns()` filled: one table word per index byte."""
+    # 2.0 and True compare equal to 2 and 1 but are not a dimension or an index
+    if type(n) is not int or type(index) is not int:
+        raise NonSquare(f"dimension and index must be ints, got {n!r} and {index!r}")
     if n < 1:
         raise NonSquare(f"dimension must be >= 1, got {n}")
     if n > MAX_SINGLE_N:
@@ -431,9 +448,7 @@ def matrix_from_index(n: int, index: int) -> BottMatrix:
 def matrix_index(C: BottMatrix) -> int:
     """Inverse of `matrix_from_index`; only strictly upper triangular
     matrices have an index."""
-    if not isinstance(C, BottMatrix):
-        raise BottError("a packed index needs a strictly upper triangular "
-                        "matrix; normalize the general one first")
+    _require_triangular(C, "a packed index needs")
     index = 0
     for i in reversed(range(C.n)):
         index = (index << (C.n - 1 - i)) | (C.rows[i] >> (i + 1))
@@ -474,27 +489,27 @@ def _relabel(rows: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def row_pair_matrix(C: BottMatrix, j: int, k: int) -> BottMatrix:
-    """Matrix with rows j and k copied from C, all other rows zero."""
-    if not 1 <= j < k <= C.n:
-        raise IndexOutOfRange(f"need 1 <= j < k <= {C.n}, got ({j},{k})")
+def row_pair_matrix(C: AnyBottMatrix, j: int, k: int) -> AnyBottMatrix:
+    """Matrix with rows j and k copied from C, all other rows zero.  This
+    and the two submatrix helpers below return a matrix of C's class."""
+    _check_pair(j, k, C.n)
     rows = [0] * C.n
     rows[j - 1] = C.rows[j - 1]
     rows[k - 1] = C.rows[k - 1]
-    return BottMatrix(C.n, tuple(rows))
+    return type(C)(C.n, tuple(rows))
 
 
-def delete_leading(C: BottMatrix, k: int) -> BottMatrix:
+def delete_leading(C: AnyBottMatrix, k: int) -> AnyBottMatrix:
     """Trailing principal submatrix: drop the first k rows and columns."""
     if not 0 <= k < C.n:
         raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {k}")
     m = C.n - k
-    return BottMatrix(m, tuple(C.rows[i + k] >> k for i in range(m)))
+    return type(C)(m, tuple(C.rows[i + k] >> k for i in range(m)))
 
 
-def leading_submatrix(C: BottMatrix, t: int) -> BottMatrix:
+def leading_submatrix(C: AnyBottMatrix, t: int) -> AnyBottMatrix:
     """Leading principal submatrix: keep the first t rows and columns."""
     if not 1 <= t <= C.n:
         raise IndexOutOfRange(f"need 1 <= t <= {C.n}, got {t}")
     full = (1 << t) - 1
-    return BottMatrix(t, tuple(C.rows[i] & full for i in range(t)))
+    return type(C)(t, tuple(C.rows[i] & full for i in range(t)))

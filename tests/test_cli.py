@@ -234,6 +234,10 @@ class TestEnumerate:
         assert lines[0] == "n,total,orientable,spin,mismatches,elapsed_ms"
         assert lines[1].startswith("2,2,1,1,0,")
 
+    def test_negative_threads_exit_2(self, capsys):
+        assert main(["enumerate", "-n", "3", "--threads", "-4"]) == 2
+        assert capsys.readouterr().err == "error: --threads must be >= 0, got -4\n"
+
     def test_cap_exit_2(self, capsys):
         assert main(["enumerate", "-n", "30"]) == 2
 

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import re
 
 import pytest
 
@@ -17,8 +16,10 @@ from realbott import (
     RingElement,
     conjugate,
     evaluate_matrix,
+    fibre_chain_verdicts,
     graded_dimension,
     is_spin,
+    matrix_index,
     monomial_str,
     multiply,
     normalize,
@@ -433,6 +434,12 @@ class TestSWNumbers:
         with pytest.raises(BadPartition):
             sw_number(profile, (3,))
 
+    @pytest.mark.parametrize("partition", [None, 3, (2.0, 0), (False, True), (0, 1.0)])
+    def test_partition_of_int_exponents(self, partition):
+        # (False, True) has weighted degree 2 but is no exponent vector
+        with pytest.raises(BadPartition):
+            sw_number(total_sw_class(BottMatrix.zero(2)), partition)
+
     def test_all_numbers_vanish_random(self, rng):
         for _ in range(100):
             m = random_bott(rng, rng.randint(1, 7))
@@ -530,8 +537,8 @@ class TestParseCap:
 
 
 class TestTriangularPrecondition:
-    MESSAGE = ("classes need a strictly upper triangular matrix; "
-               "normalize the general one first")
+    MESSAGE = ("^(classes need|fibres need|a packed index needs) a strictly upper "
+               "triangular matrix; normalize the general one first$")
 
     @pytest.mark.parametrize("call", [
         total_sw_class,
@@ -539,13 +546,15 @@ class TestTriangularPrecondition:
         lambda G: wk_recursive(G, 2),
         w_top_minus_one,
         evaluate_matrix,
+        fibre_chain_verdicts,
+        matrix_index,
     ], ids=["total_sw_class", "multiply", "wk_recursive", "w_top_minus_one",
-            "evaluate_matrix"])
+            "evaluate_matrix", "fibre_chain_verdicts", "matrix_index"])
     def test_general_matrix_refused(self, call):
         # reversed conjugates of the n = 4 spin list and n = 5 representatives
         for name in DIM4_SPIN_LIST + REPRESENTATIVES[5]:
             C = load_fixture(name)
             G = conjugate(C, Permutation(tuple(range(C.n, 0, -1))))
-            with pytest.raises(BottError, match=re.escape(self.MESSAGE)):
+            with pytest.raises(BottError, match=self.MESSAGE):
                 call(G)
             call(normalize(G)[1])  # the triangular form is accepted

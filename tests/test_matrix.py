@@ -266,6 +266,28 @@ class TestParse:
         with pytest.raises(NonSquare):
             matrix_from_json({"n": 3, "rows": [[0, 1], [0, 0]]})
 
+    @pytest.mark.parametrize("grid, message", [
+        ([[], []], "row 1 has 0 entries, expected 2"),
+        ([[0, 1, 0, 0], [0, 0]], "row 1 has 4 entries, expected 2"),
+        ([[0, 1], [1]], "row 2 has 1 entries, expected 2"),
+        ([[0, 1, 1], [0, 0], [0, 0, 0]], "row 2 has 2 entries, expected 3"),
+    ], ids=["empty-rows", "long-first", "short-last", "short-middle"])
+    def test_ragged_grid_refused(self, grid, message):
+        # the same width rule and message for both classes and for JSON
+        for build in (BottMatrix.from_lists, GeneralBottMatrix.from_lists,
+                      lambda g: matrix_from_json({"rows": g})):
+            with pytest.raises(NonSquare, match=f"^{message}$"):
+                build(grid)
+
+    @pytest.mark.parametrize("build", [
+        BottMatrix.from_lists, lambda g: matrix_from_json({"rows": g}),
+        lambda g: matrix_from_json({"rows": g}, max_n=1),
+    ], ids=["from_lists", "json", "json-over-cap"])
+    def test_bad_entry_named_with_its_row(self, build):
+        # reported before a later row's width and before the size cap
+        with pytest.raises(NonBinary, match=r"^row 1: entry 2 is not 0/1$"):
+            build([[0, 2], [0]])
+
     def test_load_matrix_auto_detects_json(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text('{"n": 2, "rows": [[0, 1], [0, 0]]}')
@@ -494,6 +516,16 @@ class TestConstruction:
     def test_non_iterable_rows(self, cls, rows):
         with pytest.raises(NonSquare, match="rows must be iterable"):
             cls(2, rows)
+
+    @pytest.mark.parametrize("n, index", [(True, 0), (2, True), (2.0, 1), (2, 1.0)])
+    def test_index_decoder_takes_ints(self, n, index):
+        with pytest.raises(NonSquare, match="must be ints"):
+            matrix_from_index(n, index)
+
+    @pytest.mark.parametrize("sigma", [5, None])
+    def test_non_iterable_permutation(self, sigma):
+        with pytest.raises(BottError, match="sigma must be iterable"):
+            Permutation(sigma)
 
     def test_from_lists_non_iterable_grid(self):
         with pytest.raises(NonSquare, match="grid must be iterable"):
@@ -744,3 +776,22 @@ class TestSubmatrices:
             k = rng.randint(j + 1, m.n)
             row_pair_matrix(m, j, k)  # constructor validates triangularity
             delete_leading(m, rng.randrange(m.n))
+
+    def test_general_input_keeps_its_class(self, rng):
+        for _ in range(50):
+            n = rng.randint(2, 7)
+            C = random_bott(rng, n)
+            G = conjugate(C, Permutation(tuple(rng.sample(range(1, n + 1), n))))
+            grid = G.to_lists()
+            j = rng.randint(1, n - 1)
+            k = rng.randint(j + 1, n)
+            d = rng.randrange(n)
+            t = rng.randint(1, n)
+            pair = [row if i in (j - 1, k - 1) else [0] * n for i, row in enumerate(grid)]
+            for sub, expected in [
+                (row_pair_matrix(G, j, k), pair),
+                (delete_leading(G, d), [row[d:] for row in grid[d:]]),
+                (leading_submatrix(G, t), [row[:t] for row in grid[:t]]),
+            ]:
+                assert type(sub) is GeneralBottMatrix
+                assert sub.to_lists() == expected
