@@ -44,8 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadPartition, DimensionMismatch, DimensionTooLarge, IndexOutOfRange
-from .matrix import MAX_SINGLE_N, BottMatrix, _check_index, _iterate, _require_triangular
+from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
+from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _iterate,
+                     _require_triangular)
 
 
 def monomial_degree(mask: int) -> int:
@@ -54,6 +55,8 @@ def monomial_degree(mask: int) -> int:
 
 def monomial_str(mask: int) -> str:
     """"y1*y3" style rendering; the empty monomial renders as "1"."""
+    if type(mask) is not int:
+        raise IndexOutOfRange(f"monomial mask must be an int, got {mask!r}")
     if mask < 0:
         raise IndexOutOfRange(f"monomial mask {mask} is negative")
     return _monomial_strs([mask])[0]
@@ -133,17 +136,16 @@ class RingElement:
     @classmethod
     def variable(cls, i: int) -> "RingElement":
         """The generator y_i, 1-based."""
-        if not 1 <= i <= MAX_SINGLE_N:
-            raise IndexOutOfRange(f"variable index {i} outside 1..{MAX_SINGLE_N}")
+        _check_index(i, MAX_SINGLE_N, "variable index")
         return cls(1 << (1 << (i - 1)))
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "RingElement":
         bits = 0  # XOR-fold: repeated masks cancel
         for m in masks:
-            if not 0 <= m < 1 << MAX_SINGLE_N:
+            if type(m) is not int or not 0 <= m < 1 << MAX_SINGLE_N:
                 raise IndexOutOfRange(
-                    f"monomial mask {m} is not a product of y1..y{MAX_SINGLE_N}"
+                    f"monomial mask {m!r} is not a product of y1..y{MAX_SINGLE_N}"
                 )
             bits ^= 1 << m
         return cls(bits)
@@ -200,11 +202,7 @@ class CohomologyRing:
     def __init__(self, matrix: BottMatrix):
         # the ring reads each column above the diagonal only
         _require_triangular(matrix, "classes need")
-        if matrix.n > MAX_SINGLE_N:
-            raise DimensionTooLarge(
-                f"ring elements take 2^n bits; "
-                f"n={matrix.n} exceeds the cap {MAX_SINGLE_N}"
-            )
+        _check_dimension(matrix.n, "ring elements take 2^n bits; ")
         self.matrix = matrix
         self.n = matrix.n
         # cols[i] = 0-based mask of rows j with entry (j+1, i+1) = 1
@@ -312,6 +310,7 @@ def reduce_power_product(
     """
     if order not in ("highest", "lowest"):
         raise ValueError(f"order must be 'highest' or 'lowest', got {order!r}")
+    indices = tuple(_iterate(indices, IndexOutOfRange, "indices"))
     for i in indices:
         _check_index(i, C.n)
     cols = C.columns()
@@ -417,8 +416,7 @@ def wk_recursive(C: BottMatrix, k: int) -> RingElement:
     """Degree-k class via the recursion over leading principal submatrices,
     w_k(t) = sum over s < t of w_{k-1}(s) * (column s+1's sum); must agree
     with the degree-k part of `total_sw_class`."""
-    if not 1 <= k <= C.n:
-        raise IndexOutOfRange(f"degree {k} outside 1..{C.n}")
+    _check_index(k, C.n, "degree")
     ring = CohomologyRing(C)
     w = [1] * C.n  # w[s]: the current degree's class of the leading s-block
     for d in range(k):
@@ -430,6 +428,7 @@ def wk_recursive(C: BottMatrix, k: int) -> RingElement:
 
 def sw_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All exponent vectors (r_1..r_n) with sum i*r_i = n."""
+    _check_dimension(n)
 
     def parts(total: int, largest: int) -> Iterator[list[int]]:
         if total == 0:
@@ -439,11 +438,7 @@ def sw_partitions(n: int) -> Iterator[tuple[int, ...]]:
             for rest in parts(total - p, p):
                 yield [p] + rest
 
-    for partition in parts(n, n):
-        r = [0] * n
-        for p in partition:
-            r[p - 1] += 1
-        yield tuple(r)
+    return (tuple(map(partition.count, range(1, n + 1))) for partition in parts(n, n))
 
 
 def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:

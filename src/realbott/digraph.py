@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .criteria import PairWitness, SpinVerdict, _scan, _verdict
-from .errors import IndexOutOfRange
-from .matrix import AnyBottMatrix, _check_pair
+from .matrix import AnyBottMatrix, _check_index, _check_pair
 
 
 @dataclass(frozen=True)
@@ -32,30 +31,26 @@ class BottDigraph:
         self.__dict__.update(n=n, out_masks=out_masks, in_masks=in_masks)
 
     def has_edge(self, i: int, j: int) -> int:
-        self._check(i)
-        self._check(j)
+        _check_index(i, self.n, "vertex")
+        _check_index(j, self.n, "vertex")
         return (self.out_masks[i - 1] >> (j - 1)) & 1
 
     def out_neighbours(self, i: int) -> tuple[int, ...]:
         """1-based vertices reachable by one edge from u_i."""
-        self._check(i)
+        _check_index(i, self.n, "vertex")
         return _vertices(self.out_masks[i - 1])
 
     def in_neighbours(self, i: int) -> tuple[int, ...]:
-        self._check(i)
+        _check_index(i, self.n, "vertex")
         return _vertices(self.in_masks[i - 1])
 
     def out_degree(self, i: int) -> int:
-        self._check(i)
+        _check_index(i, self.n, "vertex")
         return self.out_masks[i - 1].bit_count()
 
     def in_degree(self, i: int) -> int:
-        self._check(i)
+        _check_index(i, self.n, "vertex")
         return self.in_masks[i - 1].bit_count()
-
-    def _check(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"vertex {i} outside 1..{self.n}")
 
 
 def _vertices(mask: int) -> tuple[int, ...]:

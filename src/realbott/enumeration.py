@@ -34,7 +34,7 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import MAX_SINGLE_N, BottMatrix, index_space, matrix_from_index, matrix_index
+from .matrix import BottMatrix, _check_dimension, index_space, matrix_from_index, matrix_index
 
 DEFAULT_EXHAUSTIVE_CAP = 7
 
@@ -63,8 +63,7 @@ def _index_batches(n, mode, count, seed, cap, parts=1) -> Iterator[Sequence[int]
     at most BATCH and at most 1/`parts` of all, so that `parts` workers can
     share even a short sweep.  Sample draws come from one seeded RNG as the
     runs are read, so a seed gives the same indices whatever the run size."""
-    if n < 1:
-        raise BottError(f"dimension must be >= 1, got {n}")
+    _check_dimension(n, "sampling: " if mode == "sample" else None)
     if mode == "exhaustive":
         limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
         if n > limit:
@@ -77,11 +76,9 @@ def _index_batches(n, mode, count, seed, cap, parts=1) -> Iterator[Sequence[int]
                                     f"matrices, more than {sys.maxsize}")
         total = space
     elif mode == "sample":
-        if n > MAX_SINGLE_N:
-            raise DimensionTooLarge(f"sampling: n={n} exceeds the cap {MAX_SINGLE_N}")
         if seed is None:
             raise BottError("sample mode requires a seed")
-        if count is None or count < 1:
+        if type(count) is not int or count < 1:
             raise BottError("sample mode requires a positive count")
         total = count
     else:
@@ -245,6 +242,8 @@ def sweep(
     equal to the list's size with every listed matrix spin means equal sets.
     """
     start = time.perf_counter()
+    if type(jobs) is not int:
+        raise BottError(f"jobs must be an int, got {jobs!r}")
     # More workers than cores only adds start-up cost, and fork starts them
     # all at once
     jobs = max(1, min(jobs, os.cpu_count() or 1))

@@ -113,8 +113,8 @@ def orientable_not_spin_family(n: int) -> BottMatrix:
     """The standard orientable-but-not-spin witness in each dimension >= 5:
     ones at (1,2), (1,n-2), (n-2,n-1) and (n-2,n).  Rows 1 and n-2 have even
     sums, and the pair (1, n-2) violates the spin identity with P=0, Q=1."""
-    if n < 5:
-        raise IndexOutOfRange(f"family needs n >= 5, got {n}")
+    if type(n) is not int or n < 5:
+        raise IndexOutOfRange(f"family needs n >= 5, got {n!r}")
     rows = [0] * n
     rows[0] = (1 << 1) | (1 << (n - 3))
     rows[n - 3] = (1 << (n - 2)) | (1 << (n - 1))

@@ -58,15 +58,12 @@ class _BinaryMatrix:
 
     def __post_init__(self) -> None:
         n, rows = self.n, tuple(_iterate(self.rows, NonSquare, "rows"))
-        # 2.0 and True compare equal to 2 and 1 but are not dimensions or masks
-        if type(n) is not int:
-            raise NonSquare(f"dimension must be an int, got {n!r}")
-        if n < 1:
-            raise NonSquare(f"dimension must be >= 1, got {n}")
+        _check_dimension(n)
         if len(rows) != n:
             raise NonSquare(f"expected {n} rows, got {len(rows)}")
         full = (1 << n) - 1
         for i, row in enumerate(rows):
+            # 2.0 and True compare equal to 2 and 1 but are not masks
             if type(row) is not int:
                 raise NonBinary(f"row {i + 1} is {row!r}, not an int bitmask")
             if row & ~full:
@@ -133,6 +130,7 @@ class BottMatrix(_BinaryMatrix):
 
     @classmethod
     def zero(cls, n: int) -> "BottMatrix":
+        _check_dimension(n)
         return cls(n, (0,) * n)
 
 
@@ -175,6 +173,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _check_dimension(n)
         return cls(tuple(range(1, n + 1)))
 
 
@@ -186,14 +185,27 @@ def _iterate(items, error: type[BottError], what: str):
         raise error(f"{what} must be iterable, got {items!r}") from None
 
 
-def _check_index(i: int, n: int) -> None:
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"index {i} outside 1..{n}")
+def _check_dimension(n: int, capped: str | None = None) -> None:
+    """Refuse n unless it is an int >= 1 and, when `capped` prefixes the
+    reason the size is bounded, at most MAX_SINGLE_N.  This check and the
+    two below refuse every argument that is not an int."""
+    # 2.0 and True compare equal to 2 and 1 but are not dimensions or indices
+    if type(n) is not int:
+        raise NonSquare(f"dimension must be an int, got {n!r}")
+    if n < 1:
+        raise NonSquare(f"dimension must be >= 1, got {n}")
+    if capped is not None and n > MAX_SINGLE_N:
+        raise DimensionTooLarge(f"{capped}n={n} exceeds the cap {MAX_SINGLE_N}")
+
+
+def _check_index(i: int, n: int, what: str = "index") -> None:
+    if type(i) is not int or not 1 <= i <= n:
+        raise IndexOutOfRange(f"{what} {i!r} outside 1..{n}")
 
 
 def _check_pair(j: int, k: int, n: int) -> None:
-    if not 1 <= j < k <= n:
-        raise IndexOutOfRange(f"need 1 <= j < k <= {n}, got ({j},{k})")
+    if type(j) is not int or type(k) is not int or not 1 <= j < k <= n:
+        raise IndexOutOfRange(f"need 1 <= j < k <= {n}, got ({j!r},{k!r})")
 
 
 def _require_triangular(C, needs: str) -> None:
@@ -309,8 +321,7 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
         raise NonSquare(f'"n" must be an integer, got {n!r}')
     if n != len(rows):
         raise NonSquare(f'"n" is {n} but {len(rows)} rows given')
-    if n < 1:
-        raise NonSquare(f"dimension must be >= 1, got {n}")
+    _check_dimension(n)
     masks = _grid_masks(rows)
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
@@ -421,6 +432,7 @@ def _decode_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def index_space(n: int) -> int:
+    _check_dimension(n)
     return 1 << (n * (n - 1) // 2)
 
 
@@ -430,10 +442,7 @@ def matrix_from_index(n: int, index: int) -> BottMatrix:
     # 2.0 and True compare equal to 2 and 1 but are not a dimension or an index
     if type(n) is not int or type(index) is not int:
         raise NonSquare(f"dimension and index must be ints, got {n!r} and {index!r}")
-    if n < 1:
-        raise NonSquare(f"dimension must be >= 1, got {n}")
-    if n > MAX_SINGLE_N:
-        raise DimensionTooLarge(f"decoding: n={n} exceeds the cap {MAX_SINGLE_N}")
+    _check_dimension(n, "decoding: ")
     free = n * (n - 1) // 2
     if index < 0 or index >> free:
         raise IndexOutOfRange(f"index {index} outside 0..2^{free}-1")
@@ -501,15 +510,15 @@ def row_pair_matrix(C: AnyBottMatrix, j: int, k: int) -> AnyBottMatrix:
 
 def delete_leading(C: AnyBottMatrix, k: int) -> AnyBottMatrix:
     """Trailing principal submatrix: drop the first k rows and columns."""
-    if not 0 <= k < C.n:
-        raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {k}")
+    if type(k) is not int or not 0 <= k < C.n:
+        raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {k!r}")
     m = C.n - k
     return type(C)(m, tuple(C.rows[i + k] >> k for i in range(m)))
 
 
 def leading_submatrix(C: AnyBottMatrix, t: int) -> AnyBottMatrix:
     """Leading principal submatrix: keep the first t rows and columns."""
-    if not 1 <= t <= C.n:
-        raise IndexOutOfRange(f"need 1 <= t <= {C.n}, got {t}")
+    if type(t) is not int or not 1 <= t <= C.n:
+        raise IndexOutOfRange(f"need 1 <= t <= {C.n}, got {t!r}")
     full = (1 << t) - 1
     return type(C)(t, tuple(C.rows[i] & full for i in range(t)))

@@ -1,0 +1,137 @@
+"""The argument contract: a dimension is an int >= 1, an index an int in
+1..n, and a pair two such ints j < k.  2.0 and True compare equal to 2 and
+1 but are refused, each with a package error rather than a bare TypeError,
+and every refusal for an int argument keeps the message of its one owner
+in `realbott.matrix`."""
+
+import pytest
+
+from realbott import (
+    BottError,
+    BottMatrix,
+    CohomologyRing,
+    IndexOutOfRange,
+    NonSquare,
+    Permutation,
+    RingElement,
+    build_digraph,
+    common_out,
+    delete_leading,
+    enumerate_all,
+    leading_submatrix,
+    matrix_from_index,
+    monomial_str,
+    orientable_not_spin_family,
+    pair_terms,
+    reduce_power_product,
+    reduce_square,
+    row_pair_matrix,
+    sw_partitions,
+    sweep,
+    wk_recursive,
+)
+from realbott.matrix import _check_dimension, _check_index, index_space
+
+C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
+D = build_digraph(C)
+
+#: (id, call, error class, message fragment): each call is refused.
+REFUSALS = [
+    ("sweep-float-n", lambda: sweep(3.0), NonSquare, "dimension must be an int, got 3.0"),
+    ("sweep-zero-n", lambda: sweep(0), NonSquare, "dimension must be >= 1, got 0"),
+    ("sweep-float-count", lambda: sweep(3, "sample", count=2.5, seed=1), BottError,
+     "requires a positive count"),
+    ("sweep-bool-count", lambda: sweep(3, "sample", count=True, seed=1), BottError,
+     "requires a positive count"),
+    ("sweep-float-jobs", lambda: sweep(3, jobs=2.0), BottError, "jobs must be an int, got 2.0"),
+    ("enumerate_all-float-n", lambda: next(enumerate_all(2.0)), NonSquare, "got 2.0"),
+    ("zero-float-n", lambda: BottMatrix.zero(2.0), NonSquare, "dimension must be an int"),
+    ("identity-float-n", lambda: Permutation.identity(2.0), NonSquare, "must be an int"),
+    ("identity-zero-n", lambda: Permutation.identity(0), NonSquare, ">= 1, got 0"),
+    ("index_space-float-n", lambda: index_space(2.0), NonSquare, "must be an int"),
+    ("index_space-zero-n", lambda: index_space(0), NonSquare, ">= 1, got 0"),
+    ("sw_partitions-float-n", lambda: sw_partitions(2.0), NonSquare, "must be an int"),
+    ("sw_partitions-zero-n", lambda: sw_partitions(0), NonSquare, ">= 1, got 0"),
+    ("permutation-float", lambda: Permutation((2, 1, 3))(1.0), IndexOutOfRange,
+     "index 1.0 outside 1..3"),
+    ("entry-float", lambda: C.entry(2.0, 3), IndexOutOfRange, "index 2.0 outside 1..3"),
+    ("entry-bool", lambda: C.entry(True, 3), IndexOutOfRange, "index True outside 1..3"),
+    ("row_sum-float", lambda: C.row_sum(1.0), IndexOutOfRange, "index 1.0"),
+    ("column_mask-none", lambda: C.column_mask(None), IndexOutOfRange, "index None"),
+    ("reduce_square-float", lambda: reduce_square(C, 2.0), IndexOutOfRange, "index 2.0"),
+    ("power_product-float", lambda: reduce_power_product(C, [2.0]), IndexOutOfRange,
+     "index 2.0"),
+    ("power_product-not-iterable", lambda: reduce_power_product(C, 5), IndexOutOfRange,
+     "indices must be iterable, got 5"),
+    ("out_degree-float", lambda: D.out_degree(1.0), IndexOutOfRange, "vertex 1.0 outside 1..3"),
+    ("has_edge-float", lambda: D.has_edge(1, 2.0), IndexOutOfRange, "vertex 2.0"),
+    ("in_neighbours-bool", lambda: D.in_neighbours(True), IndexOutOfRange, "vertex True"),
+    ("wk_recursive-float", lambda: wk_recursive(C, 1.0), IndexOutOfRange,
+     "degree 1.0 outside 1..3"),
+    ("variable-float", lambda: RingElement.variable(2.0), IndexOutOfRange,
+     "variable index 2.0 outside 1..20"),
+    ("leading_submatrix-float", lambda: leading_submatrix(C, 2.0), IndexOutOfRange,
+     "need 1 <= t <= 3, got 2.0"),
+    ("delete_leading-float", lambda: delete_leading(C, 1.0), IndexOutOfRange,
+     "need 0 <= k < 3, got 1.0"),
+    ("delete_leading-bool", lambda: delete_leading(C, False), IndexOutOfRange, "got False"),
+    ("row_pair-bool", lambda: row_pair_matrix(C, True, 2), IndexOutOfRange,
+     "need 1 <= j < k <= 3, got (True,2)"),
+    ("row_pair-float", lambda: row_pair_matrix(C, 1.0, 2), IndexOutOfRange, "got (1.0,2)"),
+    ("common_out-bool", lambda: common_out(D, True, 2), IndexOutOfRange, "got (True,2)"),
+    ("common_out-float", lambda: common_out(D, 1, 2.0), IndexOutOfRange, "got (1,2.0)"),
+    ("pair_terms-float", lambda: pair_terms(C, 1.5, 2), IndexOutOfRange, "got (1.5,2)"),
+    ("family-float", lambda: orientable_not_spin_family(5.0), IndexOutOfRange,
+     "family needs n >= 5, got 5.0"),
+    ("monomial_str-float", lambda: monomial_str(1.0), IndexOutOfRange,
+     "monomial mask must be an int, got 1.0"),
+    ("from_masks-float", lambda: RingElement.from_masks([1.0]), IndexOutOfRange,
+     "monomial mask 1.0 is not a product"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_non_int_arguments_refused(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_power_product_reads_a_generator_once():
+    assert reduce_power_product(C, (i for i in [2, 2])) == reduce_power_product(C, [2, 2])
+    assert str(reduce_power_product(C, iter([2, 2]))) == "y1*y2"
+
+
+#: (id, public call, its owner's call, the whole message), all int arguments.
+OWNED_MESSAGES = [
+    ("index", lambda: C.entry(1, 4), lambda: _check_index(4, 3, "index"),
+     "index 4 outside 1..3"),
+    ("vertex", lambda: D.out_degree(4), lambda: _check_index(4, 3, "vertex"),
+     "vertex 4 outside 1..3"),
+    ("degree", lambda: wk_recursive(C, 4), lambda: _check_index(4, 3, "degree"),
+     "degree 4 outside 1..3"),
+    ("variable-index", lambda: RingElement.variable(21),
+     lambda: _check_index(21, 20, "variable index"), "variable index 21 outside 1..20"),
+    ("dimension", lambda: sweep(0), lambda: _check_dimension(0),
+     "dimension must be >= 1, got 0"),
+    ("decoding-cap", lambda: matrix_from_index(21, 0), lambda: _check_dimension(21, "decoding: "),
+     "decoding: n=21 exceeds the cap 20"),
+    ("sampling-cap", lambda: sweep(21, "sample", count=2, seed=1),
+     lambda: _check_dimension(21, "sampling: "), "sampling: n=21 exceeds the cap 20"),
+    ("ring-cap", lambda: CohomologyRing(BottMatrix.zero(21)),
+     lambda: _check_dimension(21, "ring elements take 2^n bits; "),
+     "ring elements take 2^n bits; n=21 exceeds the cap 20"),
+]
+
+
+@pytest.mark.parametrize("call, owner, message", [case[1:] for case in OWNED_MESSAGES],
+                         ids=[case[0] for case in OWNED_MESSAGES])
+def test_int_argument_messages_come_from_their_owner(call, owner, message):
+    errors = []
+    for f in (call, owner):
+        with pytest.raises(BottError) as info:
+            f()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == message
