@@ -45,8 +45,8 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
-from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _iterate,
-                     _require_triangular)
+from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _check_int,
+                     _iterate, _require_triangular)
 
 
 def monomial_degree(mask: int) -> int:
@@ -55,10 +55,7 @@ def monomial_degree(mask: int) -> int:
 
 def monomial_str(mask: int) -> str:
     """"y1*y3" style rendering; the empty monomial renders as "1"."""
-    if type(mask) is not int:
-        raise IndexOutOfRange(f"monomial mask must be an int, got {mask!r}")
-    if mask < 0:
-        raise IndexOutOfRange(f"monomial mask {mask} is negative")
+    _check_int(mask, "monomial mask", nonnegative=True)
     return _monomial_strs([mask])[0]
 
 
@@ -125,6 +122,9 @@ class RingElement:
 
     bits: int
 
+    def __post_init__(self) -> None:
+        _check_int(self.bits, "ring element bitset", nonnegative=True)
+
     @classmethod
     def zero(cls) -> "RingElement":
         return cls(0)
@@ -178,6 +178,7 @@ class RingElement:
         return all(m.bit_count() == k for m in self)
 
     def coefficient(self, mask: int) -> int:
+        _check_int(mask, "monomial mask")
         return (self.bits >> mask) & 1 if mask >= 0 else 0
 
     def __str__(self) -> str:
@@ -471,6 +472,7 @@ def graded_dimension(C: BottMatrix, k: int) -> int:
     Counts by enumeration and certifies each candidate as a fixed point of
     the rewrite system, so together with the order-independence checks this
     pins the graded basis at C(n,k)."""
+    _check_int(k, "degree")
     if k < 0 or k > C.n:
         return 0
     count = 0

@@ -111,11 +111,11 @@ def _closed_form_terms(rows: tuple[int, ...], j: int, k: int) -> tuple[int, int]
 
 
 def _scan(
-    rows: Iterator[tuple[int, int]], cols: Sequence[int], qmask: int, keep: int = -1
+    rows: Iterator[tuple[int, int]], cols: Sequence[int], qmask: int
 ) -> tuple[int, tuple[int, int, int, int] | None]:
-    """The verdict rule every spin route shares, as plain values: the first
-    odd row, 1-based, or 0; and the first pair j < k whose terms P_jk and
-    Q_jk differ, as a 1-based (j, k, P, Q) tuple, or None.
+    """The verdict rule of the closed-form and digraph routes, as plain
+    values: the first odd row, 1-based, or 0; and the first pair j < k whose
+    terms P_jk and Q_jk differ, as a 1-based (j, k, P, Q) tuple, or None.
 
     `rows` yields (j, row j), j increasing, once: odd rows are looked for
     on the way, and past a failing pair in the rest of `rows`.  The pairs
@@ -125,11 +125,7 @@ def _scan(
     route's own formula for C(N_k, 2) mod 2, so row j's Q over all k is
     (r_j & qmask), the edges j -> k, plus cols[j] when bit j of `qmask` is
     set, the edges k -> j (only general matrices have them).  The first
-    failing pair of row j is the lowest set bit of (P ^ Q) >> (j + 1) in
-    `keep`.  With `keep` the mask of the rows yielded, this scans the
-    matrix with zeros elsewhere, which add no odd row and no failing pair,
-    and with every column and `qmask` masked to `keep`, as P ^ Q is.  A
-    row with no kept row after it gets its parity test only.
+    failing pair of row j is the lowest set bit of (P ^ Q) >> (j + 1).
 
     A non-orientable matrix still gets the pair scan so the verdict can
     carry a pair witness for diagnostics.
@@ -138,9 +134,6 @@ def _scan(
     for j, row in rows:
         if not odd and row.bit_count() & 1:
             odd = j + 1
-        live = keep >> (j + 1)
-        if not live:  # no kept pair j < k: nothing for P and Q to find
-            continue
         P = 0
         r = row
         while r:
@@ -151,8 +144,7 @@ def _scan(
         if (qmask >> j) & 1:
             Q ^= cols[j]
         D = (P ^ Q) >> (j + 1)
-        if D and D & live:  # masked here, not on every row
-            D &= live
+        if D:
             k = j + (D & -D).bit_length()
             if not odd:
                 for i, row in rows:
@@ -176,15 +168,6 @@ def _verdict(odd: int, pair: tuple[int, int, int, int] | None) -> SpinVerdict:
     return SpinVerdict(not odd, not odd and pair is None, witnesses)
 
 
-def _pair_sum_mask(rows: Sequence[int]) -> int:
-    """Bit k set iff C(N_k, 2) is odd for the row sum N_k: bit 1 of N_k."""
-    q = 0
-    for k, row in enumerate(rows):
-        if row.bit_count() & 2:
-            q |= 1 << k
-    return q
-
-
 def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     """Full verdict for a Bott matrix, triangular or general.
 
@@ -197,7 +180,11 @@ def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     becomes under conjugation.  The verdict is shared with every matrix
     of the same outcome (see the module docstring).
     """
-    return _verdict(*_scan(enumerate(C.rows), C.columns(), _pair_sum_mask(C.rows)))
+    q = 0
+    for k, row in enumerate(C.rows):
+        if row.bit_count() & 2:
+            q |= 1 << k
+    return _verdict(*_scan(enumerate(C.rows), C.columns(), q))
 
 
 #: Kept for callers that name the general case; identical to `is_spin`.
@@ -208,17 +195,15 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     """Spin decided through the two-row extractions: true iff every matrix
     keeping only rows j and k of C is spin.
 
-    Each extraction gets the shared scan over its rows j and k, the others
-    being zero, read bare: spin is no odd row and no failing pair, and no
-    verdict is built.  Its column masks and pair-sum bits are C's restricted
-    to rows j and k, which the scan applies as its `keep` mask."""
+    Each extraction, in lexicographic order, reads its two rows and its one
+    pair, since a pair with a zero row has no common column and no edge: it
+    is spin iff rows j and k have even sums and the pair's closed-form terms
+    agree.  No verdict is built."""
     rows = C.rows
-    cols = C.columns()
-    q = _pair_sum_mask(rows)
-    for j in range(C.n):
+    for j, rj in enumerate(rows):
         for k in range(j + 1, C.n):
-            odd, pair = _scan(zip((j, k), (rows[j], rows[k])), cols, q, (1 << j) | (1 << k))
-            if odd or pair:
+            P, Q = _closed_form_terms(rows, j, k)
+            if P != Q or (rj.bit_count() | rows[k].bit_count()) & 1:
                 return False
     return True
 

@@ -188,7 +188,7 @@ def _iterate(items, error: type[BottError], what: str):
 def _check_dimension(n: int, capped: str | None = None) -> None:
     """Refuse n unless it is an int >= 1 and, when `capped` prefixes the
     reason the size is bounded, at most MAX_SINGLE_N.  This check and the
-    two below refuse every argument that is not an int."""
+    three below refuse every argument that is not an int."""
     # 2.0 and True compare equal to 2 and 1 but are not dimensions or indices
     if type(n) is not int:
         raise NonSquare(f"dimension must be an int, got {n!r}")
@@ -196,6 +196,14 @@ def _check_dimension(n: int, capped: str | None = None) -> None:
         raise NonSquare(f"dimension must be >= 1, got {n}")
     if capped is not None and n > MAX_SINGLE_N:
         raise DimensionTooLarge(f"{capped}n={n} exceeds the cap {MAX_SINGLE_N}")
+
+
+def _check_int(x: int, what: str, nonnegative: bool = False) -> None:
+    """Refuse a non-int (bool included), and a negative int if asked."""
+    if type(x) is not int:
+        raise IndexOutOfRange(f"{what} must be an int, got {x!r}")
+    if nonnegative and x < 0:
+        raise IndexOutOfRange(f"{what} {x} is negative")
 
 
 def _check_index(i: int, n: int, what: str = "index") -> None:

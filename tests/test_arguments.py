@@ -1,8 +1,9 @@
 """The argument contract: a dimension is an int >= 1, an index an int in
-1..n, and a pair two such ints j < k.  2.0 and True compare equal to 2 and
-1 but are refused, each with a package error rather than a bare TypeError,
-and every refusal for an int argument keeps the message of its one owner
-in `realbott.matrix`."""
+1..n, and a pair two such ints j < k; a degree, a monomial mask and a ring
+element's bits are ints, the bits non-negative.  2.0 and True compare
+equal to 2 and 1 but are refused, each with a package error rather than a
+bare TypeError, and every refusal for an int argument keeps the message of
+its one owner in `realbott.matrix`."""
 
 import pytest
 
@@ -18,6 +19,7 @@ from realbott import (
     common_out,
     delete_leading,
     enumerate_all,
+    graded_dimension,
     leading_submatrix,
     matrix_from_index,
     monomial_str,
@@ -87,6 +89,22 @@ REFUSALS = [
      "monomial mask must be an int, got 1.0"),
     ("from_masks-float", lambda: RingElement.from_masks([1.0]), IndexOutOfRange,
      "monomial mask 1.0 is not a product"),
+    ("graded_dimension-float", lambda: graded_dimension(C, 2.0), IndexOutOfRange,
+     "degree must be an int, got 2.0"),
+    ("graded_dimension-bool", lambda: graded_dimension(C, True), IndexOutOfRange,
+     "degree must be an int, got True"),
+    ("coefficient-float", lambda: RingElement(2).coefficient(1.0), IndexOutOfRange,
+     "monomial mask must be an int, got 1.0"),
+    ("coefficient-bool", lambda: RingElement(2).coefficient(True), IndexOutOfRange,
+     "monomial mask must be an int, got True"),
+    ("ring-element-float", lambda: RingElement(1.5), IndexOutOfRange,
+     "ring element bitset must be an int, got 1.5"),
+    ("ring-element-bool", lambda: RingElement(True), IndexOutOfRange,
+     "ring element bitset must be an int, got True"),
+    ("ring-element-minus-one", lambda: RingElement(-1), IndexOutOfRange,
+     "ring element bitset -1 is negative"),
+    ("ring-element-minus-six", lambda: RingElement(-6), IndexOutOfRange,
+     "ring element bitset -6 is negative"),
 ]
 
 
@@ -96,6 +114,14 @@ def test_non_int_arguments_refused(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+def test_out_of_range_ints_still_answer():
+    # an int degree outside 0..n has no monomials, and a negative int mask
+    # names no monomial: both are answers, not errors
+    assert [graded_dimension(C, k) for k in (-1, 0, 3, 4)] == [0, 1, 1, 0]
+    assert RingElement(2).coefficient(-1) == 0
+    assert RingElement(2).coefficient(1) == 1 and RingElement(2).coefficient(0) == 0
 
 
 def test_power_product_reads_a_generator_once():

@@ -28,8 +28,8 @@ from realbott import (
     w_top_minus_one,
 )
 from realbott import criteria
-from realbott.criteria import _closed_form_terms, _pair_sum_mask, _scan
-from realbott.enumeration import enumerate_all
+from realbott.criteria import _closed_form_terms, _scan
+from realbott.enumeration import enumerate_all, evaluate_matrix
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
     REPRESENTATIVE_SPIN,
@@ -314,14 +314,15 @@ def _pair_scan(rows, terms) -> SpinVerdict:
     return SpinVerdict(orientable, orientable, tuple(witnesses))
 
 
-def _pairs_reference(C) -> bool:
-    """spin_by_pairs by the reference scan of every two-row extraction."""
+def _pairs_reference(C, terms) -> bool:
+    """spin_by_pairs by the reference scan, with the given pair terms, of
+    every two-row extraction padded back to n rows."""
     for j in range(C.n):
         for k in range(j + 1, C.n):
             rows = [0] * C.n
             rows[j] = C.rows[j]
             rows[k] = C.rows[k]
-            if not _pair_scan(tuple(rows), _closed_form_terms).spin:
+            if not _pair_scan(tuple(rows), terms).spin:
                 return False
     return True
 
@@ -332,6 +333,11 @@ def _random_density(rng: random.Random, n: int, p: float) -> BottMatrix:
         if rng.random() < p:
             rows[i] |= 1 << j
     return BottMatrix(n, tuple(rows))
+
+
+def _spin_blocks() -> list[BottMatrix]:
+    """The spin matrices with n <= 4, as blocks for `_spin_sum`."""
+    return [C for n in range(1, 5) for C in enumerate_all(n) if total_sw_class(C).spin]
 
 
 def _spin_sum(rng: random.Random, n: int, blocks) -> BottMatrix:
@@ -349,7 +355,7 @@ def _scan_cases():
     three densities, and as direct sums of spin blocks (their scans run to
     the end) with and without one entry flipped."""
     yield from (C for n in range(1, 6) for C in enumerate_all(n))
-    blocks = [C for n in range(1, 5) for C in enumerate_all(n) if total_sw_class(C).spin]
+    blocks = _spin_blocks()
     rng = random.Random(5)
     for n in range(7, 21):
         for p in (0.05, 0.15, 0.5):
@@ -370,49 +376,78 @@ class TestRowScanMatchesPairScan:
         spin_seen = 0
         for C in _scan_cases():
             sigma = Permutation(tuple(rng.sample(range(1, C.n + 1), C.n)))
+            pairwise = spin_by_pairs(C)
             for M in (C, conjugate(C, sigma)):
                 closed = _pair_scan(M.rows, _closed_form_terms)
                 assert is_spin(M) == closed, M
                 binomial = _pair_scan(M.rows, _exact_binomial_terms)
                 assert digraph_spin(build_digraph(M)) == binomial, M
-            assert spin_by_pairs(C) == _pairs_reference(C), C
+                # the two-row route against extractions read by both term formulas
+                assert spin_by_pairs(M) == pairwise == _pairs_reference(M, _closed_form_terms), M
+                assert pairwise == _pairs_reference(M, _exact_binomial_terms), M
             spin_seen += C.n >= 7 and is_spin(C).spin
         assert spin_seen >= 56  # full-length scans at n >= 7 were compared
 
-    def test_two_row_scan_matches_full_extraction(self):
-        # the two-row route scans only rows j and k under one mask; the
-        # extraction it stands for has n rows and every column masked
+    def test_extraction_verdict_matches_full_scan(self):
+        # the two-row route reads two row parities and one pair's terms;
+        # the extraction it stands for has n rows and every column masked
         odd = failing = 0
         for C in _scan_cases():
-            cols, q = C.columns(), _pair_sum_mask(C.rows)
+            cols = C.columns()
             for j in range(C.n):
                 for k in range(j + 1, C.n):
                     keep = (1 << j) | (1 << k)
                     rows = [0] * C.n
                     rows[j], rows[k] = C.rows[j], C.rows[k]
-                    full = _scan(enumerate(rows), [c & keep for c in cols], q & keep)
-                    two = _scan(zip((j, k), (C.rows[j], C.rows[k])), cols, q, keep)
-                    assert two == full
+                    q = sum(1 << i for i in (j, k) if rows[i].bit_count() & 2)
+                    full = _scan(enumerate(rows), [c & keep for c in cols], q)
+                    P, Q = _closed_form_terms(C.rows, j, k)
+                    first_odd = next((i + 1 for i in (j, k) if C.rows[i].bit_count() & 1), 0)
+                    assert (first_odd, None if P == Q else (j + 1, k + 1, P, Q)) == full
                     odd += full[0] > 0
                     failing += full[1] is not None
         assert odd > 10000 and failing > 4000  # both verdict parts were compared
 
-    def test_two_row_route_masks_each_extraction(self, monkeypatch):
-        # unmasked, the scan of rows j and k would read every pair (j, *)
-        # and (k, *): the route would still answer right, as the closed form
+    def test_two_row_route_reads_each_pair_once(self, monkeypatch):
+        # each extraction has one live pair: the route reads its terms once,
+        # in lexicographic order, and stops at the first failing extraction
         seen = []
 
-        def recording(rows, cols, qmask, keep=-1):
-            rows = list(rows)
-            seen.append((C, rows, cols, qmask, keep))
-            return _scan(iter(rows), cols, qmask, keep)
+        def recording(rows, j, k):
+            seen.append((rows, j, k))
+            return _closed_form_terms(rows, j, k)
 
-        monkeypatch.setattr(criteria, "_scan", recording)
-        for C in enumerate_all(5):
-            spin_by_pairs(C)
-        assert len(seen) > 1024
-        for C, rows, cols, qmask, keep in seen:
-            (j, rj), (k, rk) = rows
-            assert (rj, rk) == (C.rows[j], C.rows[k]) and j < k
-            assert keep == (1 << j) | (1 << k)
-            assert (cols, qmask) == (C.columns(), _pair_sum_mask(C.rows))
+        monkeypatch.setattr(criteria, "_closed_form_terms", recording)
+        blocks = _spin_blocks()
+        rng = random.Random(3)
+        spin_count = 0
+        for C in [*enumerate_all(5), *(_spin_sum(rng, n, blocks) for n in range(6, 21))]:
+            seen.clear()
+            spin = spin_by_pairs(C)
+            pairs = [(j, k) for j in range(C.n) for k in range(j + 1, C.n)]
+            assert all(rows is C.rows for rows, _, _ in seen)
+            read = [(j, k) for _, j, k in seen]
+            if spin:
+                assert read == pairs, C
+                spin_count += 1
+            else:
+                assert read == pairs[:len(read)], C
+        assert spin_count == 30 + 15  # the n = 5 spin matrices and every spin sum
+
+    def test_spin_sums_agree_with_the_ring(self):
+        # uniform draws above n = 8 are almost never spin, so seeded direct
+        # sums of spin blocks take every route through all of its pairs
+        blocks = _spin_blocks()
+        rng = random.Random(17)
+        spin = 0
+        for n in range(9, 15):
+            for _ in range(10):
+                S = _spin_sum(rng, n, blocks)
+                i, j = rng.choice([(i, j) for i in range(n) for j in range(i + 1, n)])
+                rows = list(S.rows)
+                rows[i] ^= 1 << j
+                for M in (S, BottMatrix(n, tuple(rows))):
+                    _, verdict, mismatch = evaluate_matrix(M)
+                    assert mismatch is None, mismatch
+                    spin += verdict
+        assert spin >= 60
