@@ -172,9 +172,11 @@ class RingElement:
         return not self.bits
 
     def degree_part(self, k: int) -> "RingElement":
+        _check_int(k, "degree")
         return RingElement.from_masks(m for m in self if m.bit_count() == k)
 
     def is_homogeneous(self, k: int) -> bool:
+        _check_int(k, "degree")
         return all(m.bit_count() == k for m in self)
 
     def coefficient(self, mask: int) -> int:

@@ -242,11 +242,44 @@ def _grid_masks(grid: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def _acyclic(cols: tuple[int, ...]) -> bool:
+    """Whether the digraph with a zero diagonal whose in-neighbour masks are
+    `cols` (a matrix's `columns()`) has no directed cycle.  A depth-first
+    walk along the reversed edges, which close the same cycles, with an
+    explicit stack of the frames it will return to: every back edge out of
+    a vertex ends on the path that first reaches it, so one test per vertex
+    finds a cycle in about 2n steps."""
+    unseen = (1 << len(cols)) - 1
+    while unseen:
+        path = unseen & -unseen  # a new root
+        unseen ^= path
+        ins = cols[path.bit_length() - 1]
+        stack = []
+        while True:
+            rest = ins & unseen
+            if rest:
+                low = rest & -rest
+                c = cols[low.bit_length() - 1]
+                if c & path:
+                    return False
+                unseen ^= low
+                if c & unseen:  # else nothing is left to visit from it
+                    stack.append((path, ins))
+                    path |= low
+                    ins = c
+            elif stack:
+                path, ins = stack.pop()
+            else:
+                break
+    return True
+
+
 def _topological_order(cols: tuple[int, ...]) -> list[int] | None:
     """Topological order, 0-based, of the digraph whose in-neighbour masks
     are `cols` (a matrix's `columns()`); None on a cycle.  Each step
     peels the smallest remaining vertex with no remaining in-neighbour, the
-    vertex a Kahn sort with a min-heap of ready vertices would pop."""
+    vertex a Kahn sort with a min-heap of ready vertices would pop, so
+    `normalize`, its one caller, picks a deterministic sigma."""
     left = (1 << len(cols)) - 1
     order: list[int] = []
     while left:
@@ -393,7 +426,9 @@ def _lanes(x: int, k: int, m: int) -> tuple[int, ...]:
 def _check_word(x: int, n: int, m: int, triangular: bool) -> tuple[bool, tuple[int, ...]]:
     """Check the matrix whose entry (i, j) is bit i*m + j of `x`, each of the
     n rows an m-bit lane with nothing beyond column n, against the rules of a
-    BottMatrix when `triangular` is set, else of a GeneralBottMatrix.
+    BottMatrix when `triangular` is set, else of a GeneralBottMatrix: the
+    triangle, then the diagonal, then, on the columns and only when an
+    entry lies below the diagonal, a walk for a cycle (`_acyclic`).
     Return whether it is upper triangular, and its columns."""
     lower, diagonal, steps = _word_tables(m)
     low = x & lower
@@ -410,7 +445,7 @@ def _check_word(x: int, n: int, m: int, triangular: bool) -> tuple[bool, tuple[i
         t = (x ^ (x >> s)) & mask
         x ^= t ^ (t << s)
     cols = _lanes(x, n, m)
-    if low and _topological_order(cols) is None:
+    if low and not _acyclic(cols):
         raise CyclicDigraph("matrix digraph contains a directed cycle")
     return not low, cols
 

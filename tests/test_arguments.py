@@ -93,6 +93,18 @@ REFUSALS = [
      "degree must be an int, got 2.0"),
     ("graded_dimension-bool", lambda: graded_dimension(C, True), IndexOutOfRange,
      "degree must be an int, got True"),
+    ("degree_part-float", lambda: RingElement(2).degree_part(1.0), IndexOutOfRange,
+     "degree must be an int, got 1.0"),
+    ("degree_part-bool", lambda: RingElement(2).degree_part(True), IndexOutOfRange,
+     "degree must be an int, got True"),
+    ("degree_part-half", lambda: RingElement(2).degree_part(1.5), IndexOutOfRange,
+     "degree must be an int, got 1.5"),
+    ("is_homogeneous-float", lambda: RingElement(2).is_homogeneous(1.0), IndexOutOfRange,
+     "degree must be an int, got 1.0"),
+    ("is_homogeneous-bool", lambda: RingElement(2).is_homogeneous(True), IndexOutOfRange,
+     "degree must be an int, got True"),
+    ("is_homogeneous-half", lambda: RingElement(2).is_homogeneous(1.5), IndexOutOfRange,
+     "degree must be an int, got 1.5"),
     ("coefficient-float", lambda: RingElement(2).coefficient(1.0), IndexOutOfRange,
      "monomial mask must be an int, got 1.0"),
     ("coefficient-bool", lambda: RingElement(2).coefficient(True), IndexOutOfRange,

@@ -39,7 +39,8 @@ from realbott import (
 )
 from realbott.enumeration import index_space
 from realbott import matrix
-from realbott.matrix import MAX_SINGLE_N, _DROP_INLINE_SPACE, _topological_order, _word_tables
+from realbott.matrix import (MAX_SINGLE_N, _DROP_INLINE_SPACE, _acyclic, _topological_order,
+                             _word_tables)
 from realbott.fixtures import load_fixture, orientable_not_spin_family
 
 from conftest import random_bott
@@ -669,6 +670,7 @@ class TestTopologicalOrder:
                 rows = tuple(rows)
                 expected = _heap_kahn(n, rows)
                 assert _topological_order(_in_masks(n, rows)) == expected, rows
+                assert _acyclic(_in_masks(n, rows)) == (expected is not None), rows
                 if expected is None:
                     cyclic += 1
                     with pytest.raises(CyclicDigraph):
@@ -684,7 +686,9 @@ class TestTopologicalOrder:
             for C in enumerate_all(n):
                 G = conjugate(C, Permutation(tuple(rng.sample(range(1, n + 1), n))))
                 for M in (C, G):
-                    assert _topological_order(M.columns()) == _heap_kahn(n, M.rows)
+                    expected = _heap_kahn(n, M.rows)
+                    assert _topological_order(M.columns()) == expected
+                    assert _acyclic(M.columns()) == (expected is not None)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 12))
@@ -698,7 +702,37 @@ class TestTopologicalOrder:
             for i, j in data.draw(st.lists(pair, max_size=3)):
                 rows[i] ^= 1 << (j + (j >= i))  # j skips the diagonal
         rows = tuple(rows)
-        assert _topological_order(_in_masks(n, rows)) == _heap_kahn(n, rows)
+        expected = _heap_kahn(n, rows)
+        assert _topological_order(_in_masks(n, rows)) == expected
+        assert _acyclic(_in_masks(n, rows)) == (expected is not None)
+
+    @pytest.mark.parametrize("n", [20, 64, 100])
+    def test_deep_walks(self, n):
+        # a Hamiltonian cycle, the full strictly upper triangle, that triangle
+        # with one path edge k -> k+1 reversed (still acyclic: it is the only
+        # path from k to k+1) and with its longest edge 1 -> n reversed (a
+        # cycle through every vertex), each relabelled: the walk goes n deep,
+        # and the constructors have no cap on n
+        rng = random.Random(n)
+        full = tuple(((1 << n) - 1) ^ ((2 << i) - 1) for i in range(n))
+
+        def reverse(i, j):
+            rows = list(full)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            return tuple(rows)
+
+        k = rng.randrange(n - 1)
+        shapes = [tuple(1 << (i + 1) % n for i in range(n)), full,
+                  reverse(k, k + 1), reverse(0, n - 1)]
+        for shape in shapes:
+            rows = matrix._relabel(shape, rng.sample(range(n), n))
+            expected = _reference_construct(n, rows, GeneralBottMatrix)
+            assert _packed(GeneralBottMatrix, n, rows) == expected
+            if n <= MAX_SINGLE_N:
+                text = "\n".join(" ".join(str(row >> j & 1) for j in range(n)) for row in rows)
+                assert _packed(parse_matrix, text) == _reference_construct(n, rows)
+        assert [_heap_kahn(n, shape) is None for shape in shapes] == [True, False, False, True]
 
 
 def _assert_conjugate(C, sigma, G):
