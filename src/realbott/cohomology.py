@@ -20,15 +20,16 @@ addition is XOR and pairing with the fundamental class y_1*...*y_n reads bit
 the ring to n <= MAX_SINGLE_N (20, the parse cap): 128 KiB per element.
 
 All SW data come from one product, by the total class w = prod_j (1 + the
-sum of column j), `CohomologyRing.times_total`: the classes are w split by
+sum of column j), through the one rewrite loop `_times` (which
+`total_sw_class` runs without a ring object): the classes are w split by
 degree, and a * w_i = (a * w) & degrees[d + i] for a homogeneous of degree d.
 
-Two tables depend on n alone: the lanes that `CohomologyRing`'s products
-shift through and the degree masks that split the total class.  They are
-built on first use for each n and then outlive the call, kept for the life
-of the process by `_ring_tables`, a cache of at most 8 sizes.  One entry
-holds 2n+1 ints of up to 2^n bits, 5.1 MiB at n = 20 and less than half
-as much for each size below, so the cache never holds more than 9.6 MiB.
+Two tables depend on n alone: the lanes that `_times` shifts through and the
+degree masks that split the total class.  They are built on first use for
+each n and then outlive the call, kept for the life of the process by
+`_ring_tables`, a cache of at most 8 sizes.  One entry holds 2n+1 ints of up
+to 2^n bits, 5.1 MiB at n = 20 and less than half as much for each size
+below, so the cache never holds more than 9.6 MiB.
 
 Reduction is confluent in practice (certified by `graded_dimension` and by
 comparing `reduce_power_product` orders); the default strategy rewrites the
@@ -197,9 +198,9 @@ class CohomologyRing:
     The column masks are the matrix's own stored `columns()`.  The lanes
     and degree masks depend on n alone: they come from `_ring_tables` and
     outlive the ring, shared with every ring of the same size (at most 9.6
-    MiB for all sizes, see the module docstring).  All arithmetic funnels
-    through the rewrite loop of `times_linear` and `times_total`, which
-    multiplies a whole dense element by a sum of generators at once.
+    MiB for all sizes, see the module docstring).  All arithmetic runs the
+    one rewrite loop `_times`, after `times_linear` and `times_total` check
+    their arguments; `total_sw_class` runs it without a ring object.
     """
 
     def __init__(self, matrix: BottMatrix):
@@ -214,70 +215,73 @@ class CohomologyRing:
 
     def times_linear(self, E: int, col: int) -> int:
         """E * (sum of y_{j+1} over the bits j of `col`), both dense."""
-        return self._times(E, (col,), 0)
+        _check_element(self.matrix, RingElement(E))
+        _check_int(col, "column mask", nonnegative=True)
+        if col >> self.n:
+            raise IndexOutOfRange(f"column mask {col} names variables beyond y{self.n}")
+        return _times(E, (col,), 0, self.cols, self.lanes)
 
     def times_total(self, E: int) -> int:
         """E * w, w = prod over the columns of (1 + the column's sum), in
         one call: E += E * sum, a rewrite pass per nonzero column."""
-        return self._times(E, self.cols, -1)
+        _check_element(self.matrix, RingElement(E))
+        return _times(E, self.cols, -1, self.cols, self.lanes)
 
-    def _times(self, E: int, factors: Iterable[int], keep: int) -> int:
-        """E times each `col` of `factors` in turn: the sum of y_{j+1} over
-        the bits j of `col`, plus 1 when `keep` is -1 (not when it is 0).
 
-        Walking k downward, X is what still has to be multiplied by
-        y_{k+1}: E when bit k of `col` is set, plus what higher variables
-        passed down in pending[k].  Monomials of X without y_{k+1} shift
-        into place.  The rest meet y_{k+1}^2, and y_{k+1} * m = m * (column
-        k+1's sum) for such m, so they pass down to the pending terms of
-        that column's variables, all below k.  The map is GF(2)-linear, so
-        merging pending terms is exact and one pass of O(n^2) big-int
-        operations finishes each factor.  Only the k in `todo` can have a
-        nonzero X: the bits of `col` and of each column passed down to,
-        taken highest first.
-        """
-        lanes, cols = self.lanes, self.cols
-        for col in factors:
-            out = E & keep
-            if col and E:
-                pending = [0] * col.bit_length()
-                todo = col
-                while todo:
-                    k = todo.bit_length() - 1
-                    todo ^= 1 << k
-                    X = pending[k] ^ E if (col >> k) & 1 else pending[k]
-                    if X:
-                        lo = X & lanes[k]
-                        out ^= lo << (1 << k)
+def _times(E: int, factors: Iterable[int], keep: int, cols: Sequence[int],
+           lanes: Sequence[int]) -> int:
+    """E times each `col` of `factors` in turn: the sum of y_{j+1} over its
+    bits j, plus 1 when `keep` is -1 (not when it is 0).  The callers check E.
+
+    Walking k downward, X is what still has to be multiplied by y_{k+1}:
+    E when bit k of `col` is set, plus what higher variables passed down in
+    pending[k].  Monomials of X without y_{k+1} shift into place.  The rest
+    meet y_{k+1}^2, and y_{k+1} * m = m * (column k+1's sum) for such m, so
+    they pass down to the pending terms of that column's variables, all
+    below k.  The map is GF(2)-linear, so merging pending terms is exact and
+    one pass of O(n^2) big-int operations finishes each factor.  Only the k
+    in `todo`, the bits of `col` and of each column passed down to, can have
+    a nonzero X.  They are taken highest first, so clearing pending[k] on
+    every read, even when X cancels to 0, leaves it zero for the next `col`.
+    """
+    pending = [0] * len(cols)
+    for col in factors:
+        out = E & keep
+        if col and E:
+            todo = col
+            while todo:
+                k = todo.bit_length() - 1
+                bit = 1 << k  # y_{k+1}'s mask, and the shift that multiplies by it
+                todo ^= bit
+                X = pending[k] ^ E if col & bit else pending[k]
+                pending[k] = 0
+                if X:
+                    lo = X & lanes[k]
+                    out ^= lo << bit
+                    if X != lo:
                         hi = X ^ lo
-                        c = cols[k] if hi else 0
+                        c = cols[k]
                         todo |= c
                         while c:
                             pending[(c & -c).bit_length() - 1] ^= hi
                             c &= c - 1
-            E = out
-        return E
+        E = out
+    return E
 
 
 def _product(ring: CohomologyRing, a: int, b: int) -> int:
     """a * b: a times each variable of each monomial of b, summed."""
     out = 0
     for m in _monomials(b):
-        p = a
-        while m and p:
-            k = m.bit_length() - 1
-            p = ring.times_linear(p, 1 << k)
-            m ^= 1 << k
-        out ^= p
+        variables = [1 << k for k in range(ring.n) if (m >> k) & 1]
+        out ^= _times(a, variables, 0, ring.cols, ring.lanes)
     return out
 
 
 def _check_element(C: BottMatrix, e: RingElement) -> None:
     if e.bits >> (1 << C.n):
         m = e.bits.bit_length() - 1
-        raise DimensionMismatch(
-            f"monomial {monomial_str(m)} uses variables beyond y{C.n}"
-        )
+        raise DimensionMismatch(f"monomial {monomial_str(m)} uses variables beyond y{C.n}")
 
 
 def reduce_square(C: BottMatrix, i: int) -> RingElement:
@@ -363,11 +367,10 @@ class SWProfile:
     @property
     def spin(self) -> bool | None:
         """w_2 = 0: True/False when orientable, None otherwise."""
-        if not self.orientable:
+        degrees = _ring_tables(self.matrix.n)[1]
+        if self.total & degrees[1]:
             return None
-        if self.matrix.n < 2:
-            return True
-        return not self.total & _ring_tables(self.matrix.n)[1][2]
+        return self.matrix.n < 2 or not self.total & degrees[2]
 
     @cached_property
     def sw_numbers(self) -> dict[tuple[int, ...], int]:
@@ -391,8 +394,11 @@ class SWProfile:
 
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
-    columns of C; the profile splits it by degree on demand."""
-    return SWProfile(matrix=C, total=CohomologyRing(C).times_total(1))
+    columns of C, with no ring object; the profile splits it by degree."""
+    _require_triangular(C, "classes need")  # the checks of CohomologyRing
+    _check_dimension(C.n, "ring elements take 2^n bits; ")
+    cols = C.columns()
+    return SWProfile(C, _times(1, cols, -1, cols, _ring_tables(C.n)[0]))
 
 
 def w1_formula(C: BottMatrix) -> RingElement:

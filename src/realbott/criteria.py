@@ -198,12 +198,13 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     Each extraction, in lexicographic order, reads its two rows and its one
     pair, since a pair with a zero row has no common column and no edge: it
     is spin iff rows j and k have even sums and the pair's closed-form terms
-    agree.  No verdict is built."""
+    agree.  Row 1's extractions test every row's sum, so later ones test
+    only the terms.  No verdict is built."""
     rows = C.rows
     for j, rj in enumerate(rows):
         for k in range(j + 1, C.n):
             P, Q = _closed_form_terms(rows, j, k)
-            if P != Q or (rj.bit_count() | rows[k].bit_count()) & 1:
+            if P != Q or (not j and (rj.bit_count() | rows[k].bit_count()) & 1):
                 return False
     return True
 

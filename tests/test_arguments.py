@@ -3,7 +3,8 @@
 element's bits are ints, the bits non-negative.  2.0 and True compare
 equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
-its one owner in `realbott.matrix`."""
+its one owner in `realbott.matrix`.  A ring's public products also refuse
+an element or a column mask with variables beyond the ring's own."""
 
 import pytest
 
@@ -11,6 +12,7 @@ from realbott import (
     BottError,
     BottMatrix,
     CohomologyRing,
+    DimensionMismatch,
     IndexOutOfRange,
     NonSquare,
     Permutation,
@@ -36,6 +38,7 @@ from realbott.matrix import _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
 D = build_digraph(C)
+R = CohomologyRing(C)
 
 #: (id, call, error class, message fragment): each call is refused.
 REFUSALS = [
@@ -117,6 +120,22 @@ REFUSALS = [
      "ring element bitset -1 is negative"),
     ("ring-element-minus-six", lambda: RingElement(-6), IndexOutOfRange,
      "ring element bitset -6 is negative"),
+    ("times_linear-column-beyond", lambda: R.times_linear(1, 8), IndexOutOfRange,
+     "column mask 8 names variables beyond y3"),
+    ("times_linear-column-float", lambda: R.times_linear(1, 2.0), IndexOutOfRange,
+     "column mask must be an int, got 2.0"),
+    ("times_linear-column-negative", lambda: R.times_linear(1, -1), IndexOutOfRange,
+     "column mask -1 is negative"),
+    ("times_linear-element-float", lambda: R.times_linear(1.5, 2), IndexOutOfRange,
+     "ring element bitset must be an int, got 1.5"),
+    ("times_linear-element-beyond", lambda: R.times_linear(1 << 8, 2), DimensionMismatch,
+     "monomial y4 uses variables beyond y3"),
+    ("times_total-minus-one", lambda: R.times_total(-1), IndexOutOfRange,
+     "ring element bitset -1 is negative"),
+    ("times_total-bool", lambda: R.times_total(True), IndexOutOfRange,
+     "ring element bitset must be an int, got True"),
+    ("times_total-beyond", lambda: R.times_total(1 << 9), DimensionMismatch,
+     "monomial y1*y4 uses variables beyond y3"),
 ]
 
 
