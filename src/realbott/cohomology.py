@@ -351,7 +351,8 @@ class SWProfile:
     total: int
 
     def __init__(self, matrix: BottMatrix, total: int) -> None:  # see digraph.BottDigraph
-        self.__dict__.update(matrix=matrix, total=total)
+        d = self.__dict__
+        d["matrix"], d["total"] = matrix, total
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:

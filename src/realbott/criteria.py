@@ -195,16 +195,19 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     """Spin decided through the two-row extractions: true iff every matrix
     keeping only rows j and k of C is spin.
 
-    Each extraction, in lexicographic order, reads its two rows and its one
-    pair, since a pair with a zero row has no common column and no edge: it
-    is spin iff rows j and k have even sums and the pair's closed-form terms
-    agree.  Row 1's extractions test every row's sum, so later ones test
-    only the terms.  No verdict is built."""
+    An extraction is spin iff rows j and k have even sums and the pair's
+    closed-form terms agree, since a pair with a zero row has no common
+    column and no edge.  Every row lies in some extraction, so all row sums
+    are tested first; an even matrix then reads each pair once, in
+    lexicographic order, up to the first failing one.  No verdict is built."""
     rows = C.rows
-    for j, rj in enumerate(rows):
+    for row in rows:
+        if row.bit_count() & 1:
+            return False
+    for j in range(C.n):
         for k in range(j + 1, C.n):
             P, Q = _closed_form_terms(rows, j, k)
-            if P != Q or (not j and (rj.bit_count() | rows[k].bit_count()) & 1):
+            if P != Q:
                 return False
     return True
 

@@ -25,10 +25,12 @@ class BottDigraph:
 
     # `build_digraph` builds one per matrix.  An __init__ in the class body
     # keeps @dataclass from generating its frozen one, which sets each field
-    # through object.__setattr__ at several times the cost; equality,
-    # hashing, repr, fields() and replace() are unchanged.
+    # through object.__setattr__ at several times the cost; this one stores
+    # each field into the instance __dict__, with no keyword dict built.
+    # Equality, hashing, repr, fields() and replace() are unchanged.
     def __init__(self, n: int, out_masks: tuple[int, ...], in_masks: tuple[int, ...]) -> None:
-        self.__dict__.update(n=n, out_masks=out_masks, in_masks=in_masks)
+        d = self.__dict__
+        d["n"], d["out_masks"], d["in_masks"] = n, out_masks, in_masks
 
     def has_edge(self, i: int, j: int) -> int:
         _check_index(i, self.n, "vertex")
@@ -64,7 +66,7 @@ def _vertices(mask: int) -> tuple[int, ...]:
 
 def build_digraph(M: AnyBottMatrix) -> BottDigraph:
     """Digraph whose adjacency matrix is M (already validated acyclic)."""
-    return BottDigraph(n=M.n, out_masks=tuple(M.rows), in_masks=M.columns())
+    return BottDigraph(M.n, M.rows, M.columns())
 
 
 def common_out(D: BottDigraph, j: int, k: int) -> int:

@@ -95,34 +95,36 @@ def _index_batches(n, mode, count, seed, cap, parts=1) -> Iterator[Sequence[int]
 def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
     """Run all four spin routes on one matrix.
 
-    Returns (orientable, spin, mismatch); mismatch is None when the
-    closed-form, digraph, pairwise and ring verdicts all agree, and
-    otherwise lists each route's verdict and, under "disagree", the routes
-    whose verdict differs from the ring's.
+    Returns (orientable, spin, mismatch); mismatch is None when all four
+    verdicts agree, the closed-form and digraph ones witnesses included,
+    and otherwise lists them and, under "disagree", the routes at fault:
+    "ring" when the other three agree, the closed form and the digraph when
+    only their witnesses differ, else the routes that differ from the ring.
     """
     v = is_spin(C)
     d = digraph_spin(build_digraph(C))
     p = spin_by_pairs(C)
     profile = total_sw_class(C)
-    ring_orientable = profile.orientable
-    ring_spin = profile.spin is True
-    agree = (
-        v.orientable == d.orientable == ring_orientable
-        and v.spin == d.spin == p == ring_spin
-    )
-    if agree:
+    ring = [profile.orientable, profile.spin is True]
+    # both records come from the `_verdict` cache: equal ones are almost always one object
+    if (v is d or v == d) and v.orientable == ring[0] and v.spin == p == ring[1]:
         return v.orientable, v.spin, None
     closed, graph = [v.orientable, v.spin], [d.orientable, d.spin]
-    ring = [ring_orientable, ring_spin]
-    differs = (("closed_form", closed != ring), ("digraph", graph != ring),
-               ("pairwise", p != ring_spin))
+    if closed == graph and p == v.spin:
+        disagree = ["ring"] if closed != ring else ["closed_form", "digraph"]
+    else:
+        differs = (("closed_form", closed != ring), ("digraph", graph != ring),
+                   ("pairwise", p != ring[1]))
+        disagree = [route for route, differ in differs if differ]
     mismatch = {
         "rows": C.to_lists(),
         "closed_form": closed,
         "digraph": graph,
         "pairwise": p,
         "ring": ring,
-        "disagree": [route for route, differ in differs if differ],
+        "witnesses": {"closed_form": [w.to_json_dict() for w in v.witnesses],
+                      "digraph": [w.to_json_dict() for w in d.witnesses]},
+        "disagree": disagree,
     }
     return v.orientable, v.spin, mismatch
 

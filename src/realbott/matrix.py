@@ -82,7 +82,8 @@ class _BinaryMatrix:
         """No checks: `rows` must be a tuple of n >= 1 masks that pass the
         class's checks, and `columns` their transpose."""
         self = object.__new__(cls)
-        self.__dict__.update(n=n, rows=rows, _columns=columns)
+        d = self.__dict__
+        d["n"], d["rows"], d["_columns"] = n, rows, columns
         return self
 
     def entry(self, i: int, j: int) -> int:
@@ -314,34 +315,37 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     ignored.  Errors are reported in this order: the first bad character of
     the first bad line, ragged rows, a non-square grid, the ``max_n`` cap.
 
-    Each step works on the whole text: split the lines before any space
-    goes (so "\\r \\n" stays two breaks), drop the in-line spaces, then
-    check every row at once; only a failed check walks the lines to name one.
-    The checked grid is already the packed word (see the module docstring):
-    its rows, joined with m - n zeros between them and reversed, are one
-    base-2 literal, and rows, columns and the matrix rules come from it.
+    Each step works on the whole text: drop the in-line spaces, which
+    leaves only line breaks for ``str.split()`` to split on (blank lines give
+    no word), then check every row at once in the packed word; only a failed
+    check walks the lines to name one.  The checked grid is already that
+    word (see the module docstring): its rows, joined with m - n zeros
+    between them and reversed, are one base-2 literal, and rows, columns
+    and the matrix rules come from it.
     """
-    lines = "\n".join(text.splitlines()).translate(_DROP_INLINE_SPACE).split("\n")
-    grid = [bits for bits in lines if bits and bits[0] != "#"]
+    grid = [bits for bits in text.translate(_DROP_INLINE_SPACE).split() if bits[0] != "#"]
+    n = len(grid[0]) if grid else 0
+    m = 1 << (n - 1).bit_length()
+    # only a square grid is padded: a ragged one could make m * len(grid) huge
+    square = len(grid) == n and len(set(map(len, grid))) == 1
+    word = ("0" * (m - n)).join(grid) if square else "".join(grid)
     # int(_, 2) alone would also take "_", "+", "-" and non-ASCII digits
-    if "".join(grid).translate(_DROP_BINARY_DIGITS):
-        for lineno, bits in enumerate(lines, 1):
+    if word.translate(_DROP_BINARY_DIGITS):
+        for lineno, line in enumerate(text.splitlines(), 1):
+            bits = line.translate(_DROP_INLINE_SPACE)
             bad = bits.translate(_DROP_BINARY_DIGITS)
             if bad and bits[0] != "#":
                 raise NonBinary(f"line {lineno}: bad character {bad[0]!r}")
     if not grid:
         raise NonSquare("no matrix rows found")
-    n = len(grid[0])
-    if len(set(map(len, grid))) > 1:
+    if not square:
         for i, bits in enumerate(grid, 1):
             if len(bits) != n:
                 raise NonSquare(f"row {i} has {len(bits)} entries, expected {n}")
-    if len(grid) != n:
         raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
     if max_n is not None and n > max_n:
         raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
-    m = 1 << (n - 1).bit_length()
-    return _matrix_from_word(int(("0" * (m - n)).join(grid)[::-1], 2), n, m)
+    return _matrix_from_word(int(word[::-1], 2), n, m)
 
 
 def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:

@@ -31,6 +31,8 @@ from realbott import (
 import realbott
 from realbott import enumeration, matrix
 from realbott.cli import main
+from realbott.cohomology import SWProfile
+from realbott.criteria import _scan, _verdict
 from realbott.enumeration import index_space
 from realbott.fixtures import DIM4_SPIN_LIST, default_fixture_dir, load_fixture
 from realbott.matrix import MAX_SINGLE_N
@@ -381,6 +383,44 @@ class TestSweep:
         r = sweep(4)
         assert sorted(mm["index"] for mm in r.mismatches) == list(range(64))
         assert all(mm["disagree"] == [route] for mm in r.mismatches)
+
+    def test_witness_only_fault_is_a_mismatch(self, monkeypatch):
+        # C(N+1, 2) and C(N, 2) differ in parity only at odd N, where the
+        # matrix is not orientable: the flags agree and only the pair
+        # witness moves, so the records must be compared
+        def mutant(D):
+            q = 0
+            for k, out in enumerate(D.out_masks):
+                N = out.bit_count()
+                q |= (((N + 1) * N // 2) & 1) << k
+            return _verdict(*_scan(enumerate(D.out_masks), D.in_masks, q))
+
+        monkeypatch.setattr(enumeration, "digraph_spin", mutant)
+        r = sweep(5)
+        assert r.mismatches
+        for mm in r.mismatches:
+            assert mm["disagree"] == ["closed_form", "digraph"]
+            assert mm["closed_form"] == mm["digraph"] == mm["ring"] == [False, False]
+            witnesses = mm["witnesses"]
+            assert witnesses["closed_form"] != witnesses["digraph"]
+            assert witnesses["closed_form"][0]["kind"] == "row"
+        assert json.loads(json.dumps(r.to_json_dict()))["mismatches"] == r.mismatches
+
+    def test_ring_fault_is_named(self, monkeypatch):
+        # flipping y1 in w1 turns every orientable matrix non-orientable in
+        # the ring alone; the three other routes agree, so the ring is named
+        real = enumeration.total_sw_class
+
+        def flipped(C):
+            profile = real(C)
+            return SWProfile(profile.matrix, profile.total ^ 1 << 1)  # bit 1: y1
+
+        monkeypatch.setattr(enumeration, "total_sw_class", flipped)
+        r = sweep(4)
+        flagged = {mm["index"] for mm in r.mismatches}
+        assert {i for i in range(64) if is_spin(matrix_from_index(4, i)).orientable} <= flagged
+        assert all(mm["disagree"] == ["ring"] for mm in r.mismatches)
+        assert all(mm["closed_form"] == mm["digraph"] != mm["ring"] for mm in r.mismatches)
 
     def test_json_version_and_cap(self, monkeypatch, capsys):
         report = sweep(3).to_json_dict()

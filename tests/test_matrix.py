@@ -153,6 +153,33 @@ _SQUARE_TEXT = st.integers(1, 5).flatmap(
 )
 
 
+# The pieces of the seeded reader texts: each in-line space the reader
+# drops, each line break it splits at (CR LF as one), the comment mark and
+# two bad characters.
+_PIECES = ["0", "1", " ", "\t", "\x1f", "\xa0", "\r\n", "\r", "\v", "\x1c", "\u2028", "#", "x", "2"]
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\x1c", "\u2028"]
+
+
+def _seeded_text(rng):
+    """Half free draws of `_PIECES`, half square grids of n <= 4 with a zero
+    diagonal, spaced, broken and commented at random, one in four with a
+    random piece inserted, so every check of the reader is reached."""
+    if rng.random() < 0.5:
+        return "".join(rng.choices(_PIECES, k=rng.randrange(24)))
+    n = rng.randint(1, 4)
+    lines = []
+    for i in range(n):
+        row = ["0" if i == j else rng.choice("01") for j in range(n)]
+        lines.append("".join(c + rng.choice(["", "", " ", "\t", "\x1f", "\xa0"]) for c in row))
+        if rng.random() < 0.25:
+            lines.append(rng.choice(["", " \t", "#", "# x 2"]))
+    text = "".join(line + rng.choice(_BREAKS) for line in lines)
+    if rng.random() < 0.25:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(_PIECES) + text[at:]
+    return text
+
+
 def _random_matrices(rng):
     """Random Bott matrices for n = 1..20, each with a conjugate of it that
     is not upper triangular (a GeneralBottMatrix) when one was drawn."""
@@ -239,6 +266,20 @@ class TestParse:
     def test_matches_per_character_reference(self, text, max_n):
         assert _outcome(parse_matrix, text, max_n) == _outcome(_reference_parse, text, max_n)
 
+    def test_seeded_texts_match_line_reference(self):
+        # the same class, rows and columns, or the same error and message
+        rng = random.Random(2121)
+        outcomes = set()
+        for _ in range(4000):
+            text, max_n = _seeded_text(rng), rng.choice([None, 2, 20])
+            got = _outcome(parse_matrix, text, max_n)
+            assert got == _outcome(_reference_parse, text, max_n), (text, max_n)
+            if len(got) == 3:
+                assert parse_matrix(text, max_n).columns() == _in_masks(got[1], got[2])
+            outcomes.add(got[0])
+        assert outcomes == {BottMatrix, GeneralBottMatrix, NonBinary, NonSquare,
+                            DiagonalNonzero, CyclicDigraph, DimensionTooLarge}
+
     def test_inline_space_table(self):
         # exactly the whitespace str.split() drops that str.splitlines()
         # does not break at: one translate stands in for a per-line split
@@ -248,7 +289,8 @@ class TestParse:
         assert set(_DROP_INLINE_SPACE.values()) == {None}
 
     @pytest.mark.parametrize("text, outcome", [
-        # lines are split before spaces go, so CR, space, LF is two breaks
+        # an error names its line as str.splitlines() numbers it, so CR,
+        # space, LF is two breaks there
         ("0\r \n;", (NonBinary, "line 3: bad character ';'")),
         ("0 1\u20280 0", (BottMatrix, 2, (2, 0))),
         ("0 1\x850 0", (BottMatrix, 2, (2, 0))),

@@ -2,8 +2,8 @@
 declarations of the same fields: construction, ==, hash, repr,
 immutability, fields(), replace() and pickling must not tell them apart.
 The verdict records are generated dataclasses; `BottDigraph` and
-`SWProfile`, built once per matrix, write the instance __dict__ in their
-own __init__."""
+`SWProfile`, built once per matrix, store each field into the instance
+__dict__ in their own __init__."""
 
 import dataclasses
 import itertools
