@@ -17,17 +17,16 @@ index (bit 0 is entry (1,2), then (1,3), ...): `matrix_index` encodes,
 Every matrix is checked in one packed word: entry (i, j), 0-based, is
 bit ``i*m + j``, m the smallest power of two >= n.  One AND with a mask
 tests the triangle, one the diagonal, and a word transpose gives the
-columns (`_check_word`).  The parsers read a grid straight into that word
-and the constructors pack their rows into it, so every matrix comes with
-``columns()`` filled; one decoded from its index, by ORing words of
-`_decode_tables`, rows then columns, needs no check at all.
+columns (`_check_word`).  The text parser reads a grid's bytes straight
+into that word and the other constructors pack their rows into it, so
+every matrix comes with ``columns()`` filled, read off in m-bit lanes; one
+decoded from its index, by ORing words of `_decode_tables`, needs no check.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, TextIO, Union
@@ -298,10 +297,12 @@ def _topological_order(cols: tuple[int, ...]) -> list[int] | None:
     return order
 
 
-_DROP_BINARY_DIGITS = str.maketrans("", "", "01")
 #: What str.split() splits on but str.splitlines() does not break at.
 _DROP_INLINE_SPACE = str.maketrans("", "", "\t\x1f \xa0\u1680\u2000\u2001\u2002\u2003\u2004"
                                    "\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000")
+#: The same split in bytes: drop those spaces, make LF of the breaks bytes.split() misses.
+_ASCII_SPACE = {**_DROP_INLINE_SPACE, 0x85: "\n", 0x2028: "\n", 0x2029: "\n"}
+_INLINE_BYTES, _BREAKS = b"\t\x1f ", bytes.maketrans(b"\x1c\x1d\x1e", b"\n\n\n")
 
 
 def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
@@ -315,25 +316,25 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     ignored.  Errors are reported in this order: the first bad character of
     the first bad line, ragged rows, a non-square grid, the ``max_n`` cap.
 
-    Each step works on the whole text: drop the in-line spaces, which
-    leaves only line breaks for ``str.split()`` to split on (blank lines give
-    no word), then check every row at once in the packed word; only a failed
-    check walks the lines to name one.  The checked grid is already that
-    word (see the module docstring): its rows, joined with m - n zeros
-    between them and reversed, are one base-2 literal, and rows, columns
-    and the matrix rules come from it.
+    It reads the text as UTF-8 bytes (a non-ASCII character that is not a
+    space is bad outside a comment), splits them at line breaks, checks all
+    rows at once in the packed word and walks the lines only to name a fault.
     """
-    grid = [bits for bits in text.translate(_DROP_INLINE_SPACE).split() if bits[0] != "#"]
+    data = (text.encode() if text.isascii()
+            else text.translate(_ASCII_SPACE).encode("utf-8", "surrogatepass"))
+    grid = data.translate(_BREAKS, _INLINE_BYTES).split()
+    if b"#" in data:
+        grid = [bits for bits in grid if not bits.startswith(b"#")]
     n = len(grid[0]) if grid else 0
     m = 1 << (n - 1).bit_length()
     # only a square grid is padded: a ragged one could make m * len(grid) huge
     square = len(grid) == n and len(set(map(len, grid))) == 1
-    word = ("0" * (m - n)).join(grid) if square else "".join(grid)
-    # int(_, 2) alone would also take "_", "+", "-" and non-ASCII digits
-    if word.translate(_DROP_BINARY_DIGITS):
+    word = (b"0" * (m - n)).join(grid) if square else b"".join(grid)
+    # int(_, 2) alone would also take "_", "+" and "-"
+    if word.translate(None, b"01"):
         for lineno, line in enumerate(text.splitlines(), 1):
             bits = line.translate(_DROP_INLINE_SPACE)
-            bad = bits.translate(_DROP_BINARY_DIGITS)
+            bad = bits.lstrip("01")
             if bad and bits[0] != "#":
                 raise NonBinary(f"line {lineno}: bad character {bad[0]!r}")
     if not grid:
@@ -410,19 +411,18 @@ def _word_tables(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
     return lower, diagonal, tuple(steps)
 
 
-#: memoryview formats of the native unsigned ints, by width in bits; on a
-#: big-endian host lane 0 would come last, so those widths take the shifts
-_LANE_FORMATS = {struct.calcsize(c) * 8: c for c in "HIQ"} if sys.byteorder == "little" else {}
+@lru_cache(maxsize=64)
+def _unpack_lanes(k: int, m: int):
+    return struct.Struct("<%d%s" % (k, {16: "H", 32: "I", 64: "Q"}[m])).unpack
 
 
 def _lanes(x: int, k: int, m: int) -> tuple[int, ...]:
-    """The k lowest m-bit lanes of `x`, lane 0 first: read as bytes or
-    native ints at a native width m, by shifts otherwise."""
+    """The k lowest m-bit lanes of `x`, lane 0 first: its little-endian bytes
+    read one by one or as `struct` ints at m = 8, 16, 32, 64, else by shifts."""
     if m == 8:
         return tuple(x.to_bytes(k, "little"))
-    fmt = _LANE_FORMATS.get(m)
-    if fmt:
-        return tuple(memoryview(x.to_bytes(k * m // 8, "little")).cast(fmt))
+    if m in (16, 32, 64):
+        return _unpack_lanes(k, m)(x.to_bytes(k * m // 8, "little"))
     full = (1 << m) - 1
     return tuple([(x >> s) & full for s in range(0, k * m, m)])
 

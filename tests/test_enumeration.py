@@ -136,16 +136,6 @@ class TestDecoder:
             for index in [0, top] + [rng.randrange(top) for _ in range(200)]:
                 self._assert_decodes(n, index)
 
-    def test_seeded_indices_by_shifts(self, monkeypatch):
-        # without native lane formats (a big-endian host) the 2n lanes of
-        # width m < 2n are read by shifts, each masked to its own m bits
-        monkeypatch.setattr(matrix, "_LANE_FORMATS", {})
-        rng = random.Random(9)
-        for n in range(9, MAX_SINGLE_N + 1):
-            top = index_space(n) - 1
-            for index in [0, top] + [rng.randrange(top) for _ in range(50)]:
-                self._assert_decodes(n, index)
-
     def test_index_bounds(self):
         # n = 7 has 21 index bits: its last table covers a partial byte
         for bad in (2**21, -1):

@@ -124,8 +124,12 @@ def _outcome(parse, text, max_n):
 # Whitespace that str.split() drops, line breaks that str.splitlines() adds
 # (\x1c), comment and separator marks, and characters int(_, 2) would accept
 # or that look like digits ("_", "+", "-", Arabic-Indic one), so the test
-# pins the order of the checks as well as the results.
-_ALPHABET = "01 \t\r\n\x1c\xa0#;_+-\x00\u0661"
+# pins the order of the checks as well as the results.  The parser reads
+# UTF-8 bytes, so the alphabet also holds the seams where bytes and str
+# differ: the breaks bytes.split() misses (\x1c-\x1e, \x85, \u2029), the
+# ones it knows (\v, \f), the in-line \x1f, a lone surrogate and a
+# two-byte letter.
+_ALPHABET = "01 \t\r\n\x1c\xa0#;_+-\x00\u0661\x0b\x0c\x1d\x1e\x1f\x85\u2029\udcff\xe9"
 _ANY_TEXT = st.text(alphabet=_ALPHABET, max_size=40)
 _BITS = st.text(alphabet="01", min_size=1, max_size=6)
 _LINE = st.lists(_BITS, min_size=1, max_size=4).flatmap(
@@ -155,9 +159,10 @@ _SQUARE_TEXT = st.integers(1, 5).flatmap(
 
 # The pieces of the seeded reader texts: each in-line space the reader
 # drops, each line break it splits at (CR LF as one), the comment mark and
-# two bad characters.
-_PIECES = ["0", "1", " ", "\t", "\x1f", "\xa0", "\r\n", "\r", "\v", "\x1c", "\u2028", "#", "x", "2"]
-_BREAKS = ["\n", "\r\n", "\r", "\v", "\x1c", "\u2028"]
+# bad characters: two ASCII ones, a lone surrogate and a two-byte letter.
+_PIECES = ["0", "1", " ", "\t", "\x1f", "\xa0", "\r\n", "\r", "\v", "\x1c", "\u2028", "#", "x", "2",
+           "\x0c", "\x1d", "\x1e", "\x85", "\u2029", "\udcff", "\xe9"]
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\x1c", "\u2028", "\x0c", "\x1d", "\x1e", "\x85", "\u2029"]
 
 
 def _seeded_text(rng):
@@ -172,7 +177,7 @@ def _seeded_text(rng):
         row = ["0" if i == j else rng.choice("01") for j in range(n)]
         lines.append("".join(c + rng.choice(["", "", " ", "\t", "\x1f", "\xa0"]) for c in row))
         if rng.random() < 0.25:
-            lines.append(rng.choice(["", " \t", "#", "# x 2"]))
+            lines.append(rng.choice(["", " \t", "#", "# x 2", "# \xe9 \u0661"]))
     text = "".join(line + rng.choice(_BREAKS) for line in lines)
     if rng.random() < 0.25:
         at = rng.randrange(len(text) + 1)
@@ -288,6 +293,24 @@ class TestParse:
         assert {chr(c) for c in _DROP_INLINE_SPACE} == inline
         assert set(_DROP_INLINE_SPACE.values()) == {None}
 
+    def test_byte_tables(self):
+        # the bytes path drops an ASCII character exactly when it is in-line
+        # whitespace, and breaks a line at it exactly when str.splitlines()
+        # does, which bytes.split() alone misses at \x1c-\x1e
+        for c in range(128):
+            ch = chr(c)
+            inline = ch.isspace() and len(("a" + ch + "a").splitlines()) == 1
+            kept = bytes([c]).translate(matrix._BREAKS, matrix._INLINE_BYTES)
+            assert (kept == b"") == inline, hex(c)
+            assert len((b"a" + kept + b"a").split()) == len(("a" + ch + "a").splitlines()), hex(c)
+        # before encoding, each non-ASCII whitespace character is dropped or
+        # made LF, as str.splitlines() treats it; nothing else is touched
+        for c in range(128, sys.maxunicode + 1):
+            if chr(c).isspace():
+                breaks = len(("a" + chr(c) + "a").splitlines()) == 2
+                assert matrix._ASCII_SPACE[c] == ("\n" if breaks else None), hex(c)
+        assert all(chr(c).isspace() for c in matrix._ASCII_SPACE)
+
     @pytest.mark.parametrize("text, outcome", [
         # an error names its line as str.splitlines() numbers it, so CR,
         # space, LF is two breaks there
@@ -300,6 +323,10 @@ class TestParse:
         ("0 1\n# x\n0 x", (NonBinary, "line 3: bad character 'x'")),
         ("0 0 0\n0 0\n0 0 0 0", (NonSquare, "row 2 has 2 entries, expected 3")),
         ("0 0\n0 0\n0 0 0", (NonSquare, "row 3 has 3 entries, expected 2")),
+        # a lone surrogate (argv, or stdin under surrogateescape) is a bad
+        # character, not an encoding error; a comment may hold any letter
+        ("0\udcff\n00", (NonBinary, "line 1: bad character '\\udcff'")),
+        ("# \xe9\n0 1\n0 0", (BottMatrix, 2, (2, 0))),
     ])
     def test_whole_text_passes(self, text, outcome):
         assert _outcome(parse_matrix, text, 20) == outcome
@@ -432,12 +459,12 @@ class TestPackedWord:
                 for cls in (BottMatrix, GeneralBottMatrix):
                     assert _packed(cls, n, rows) == _reference_construct(n, rows, cls), (cls, rows)
 
-    def test_lanes_by_shifts(self, monkeypatch):
-        # the shift loop, which non-native widths and big-endian hosts use,
-        # reads the same lanes as the native-int view
+    def test_lanes_by_shifts(self):
+        # bytes, struct's little-endian ints and the shift loop (m < 8 and
+        # m = 128) each read the lanes that shifts and masks give
         rng = random.Random(8)
         cases = []
-        for n in (5, 8, 9, 16, 17, 32, 33, 64):
+        for n in (2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65):
             m = 1 << (n - 1).bit_length()
             x = sum(rng.getrandbits(n) << i * m for i in range(n))
             cases.append((x, n, m, matrix._lanes(x, n, m)))
@@ -446,10 +473,9 @@ class TestPackedWord:
             m = max(8, 1 << (n - 1).bit_length())
             x = rng.getrandbits(2 * n * m)
             cases.append((x, 2 * n, m, matrix._lanes(x, 2 * n, m)))
-        monkeypatch.setattr(matrix, "_LANE_FORMATS", {})
         for x, k, m, lanes in cases:
-            assert matrix._lanes(x, k, m) == lanes
             assert lanes == tuple((x >> i * m) & ((1 << m) - 1) for i in range(k))
+            assert all(type(v) is int for v in lanes)
 
     def test_tables_keyed_by_width(self):
         texts = [random_bott(random.Random(n), n).to_text() for n in range(12, 21)]
