@@ -15,10 +15,9 @@ __version__ = "0.1.0"
 #: access (PEP 562), so `import realbott` loads no submodule.
 _EXPORTS = {
     "cohomology": (
-        "CohomologyRing", "RingElement", "SWProfile", "graded_dimension",
-        "monomial_degree", "monomial_str", "multiply", "reduce_power_product",
-        "reduce_square", "sw_number", "sw_partitions", "total_sw_class",
-        "w1_formula", "w_top_minus_one", "wk_recursive",
+        "RingElement", "SWProfile", "monomial_degree", "monomial_str", "multiply",
+        "reduce_power_product", "reduce_square", "sw_number", "sw_partitions",
+        "total_sw_class", "w1_formula", "w_top_minus_one", "wk_recursive",
     ),
     "criteria": (
         "PairTerms", "PairWitness", "RowWitness", "SpinVerdict",

@@ -20,9 +20,9 @@ addition is XOR and pairing with the fundamental class y_1*...*y_n reads bit
 the ring to n <= MAX_SINGLE_N (20, the parse cap): 128 KiB per element.
 
 All SW data come from one product, by the total class w = prod_j (1 + the
-sum of column j), through the one rewrite loop `_times` (which
-`total_sw_class` runs without a ring object): the classes are w split by
-degree, and a * w_i = (a * w) & degrees[d + i] for a homogeneous of degree d.
+sum of column j), through the one rewrite loop `_times` on the columns that
+`_ring_columns` checks: the classes are w split by degree, and
+a * w_i = (a * w) & degrees[d + i] for a homogeneous of degree d.
 
 Two tables depend on n alone: the lanes that `_times` shifts through and the
 degree masks that split the total class.  They are built on first use for
@@ -31,11 +31,13 @@ each n and then outlive the call, kept for the life of the process by
 to 2^n bits, 5.1 MiB at n = 20 and less than half as much for each size
 below, so the cache never holds more than 9.6 MiB.
 
-Reduction is confluent in practice (certified by `graded_dimension` and by
-comparing `reduce_power_product` orders); the default strategy rewrites the
-highest colliding index first, which terminates because every substitution
-replaces an index pair (i,i) by (j,i) with j < i, strictly lowering the
-descending-sorted index list lexicographically.
+Reduction is confluent in practice: the tests check that both orders of
+`reduce_power_product` agree, and that degree k pairs with degree n-k at
+full rank on the monomials (Poincare duality, in the Wu-formula check).  The
+default strategy rewrites the highest colliding index first, which
+terminates because every substitution replaces an index pair (i,i) by (j,i)
+with j < i, strictly lowering the descending-sorted index list
+lexicographically.
 """
 
 from __future__ import annotations
@@ -191,43 +193,6 @@ class RingElement:
         return "+".join(_monomial_strs(ordered))
 
 
-class CohomologyRing:
-    """Multiplication context for one matrix: its column masks and, per
-    variable, the lane of monomials that variable does not divide.
-
-    The column masks are the matrix's own stored `columns()`.  The lanes
-    and degree masks depend on n alone: they come from `_ring_tables` and
-    outlive the ring, shared with every ring of the same size (at most 9.6
-    MiB for all sizes, see the module docstring).  All arithmetic runs the
-    one rewrite loop `_times`, after `times_linear` and `times_total` check
-    their arguments; `total_sw_class` runs it without a ring object.
-    """
-
-    def __init__(self, matrix: BottMatrix):
-        # the ring reads each column above the diagonal only
-        _require_triangular(matrix, "classes need")
-        _check_dimension(matrix.n, "ring elements take 2^n bits; ")
-        self.matrix = matrix
-        self.n = matrix.n
-        # cols[i] = 0-based mask of rows j with entry (j+1, i+1) = 1
-        self.cols: tuple[int, ...] = matrix.columns()
-        self.lanes, self.degrees = _ring_tables(self.n)
-
-    def times_linear(self, E: int, col: int) -> int:
-        """E * (sum of y_{j+1} over the bits j of `col`), both dense."""
-        _check_element(self.matrix, RingElement(E))
-        _check_int(col, "column mask", nonnegative=True)
-        if col >> self.n:
-            raise IndexOutOfRange(f"column mask {col} names variables beyond y{self.n}")
-        return _times(E, (col,), 0, self.cols, self.lanes)
-
-    def times_total(self, E: int) -> int:
-        """E * w, w = prod over the columns of (1 + the column's sum), in
-        one call: E += E * sum, a rewrite pass per nonzero column."""
-        _check_element(self.matrix, RingElement(E))
-        return _times(E, self.cols, -1, self.cols, self.lanes)
-
-
 def _times(E: int, factors: Iterable[int], keep: int, cols: Sequence[int],
            lanes: Sequence[int]) -> int:
     """E times each `col` of `factors` in turn: the sum of y_{j+1} over its
@@ -269,13 +234,23 @@ def _times(E: int, factors: Iterable[int], keep: int, cols: Sequence[int],
     return E
 
 
-def _product(ring: CohomologyRing, a: int, b: int) -> int:
+def _product(cols: Sequence[int], a: int, b: int) -> int:
     """a * b: a times each variable of each monomial of b, summed."""
+    lanes = _ring_tables(len(cols))[0]
     out = 0
     for m in _monomials(b):
-        variables = [1 << k for k in range(ring.n) if (m >> k) & 1]
-        out ^= _times(a, variables, 0, ring.cols, ring.lanes)
+        variables = [1 << k for k in range(m.bit_length()) if (m >> k) & 1]
+        out ^= _times(a, variables, 0, cols, lanes)
     return out
+
+
+def _ring_columns(C: BottMatrix) -> tuple[int, ...]:
+    """C's column masks (bit j of cols[i] is entry (j+1, i+1)) once C is
+    strictly upper triangular, as the ring reads each column above the
+    diagonal only, and n is within the cap on 2^n-bit elements."""
+    _require_triangular(C, "classes need")
+    _check_dimension(C.n, "ring elements take 2^n bits; ")
+    return C.columns()
 
 
 def _check_element(C: BottMatrix, e: RingElement) -> None:
@@ -298,10 +273,10 @@ def reduce_square(C: BottMatrix, i: int) -> RingElement:
 
 def multiply(C: BottMatrix, a: RingElement, b: RingElement) -> RingElement:
     """Product in the quotient ring, in normal form."""
-    ring = CohomologyRing(C)
+    cols = _ring_columns(C)
     _check_element(C, a)
     _check_element(C, b)
-    return RingElement(_product(ring, a.bits, b.bits))
+    return RingElement(_product(cols, a.bits, b.bits))
 
 
 def reduce_power_product(
@@ -395,10 +370,8 @@ class SWProfile:
 
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
-    columns of C, with no ring object; the profile splits it by degree."""
-    _require_triangular(C, "classes need")  # the checks of CohomologyRing
-    _check_dimension(C.n, "ring elements take 2^n bits; ")
-    cols = C.columns()
+    columns of C; the profile splits it by degree."""
+    cols = _ring_columns(C)
     return SWProfile(C, _times(1, cols, -1, cols, _ring_tables(C.n)[0]))
 
 
@@ -427,12 +400,13 @@ def wk_recursive(C: BottMatrix, k: int) -> RingElement:
     w_k(t) = sum over s < t of w_{k-1}(s) * (column s+1's sum); must agree
     with the degree-k part of `total_sw_class`."""
     _check_index(k, C.n, "degree")
-    ring = CohomologyRing(C)
+    cols = _ring_columns(C)
+    lanes = _ring_tables(C.n)[0]
     w = [1] * C.n  # w[s]: the current degree's class of the leading s-block
     for d in range(k):
         acc = 0
         for s in range(d, C.n):  # w[s] = 0 for s < d: degree above size
-            w[s], acc = acc, acc ^ ring.times_linear(w[s], ring.cols[s])
+            w[s], acc = acc, acc ^ _times(w[s], (cols[s],), 0, cols, lanes)
     return RingElement(acc)
 
 
@@ -464,32 +438,14 @@ def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
         raise BadPartition(f"need {n} nonnegative int exponents, got {r}")
     if sum(i * ri for i, ri in enumerate(r, 1)) != n:
         raise BadPartition(f"weighted degree of {r} is not {n}")
-    ring = CohomologyRing(C)
+    cols = _ring_columns(C)
+    lanes, degrees = _ring_tables(n)
     acc, deg = 1, 0
     for i, ri in enumerate(r, 1):
         for _ in range(ri):
             deg += i
-            acc = ring.times_total(acc) & ring.degrees[deg]
+            acc = _times(acc, cols, -1, cols, lanes) & degrees[deg]
             if not acc:
                 return 0
     return (acc >> ((1 << n) - 1)) & 1
 
-
-def graded_dimension(C: BottMatrix, k: int) -> int:
-    """Number of degree-k monomials that are normal forms.
-
-    Counts by enumeration and certifies each candidate as a fixed point of
-    the rewrite system, so together with the order-independence checks this
-    pins the graded basis at C(n,k)."""
-    _check_int(k, "degree")
-    if k < 0 or k > C.n:
-        return 0
-    count = 0
-    for combo in itertools.combinations(range(1, C.n + 1), k):
-        nf = reduce_power_product(C, combo)
-        mask = 0
-        for i in combo:
-            mask |= 1 << (i - 1)
-        if nf.bits == 1 << mask:
-            count += 1
-    return count

@@ -3,42 +3,44 @@
 element's bits are ints, the bits non-negative.  2.0 and True compare
 equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
-its one owner in `realbott.matrix`.  A ring's public products also refuse
-an element or a column mask with variables beyond the ring's own."""
+its one owner in `realbott.matrix`.  `multiply` also refuses an element
+with variables beyond the matrix's own."""
 
 import pytest
 
 from realbott import (
     BottError,
     BottMatrix,
-    CohomologyRing,
     DimensionMismatch,
     IndexOutOfRange,
     NonSquare,
     Permutation,
     RingElement,
+    SWProfile,
     build_digraph,
     common_out,
     delete_leading,
     enumerate_all,
-    graded_dimension,
     leading_submatrix,
     matrix_from_index,
     monomial_str,
+    multiply,
     orientable_not_spin_family,
     pair_terms,
     reduce_power_product,
     reduce_square,
     row_pair_matrix,
+    sw_number,
     sw_partitions,
     sweep,
+    total_sw_class,
     wk_recursive,
 )
 from realbott.matrix import _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
 D = build_digraph(C)
-R = CohomologyRing(C)
+Z21 = BottMatrix.zero(21)
 
 #: (id, call, error class, message fragment): each call is refused.
 REFUSALS = [
@@ -92,10 +94,6 @@ REFUSALS = [
      "monomial mask must be an int, got 1.0"),
     ("from_masks-float", lambda: RingElement.from_masks([1.0]), IndexOutOfRange,
      "monomial mask 1.0 is not a product"),
-    ("graded_dimension-float", lambda: graded_dimension(C, 2.0), IndexOutOfRange,
-     "degree must be an int, got 2.0"),
-    ("graded_dimension-bool", lambda: graded_dimension(C, True), IndexOutOfRange,
-     "degree must be an int, got True"),
     ("degree_part-float", lambda: RingElement(2).degree_part(1.0), IndexOutOfRange,
      "degree must be an int, got 1.0"),
     ("degree_part-bool", lambda: RingElement(2).degree_part(True), IndexOutOfRange,
@@ -120,22 +118,10 @@ REFUSALS = [
      "ring element bitset -1 is negative"),
     ("ring-element-minus-six", lambda: RingElement(-6), IndexOutOfRange,
      "ring element bitset -6 is negative"),
-    ("times_linear-column-beyond", lambda: R.times_linear(1, 8), IndexOutOfRange,
-     "column mask 8 names variables beyond y3"),
-    ("times_linear-column-float", lambda: R.times_linear(1, 2.0), IndexOutOfRange,
-     "column mask must be an int, got 2.0"),
-    ("times_linear-column-negative", lambda: R.times_linear(1, -1), IndexOutOfRange,
-     "column mask -1 is negative"),
-    ("times_linear-element-float", lambda: R.times_linear(1.5, 2), IndexOutOfRange,
-     "ring element bitset must be an int, got 1.5"),
-    ("times_linear-element-beyond", lambda: R.times_linear(1 << 8, 2), DimensionMismatch,
-     "monomial y4 uses variables beyond y3"),
-    ("times_total-minus-one", lambda: R.times_total(-1), IndexOutOfRange,
-     "ring element bitset -1 is negative"),
-    ("times_total-bool", lambda: R.times_total(True), IndexOutOfRange,
-     "ring element bitset must be an int, got True"),
-    ("times_total-beyond", lambda: R.times_total(1 << 9), DimensionMismatch,
-     "monomial y1*y4 uses variables beyond y3"),
+    ("multiply-element-beyond", lambda: multiply(C, RingElement(1 << 8), RingElement(1)),
+     DimensionMismatch, "monomial y4 uses variables beyond y3"),
+    ("multiply-second-element-beyond", lambda: multiply(C, RingElement(1), RingElement(1 << 9)),
+     DimensionMismatch, "monomial y1*y4 uses variables beyond y3"),
 ]
 
 
@@ -148,9 +134,7 @@ def test_non_int_arguments_refused(call, error, fragment):
 
 
 def test_out_of_range_ints_still_answer():
-    # an int degree outside 0..n has no monomials, and a negative int mask
-    # names no monomial: both are answers, not errors
-    assert [graded_dimension(C, k) for k in (-1, 0, 3, 4)] == [0, 1, 1, 0]
+    # a negative int mask names no monomial: an answer, not an error
     assert RingElement(2).coefficient(-1) == 0
     assert RingElement(2).coefficient(1) == 1 and RingElement(2).coefficient(0) == 0
 
@@ -159,6 +143,9 @@ def test_power_product_reads_a_generator_once():
     assert reduce_power_product(C, (i for i in [2, 2])) == reduce_power_product(C, [2, 2])
     assert str(reduce_power_product(C, iter([2, 2]))) == "y1*y2"
 
+
+RING_CAP = (lambda: _check_dimension(21, "ring elements take 2^n bits; "),
+            "ring elements take 2^n bits; n=21 exceeds the cap 20")
 
 #: (id, public call, its owner's call, the whole message), all int arguments.
 OWNED_MESSAGES = [
@@ -176,9 +163,11 @@ OWNED_MESSAGES = [
      "decoding: n=21 exceeds the cap 20"),
     ("sampling-cap", lambda: sweep(21, "sample", count=2, seed=1),
      lambda: _check_dimension(21, "sampling: "), "sampling: n=21 exceeds the cap 20"),
-    ("ring-cap", lambda: CohomologyRing(BottMatrix.zero(21)),
-     lambda: _check_dimension(21, "ring elements take 2^n bits; "),
-     "ring elements take 2^n bits; n=21 exceeds the cap 20"),
+    # the ring's four entry points share one check
+    ("ring-cap", lambda: total_sw_class(Z21), *RING_CAP),
+    ("ring-cap-multiply", lambda: multiply(Z21, RingElement(1), RingElement(1)), *RING_CAP),
+    ("ring-cap-wk_recursive", lambda: wk_recursive(Z21, 1), *RING_CAP),
+    ("ring-cap-sw_number", lambda: sw_number(SWProfile(Z21, 1), (0,) * 20 + (1,)), *RING_CAP),
 ]
 
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -8,16 +7,15 @@ from realbott import (
     BadPartition,
     BottError,
     BottMatrix,
-    CohomologyRing,
     DimensionMismatch,
     DimensionTooLarge,
     IndexOutOfRange,
     Permutation,
     RingElement,
+    SWProfile,
     conjugate,
     evaluate_matrix,
     fibre_chain_verdicts,
-    graded_dimension,
     is_spin,
     matrix_index,
     monomial_str,
@@ -33,7 +31,8 @@ from realbott import (
     w_top_minus_one,
     wk_recursive,
 )
-from realbott.cohomology import _product
+from realbott import cohomology
+from realbott.cohomology import _product, _ring_tables, _times
 from realbott.enumeration import enumerate_all
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
@@ -42,7 +41,7 @@ from realbott.fixtures import (
     orientable_not_spin_family,
 )
 
-from conftest import random_bott
+from conftest import random_bott, wu_flags, wu_total
 
 KLEIN = parse_matrix("0 1\n0 0")
 
@@ -186,7 +185,7 @@ class TestMultiply:
         # term-by-term rewriter, one generator of col at a time
         for n in range(2, 5):
             for m in enumerate_all(n):
-                ring = CohomologyRing(m)
+                cols, lanes = m.columns(), _ring_tables(n)[0]
                 for mono in range(1 << n):
                     base = [i + 1 for i in range(n) if (mono >> i) & 1]
                     by_var = [reduce_power_product(m, base + [j + 1]).bits for j in range(n)]
@@ -197,7 +196,8 @@ class TestMultiply:
                         for j in range(n):
                             if (col >> j) & 1:
                                 expected ^= by_var[j]
-                        assert ring.times_linear(1 << mono, col) == expected, (m, mono, col)
+                        got = _times(1 << mono, (col,), 0, cols, lanes)
+                        assert got == expected, (m, mono, col)
 
     def test_homogeneous_products(self, rng):
         for _ in range(50):
@@ -251,26 +251,6 @@ class TestReductionOrders:
             combo = rng.sample(range(1, n + 1), rng.randint(0, n))
             nf = reduce_power_product(m, combo)
             assert masks(nf) == {_mask(combo)}
-
-
-class TestGradedDimension:
-    def test_degree_zero(self):
-        assert graded_dimension(BottMatrix.zero(5), 0) == 1
-
-    def test_binomials(self):
-        m = load_fixture("digraph_c")
-        assert graded_dimension(m, 2) == 10
-
-    def test_top_class(self, rng):
-        m = random_bott(rng, 6)
-        assert graded_dimension(m, 6) == 1
-
-    def test_full_table(self, rng):
-        for n in range(1, 7):
-            m = random_bott(rng, n)
-            for k in range(n + 1):
-                assert graded_dimension(m, k) == math.comb(n, k)
-        assert graded_dimension(m, 99) == 0
 
 
 class TestTotalClass:
@@ -338,8 +318,8 @@ class TestTotalClass:
                 assert w.is_homogeneous(k)
 
     def test_one_pass_matches_linear_chain(self):
-        # times_total runs the rewrite loop over every column in one call;
-        # it must equal E += E * (column sum), one times_linear per column
+        # keep = -1 runs the rewrite loop over every column in one call; it
+        # must equal E += E * (column sum), one keep = 0 call per column
         rng = random.Random(17)
         cases = [(random_bott(rng, n), rng.getrandbits(1 << n))
                  for n in range(1, 11) for _ in range(6)]
@@ -350,13 +330,13 @@ class TestTotalClass:
                     rows[i] |= 1 << j
             cases.append((BottMatrix(n, tuple(rows)), rng.getrandbits(1 << n)))
         for C, E in cases:
-            ring = CohomologyRing(C)
+            cols, lanes = C.columns(), _ring_tables(C.n)[0]
             for start in (1, E, 0):
                 chain = start
-                for col in ring.cols:
-                    chain ^= ring.times_linear(chain, col)
-                assert ring.times_total(start) == chain, C
-            assert ring.times_linear(E, 0) == 0
+                for col in cols:
+                    chain ^= _times(chain, (col,), 0, cols, lanes)
+                assert _times(start, cols, -1, cols, lanes) == chain, C
+            assert _times(E, (0,), 0, cols, lanes) == 0
 
 
 class TestFirstClassFormula:
@@ -449,8 +429,8 @@ class TestSWNumbers:
     def test_masked_chain_matches_product_chain(self, monkeypatch):
         # Every SW number is 0, so equal numbers prove nothing: compare the
         # partial products instead.  sw_number passes each of them, in order,
-        # to times_total; the last one has degree n, so its top coefficient,
-        # the returned number, is the whole element.
+        # to _times to multiply by w; the last one has degree n, so its top
+        # coefficient, the returned number, is the whole element.
         rng = random.Random(13)
         cases = [_all_ones(10)]
         for n in range(1, 9):
@@ -461,22 +441,21 @@ class TestSWNumbers:
                     cases.append(BottMatrix(n, tuple(rows)))
         profiles = [total_sw_class(C) for C in cases]
         fed = []
-        times_total = CohomologyRing.times_total
 
-        def recording(ring, E):
+        def recording(E, factors, keep, cols, lanes):
             fed.append(E)
-            return times_total(ring, E)
+            return _times(E, factors, keep, cols, lanes)
 
-        monkeypatch.setattr(CohomologyRing, "times_total", recording)
+        monkeypatch.setattr(cohomology, "_times", recording)
         chains = 0
         for profile in profiles:
             n = profile.matrix.n
-            ring = CohomologyRing(profile.matrix)
+            cols = profile.matrix.columns()
             for r in sw_partitions(n):
                 prefixes = [1]
                 for i, ri in enumerate(r, 1):
                     for _ in range(ri):
-                        prefixes.append(_product(ring, prefixes[-1], profile.classes[i].bits))
+                        prefixes.append(_product(cols, prefixes[-1], profile.classes[i].bits))
                 # sw_number stops at the first zero product
                 stop = next((k for k, a in enumerate(prefixes) if not a), len(prefixes))
                 fed.clear()
@@ -485,6 +464,30 @@ class TestSWNumbers:
                 assert prefixes[-1] == value << ((1 << n) - 1)
                 chains += 1
         assert chains == 42 + 18 * sum(1 for n in range(1, 9) for _ in sw_partitions(n))
+
+
+class TestWuFormula:
+    """Wu's formula reads the total class off the ring's products and
+    Poincare duality alone, with no product over the columns: a reference
+    for every class, also above degree 2 (see `conftest.wu_total`)."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_total_class_matches(self, n):
+        # at n <= 4 every product runs through reduce_power_product, not _times
+        for m in enumerate_all(n):
+            w, full = wu_total(m, by_rewriter=n <= 4)
+            assert full, m
+            assert w == total_sw_class(m).total, m
+
+    def test_flags_match_closed_form(self):
+        counts = [0, 0]
+        for m in enumerate_all(6):
+            orientable, spin = wu_flags(m)
+            v = is_spin(m)
+            assert (orientable, spin) == (v.orientable, v.spin), m
+            counts[0] += orientable
+            counts[1] += spin
+        assert counts == [1024, 176]
 
 
 class TestStructuralFacts:
@@ -544,11 +547,13 @@ class TestTriangularPrecondition:
         total_sw_class,
         lambda G: multiply(G, RingElement.variable(1), RingElement.variable(2)),
         lambda G: wk_recursive(G, 2),
+        # the single class of degree n: the exponent vector (0, ..., 0, 1)
+        lambda G: sw_number(SWProfile(G, 1), (0,) * (G.n - 1) + (1,)),
         w_top_minus_one,
         evaluate_matrix,
         fibre_chain_verdicts,
         matrix_index,
-    ], ids=["total_sw_class", "multiply", "wk_recursive", "w_top_minus_one",
+    ], ids=["total_sw_class", "multiply", "wk_recursive", "sw_number", "w_top_minus_one",
             "evaluate_matrix", "fibre_chain_verdicts", "matrix_index"])
     def test_general_matrix_refused(self, call):
         # reversed conjugates of the n = 4 spin list and n = 5 representatives
