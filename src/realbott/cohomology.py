@@ -253,9 +253,9 @@ def _ring_columns(C: BottMatrix) -> tuple[int, ...]:
     return C.columns()
 
 
-def _check_element(C: BottMatrix, e: RingElement) -> None:
-    if e.bits >> (1 << C.n):
-        m = e.bits.bit_length() - 1
+def _check_element(C: BottMatrix, bits: int) -> None:
+    if bits >> (1 << C.n):
+        m = bits.bit_length() - 1
         raise DimensionMismatch(f"monomial {monomial_str(m)} uses variables beyond y{C.n}")
 
 
@@ -274,8 +274,8 @@ def reduce_square(C: BottMatrix, i: int) -> RingElement:
 def multiply(C: BottMatrix, a: RingElement, b: RingElement) -> RingElement:
     """Product in the quotient ring, in normal form."""
     cols = _ring_columns(C)
-    _check_element(C, a)
-    _check_element(C, b)
+    _check_element(C, a.bits)
+    _check_element(C, b.bits)
     return RingElement(_product(cols, a.bits, b.bits))
 
 
@@ -319,13 +319,24 @@ def reduce_power_product(
 @dataclass(frozen=True)
 class SWProfile:
     """All Stiefel-Whitney data of one matrix: the total class as one dense
-    element, and derived from it the graded classes w_0..w_n, the
-    orientable/spin flags and (on demand) every SW number."""
+    element, and derived from it the graded classes w_0..w_n and the
+    orientable/spin flags.  The SW numbers (on demand) are `sw_number`'s,
+    which reads the matrix's own classes, not `total`.
+
+    The matrix must be triangular, and `total` a non-negative int with no
+    monomial beyond y_n; whether it is the matrix's class is not checked."""
 
     matrix: BottMatrix
     total: int
 
     def __init__(self, matrix: BottMatrix, total: int) -> None:  # see digraph.BottDigraph
+        # one test on the path every total_sw_class takes; the owners of
+        # the three rules raise their own errors
+        if (not isinstance(matrix, BottMatrix) or type(total) is not int or total < 0
+                or total >> (1 << matrix.n)):
+            _require_triangular(matrix, "classes need")
+            _check_int(total, "total class", nonnegative=True)
+            _check_element(matrix, total)
         d = self.__dict__
         d["matrix"], d["total"] = matrix, total
 

@@ -127,11 +127,19 @@ def _scan(
     set, the edges k -> j (only general matrices have them).  The first
     failing pair of row j is the lowest set bit of (P ^ Q) >> (j + 1).
 
+    A zero row is passed over: it cannot be the odd row, its P is 0, and
+    so is its Q, edges k -> j into it included, provided its `qmask` bit
+    is 0.  So a caller's pair-sum bit for a zero row must be 0, as C(0, 2)
+    is: `is_spin` (bit 1 of N) and `digraph_spin` (the exact C(N, 2)) both
+    give it.  The zero row's pairs with earlier rows are read in theirs.
+
     A non-orientable matrix still gets the pair scan so the verdict can
     carry a pair witness for diagnostics.
     """
     odd = 0
     for j, row in rows:
+        if not row:
+            continue
         if not odd and row.bit_count() & 1:
             odd = j + 1
         P = 0
@@ -196,18 +204,28 @@ def spin_by_pairs(C: BottMatrix) -> bool:
     keeping only rows j and k of C is spin.
 
     An extraction is spin iff rows j and k have even sums and the pair's
-    closed-form terms agree, since a pair with a zero row has no common
-    column and no edge.  Every row lies in some extraction, so all row sums
-    are tested first; an even matrix then reads each pair once, in
-    lexicographic order, up to the first failing one.  No verdict is built."""
+    closed-form terms agree.  Every row lies in some extraction, so all row
+    sums are tested first.  An extraction with a zero row then passes as it
+    stands: the zero row shares no column with the other, and the pair-sum
+    term C(0, 2) on it is 0, though an edge into it may exist.  So only the
+    pairs of two nonzero rows are read, each once, in lexicographic order,
+    up to the first failing one: P is |r_j & r_k| mod 2, and Q the edge
+    j -> k times bit 1 of N_k plus the edge k -> j times bit 1 of N_j (only
+    general matrices have the second).  No verdict is built."""
     rows = C.rows
     for row in rows:
         if row.bit_count() & 1:
             return False
-    for j in range(C.n):
-        for k in range(j + 1, C.n):
-            P, Q = _closed_form_terms(rows, j, k)
-            if P != Q:
+    live = []
+    q = 0
+    for j, row in enumerate(rows):
+        if row:
+            q |= (row.bit_count() >> 1 & 1) << j
+            live.append((j, row))
+    for a, (j, rj) in enumerate(live, 1):
+        qj = q >> j & 1
+        for k, rk in live[a:]:
+            if ((rj & rk).bit_count() ^ (rj & q) >> k ^ (rk >> j & qj)) & 1:
                 return False
     return True
 

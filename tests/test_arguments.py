@@ -4,7 +4,8 @@ element's bits are ints, the bits non-negative.  2.0 and True compare
 equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
 its one owner in `realbott.matrix`.  `multiply` also refuses an element
-with variables beyond the matrix's own."""
+with variables beyond the matrix's own, and `SWProfile` a total class with
+them, a general matrix or anything else as its matrix."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from realbott import (
     BottError,
     BottMatrix,
     DimensionMismatch,
+    GeneralBottMatrix,
     IndexOutOfRange,
     NonSquare,
     Permutation,
@@ -122,6 +124,21 @@ REFUSALS = [
      DimensionMismatch, "monomial y4 uses variables beyond y3"),
     ("multiply-second-element-beyond", lambda: multiply(C, RingElement(1), RingElement(1 << 9)),
      DimensionMismatch, "monomial y1*y4 uses variables beyond y3"),
+    # a profile holds a triangular matrix and a class of its own ring's size
+    ("profile-general", lambda: SWProfile(GeneralBottMatrix(2, (0, 1)), 1), BottError,
+     "classes need a strictly upper triangular matrix; normalize the general one first"),
+    ("profile-not-a-matrix", lambda: SWProfile([[0, 1], [0, 0]], 1), BottError,
+     "classes need a strictly upper triangular matrix"),
+    ("profile-float-total", lambda: SWProfile(C, 1.0), IndexOutOfRange,
+     "total class must be an int, got 1.0"),
+    ("profile-bool-total", lambda: SWProfile(C, True), IndexOutOfRange,
+     "total class must be an int, got True"),
+    ("profile-negative-total", lambda: SWProfile(C, -1), IndexOutOfRange,
+     "total class -1 is negative"),
+    ("profile-total-beyond", lambda: SWProfile(C, 1 << 8), DimensionMismatch,
+     "monomial y4 uses variables beyond y3"),
+    ("profile-total-far-beyond", lambda: SWProfile(C, 1 << 200), DimensionMismatch,
+     "monomial y4*y7*y8 uses variables beyond y3"),
 ]
 
 

@@ -1,5 +1,6 @@
 import random
 from dataclasses import FrozenInstanceError, fields
+from types import SimpleNamespace
 
 import pytest
 
@@ -408,34 +409,47 @@ class TestRowScanMatchesPairScan:
                     failing += full[1] is not None
         assert odd > 10000 and failing > 4000  # both verdict parts were compared
 
-    def test_two_row_route_reads_each_pair_once(self, monkeypatch):
-        # each extraction has one live pair: the route reads its terms once,
-        # in lexicographic order, and stops at the first failing extraction;
-        # an odd row fails some extraction before any pair is read
-        seen = []
+    def test_two_row_route_reads_each_pair_once(self):
+        # rows that record each row-by-row `&` show which pairs the route
+        # reads: each pair of two nonzero rows once, in lexicographic order,
+        # up to the first failing pair, and none when some row is odd
+        read = []
 
-        def recording(rows, j, k):
-            seen.append((rows, j, k))
-            return _closed_form_terms(rows, j, k)
+        class Row(int):
+            def __and__(self, other):
+                if isinstance(other, Row):
+                    read.append((min(self.j, other.j), max(self.j, other.j)))
+                return int(self) & int(other)
 
-        monkeypatch.setattr(criteria, "_closed_form_terms", recording)
+        def recording(C):
+            rows = []
+            for j, r in enumerate(C.rows):
+                rows.append(Row(r))
+                rows[-1].j = j
+            return SimpleNamespace(n=C.n, rows=tuple(rows))
+
         blocks = _spin_blocks()
         rng = random.Random(3)
-        spin_count = 0
+        spin_count = stopped = 0
         for C in [*enumerate_all(5), *(_spin_sum(rng, n, blocks) for n in range(6, 21))]:
-            seen.clear()
-            spin = spin_by_pairs(C)
-            pairs = [(j, k) for j in range(C.n) for k in range(j + 1, C.n)]
-            assert all(rows is C.rows for rows, _, _ in seen)
-            read = [(j, k) for _, j, k in seen]
+            read.clear()
+            spin = spin_by_pairs(recording(C))
+            assert spin == spin_by_pairs(C), C
+            live = [j for j in range(C.n) if C.rows[j]]
+            pairs = [(j, k) for a, j in enumerate(live) for k in live[a + 1:]]
             if any(row.bit_count() & 1 for row in C.rows):
-                assert read == [], C
-            if spin:
+                assert read == [] and not spin, C
+            elif spin:
                 assert read == pairs, C
                 spin_count += 1
             else:
+                # the last pair read is the first failing one
                 assert read == pairs[:len(read)], C
+                terms = [_closed_form_terms(C.rows, j, k) for j, k in read]
+                assert [P != Q for P, Q in terms] == [False] * (len(read) - 1) + [True], C
+                stopped += len(read) < len(pairs)
         assert spin_count == 30 + 15  # the n = 5 spin matrices and every spin sum
+        assert stopped > 0  # some scans ended before their last pair
 
     def test_spin_sums_agree_with_the_ring(self):
         # uniform draws above n = 8 are almost never spin, so seeded direct
