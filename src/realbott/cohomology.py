@@ -324,14 +324,14 @@ class SWProfile:
     which reads the matrix's own classes, not `total`.
 
     The matrix must be triangular, and `total` a non-negative int with no
-    monomial beyond y_n; whether it is the matrix's class is not checked."""
+    monomial beyond y_n; whether it is the matrix's class is not checked.
+    The flags are derived once, on first read or by `total_sw_class`."""
 
     matrix: BottMatrix
     total: int
 
     def __init__(self, matrix: BottMatrix, total: int) -> None:  # see digraph.BottDigraph
-        # one test on the path every total_sw_class takes; the owners of
-        # the three rules raise their own errors
+        # one test; the owners of the three rules raise their own errors
         if (not isinstance(matrix, BottMatrix) or type(total) is not int or total < 0
                 or total >> (1 << matrix.n)):
             _require_triangular(matrix, "classes need")
@@ -346,18 +346,15 @@ class SWProfile:
         degrees = _ring_tables(self.matrix.n)[1]
         return tuple(RingElement(self.total & mask) for mask in degrees)
 
-    @property
+    @cached_property
     def orientable(self) -> bool:
         """w_1 = 0."""
-        return not self.total & _ring_tables(self.matrix.n)[1][1]
+        return _flags(self.matrix.n, self.total, _ring_tables(self.matrix.n)[1])[0]
 
-    @property
+    @cached_property
     def spin(self) -> bool | None:
         """w_2 = 0: True/False when orientable, None otherwise."""
-        degrees = _ring_tables(self.matrix.n)[1]
-        if self.total & degrees[1]:
-            return None
-        return self.matrix.n < 2 or not self.total & degrees[2]
+        return _flags(self.matrix.n, self.total, _ring_tables(self.matrix.n)[1])[1]
 
     @cached_property
     def sw_numbers(self) -> dict[tuple[int, ...], int]:
@@ -379,11 +376,24 @@ class SWProfile:
         }
 
 
+def _flags(n: int, total: int, degrees: Sequence[int]) -> tuple[bool, bool | None]:
+    """(orientable, spin) of a total class: w_1 = 0, then w_2 = 0 or None."""
+    orientable = not total & degrees[1]
+    return orientable, (n < 2 or not total & degrees[2]) if orientable else None
+
+
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
     columns of C; the profile splits it by degree."""
-    cols = _ring_columns(C)
-    return SWProfile(C, _times(1, cols, -1, cols, _ring_tables(C.n)[0]))
+    if not isinstance(C, BottMatrix) or C.n > MAX_SINGLE_N:
+        _ring_columns(C)  # only to raise, as in SWProfile.__init__
+    cols = C.columns()
+    lanes, degrees = _ring_tables(C.n)
+    profile = object.__new__(SWProfile)  # C and its class pass SWProfile's checks
+    d = profile.__dict__
+    d["matrix"], d["total"] = C, _times(1, cols, -1, cols, lanes)
+    d["orientable"], d["spin"] = _flags(C.n, d["total"], degrees)
+    return profile
 
 
 def w1_formula(C: BottMatrix) -> RingElement:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .matrix import AnyBottMatrix, BottMatrix, _check_pair, _require_triangular, delete_leading
 
@@ -111,56 +111,63 @@ def _closed_form_terms(rows: tuple[int, ...], j: int, k: int) -> tuple[int, int]
 
 
 def _scan(
-    rows: Iterator[tuple[int, int]], cols: Sequence[int], qmask: int
+    masks: Sequence[int], cols: Sequence[int], pair_bit: Sequence[int]
 ) -> tuple[int, tuple[int, int, int, int] | None]:
     """The verdict rule of the closed-form and digraph routes, as plain
     values: the first odd row, 1-based, or 0; and the first pair j < k whose
     terms P_jk and Q_jk differ, as a 1-based (j, k, P, Q) tuple, or None.
 
-    `rows` yields (j, row j), j increasing, once: odd rows are looked for
-    on the way, and past a failing pair in the rest of `rows`.  The pairs
-    are scanned a row at a time, every k at once.  Row j's P over all k is
-    the XOR of cols[c] over the ones c of row j, so its bit k is
-    |r_j & r_k| mod 2.  Bit k of `qmask` is the pair-sum bit of row k, the
-    route's own formula for C(N_k, 2) mod 2, so row j's Q over all k is
-    (r_j & qmask), the edges j -> k, plus cols[j] when bit j of `qmask` is
-    set, the edges k -> j (only general matrices have them).  The first
-    failing pair of row j is the lowest set bit of (P ^ Q) >> (j + 1).
+    `masks` are the rows, `cols` their columns, and pair_bit[N] the route's
+    own C(N, 2) mod 2, a table by row sum N.  The pairs are scanned a row at
+    a time, every k at once.  Row j's P over all k is the XOR of cols[c]
+    over the ones c of row j, so its bit k is |r_j & r_k| mod 2.  Row j's Q
+    over all k takes bit c for each such c whose row's pair-sum bit is set
+    (the edges j -> k), and cols[j] when row j's is (the edges k -> j, only
+    in general matrices): a row's bit is read only where a pair needs it.
+    The first failing pair of row j is the lowest set bit of (P ^ Q) >>
+    (j + 1); odd rows are looked for on the way, then past a failing pair.
 
-    A zero row is passed over: it cannot be the odd row, its P is 0, and
-    so is its Q, edges k -> j into it included, provided its `qmask` bit
-    is 0.  So a caller's pair-sum bit for a zero row must be 0, as C(0, 2)
-    is: `is_spin` (bit 1 of N) and `digraph_spin` (the exact C(N, 2)) both
-    give it.  The zero row's pairs with earlier rows are read in theirs.
+    A zero row is passed over: it cannot be the odd row, and its P and Q
+    are 0, edges k -> j into it included, under the precondition
+    pair_bit[0] == 0.  Its pairs with earlier rows are read in theirs.
 
     A non-orientable matrix still gets the pair scan so the verdict can
     carry a pair witness for diagnostics.
     """
     odd = 0
-    for j, row in rows:
+    for j, row in enumerate(masks):
         if not row:
             continue
-        if not odd and row.bit_count() & 1:
+        N = row.bit_count()
+        if not odd and N & 1:
             odd = j + 1
-        P = 0
+        P = Q = 0
         r = row
         while r:
-            low = r & -r
-            P ^= cols[low.bit_length() - 1]
-            r ^= low
-        Q = row & qmask
-        if (qmask >> j) & 1:
+            c = r.bit_length() - 1
+            r ^= 1 << c
+            P ^= cols[c]
+            if pair_bit[masks[c].bit_count()]:
+                Q |= 1 << c
+        if pair_bit[N]:
             Q ^= cols[j]
         D = (P ^ Q) >> (j + 1)
         if D:
             k = j + (D & -D).bit_length()
             if not odd:
-                for i, row in rows:
-                    if row.bit_count() & 1:
+                for i in range(j + 1, len(masks)):
+                    if masks[i].bit_count() & 1:
                         odd = i + 1
                         break
             return odd, (j + 1, k + 1, (P >> k) & 1, (Q >> k) & 1)
     return odd, None
+
+
+@lru_cache(maxsize=64)
+def _pair_bit_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`_scan`'s pair_bit for n rows by each route's formula for C(N, 2) mod 2:
+    bit 1 of N (`is_spin`), the exact N(N-1)/2 reduced (`digraph_spin`)."""
+    return tuple(N >> 1 & 1 for N in range(n)), tuple(N * (N - 1) // 2 & 1 for N in range(n))
 
 
 @lru_cache(maxsize=1024)
@@ -180,7 +187,7 @@ def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     """Full verdict for a Bott matrix, triangular or general.
 
     Scans the closed-form terms a row at a time over the column masks,
-    with C(N_k, 2) mod 2 read as bit 1 of each row sum.  A general acyclic
+    with C(N, 2) mod 2 read as bit 1 of the row sum N.  A general acyclic
     matrix is evaluated directly on its rows, without conjugating to
     triangular form, and agrees with the verdict on the normalized matrix:
     each pair takes its pair-sum term on the head row of whichever edge
@@ -188,11 +195,7 @@ def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     becomes under conjugation.  The verdict is shared with every matrix
     of the same outcome (see the module docstring).
     """
-    q = 0
-    for k, row in enumerate(C.rows):
-        if row.bit_count() & 2:
-            q |= 1 << k
-    return _verdict(*_scan(enumerate(C.rows), C.columns(), q))
+    return _verdict(*_scan(C.rows, C.columns(), _pair_bit_tables(C.n)[0]))
 
 
 #: Kept for callers that name the general case; identical to `is_spin`.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .criteria import PairWitness, SpinVerdict, _scan, _verdict
+from .criteria import PairWitness, SpinVerdict, _pair_bit_tables, _scan, _verdict
 from .matrix import AnyBottMatrix, _check_index, _check_pair
 
 
@@ -82,14 +82,10 @@ def digraph_spin(D: BottDigraph) -> SpinVerdict:
 
     A vertex's M_jk over all k is the XOR of the in-masks of its
     out-neighbours; C(N_k, 2) is the exact integer binomial of the
-    out-degree, reduced afterwards, and counts at the head of whichever
-    edge joins the pair (for a triangular matrix only j -> k can exist).
-    The verdict record is the one `is_spin` shares for the same outcome."""
-    q = 0
-    for k, out in enumerate(D.out_masks):
-        N = out.bit_count()
-        q |= ((N * (N - 1) // 2) & 1) << k
-    return _verdict(*_scan(enumerate(D.out_masks), D.in_masks, q))
+    out-degree, reduced afterwards, and counts at the head of whichever edge
+    joins the pair (for a triangular matrix only j -> k can exist).  The
+    verdict record is the one `is_spin` shares for the same outcome."""
+    return _verdict(*_scan(D.out_masks, D.in_masks, _pair_bit_tables(D.n)[1]))
 
 
 def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:

@@ -413,15 +413,13 @@ def _word_tables(m: int) -> tuple[int, int, tuple[tuple[int, int], ...]]:
 
 @lru_cache(maxsize=64)
 def _unpack_lanes(k: int, m: int):
-    return struct.Struct("<%d%s" % (k, {16: "H", 32: "I", 64: "Q"}[m])).unpack
+    return struct.Struct("<%d%s" % (k, {8: "B", 16: "H", 32: "I", 64: "Q"}[m])).unpack
 
 
 def _lanes(x: int, k: int, m: int) -> tuple[int, ...]:
     """The k lowest m-bit lanes of `x`, lane 0 first: its little-endian bytes
-    read one by one or as `struct` ints at m = 8, 16, 32, 64, else by shifts."""
-    if m == 8:
-        return tuple(x.to_bytes(k, "little"))
-    if m in (16, 32, 64):
+    read as `struct` ints at m = 8, 16, 32, 64, else by shifts."""
+    if m in (8, 16, 32, 64):
         return _unpack_lanes(k, m)(x.to_bytes(k * m // 8, "little"))
     full = (1 << m) - 1
     return tuple([(x >> s) & full for s in range(0, k * m, m)])
@@ -485,11 +483,13 @@ def index_space(n: int) -> int:
 
 def matrix_from_index(n: int, index: int) -> BottMatrix:
     """The matrix packed as `index` in range(index_space(n)), for 1 <= n <=
-    MAX_SINGLE_N, with `columns()` filled: one table word per index byte."""
+    MAX_SINGLE_N, with `columns()` filled: one table word per index byte.
+    `_check_dimension` is called only to raise; 8-bit lanes are read inline."""
     # 2.0 and True compare equal to 2 and 1 but are not a dimension or an index
     if type(n) is not int or type(index) is not int:
         raise NonSquare(f"dimension and index must be ints, got {n!r} and {index!r}")
-    _check_dimension(n, "decoding: ")
+    if not 1 <= n <= MAX_SINGLE_N:
+        _check_dimension(n, "decoding: ")
     free = n * (n - 1) // 2
     if index < 0 or index >> free:
         raise IndexOutOfRange(f"index {index} outside 0..2^{free}-1")
@@ -497,7 +497,7 @@ def matrix_from_index(n: int, index: int) -> BottMatrix:
     x = 0
     for table, byte in zip(tables, index.to_bytes(len(tables), "little")):
         x |= table[byte]
-    lanes = _lanes(x, 2 * n, m)
+    lanes = tuple(x.to_bytes(2 * n, "little")) if m == 8 else _lanes(x, 2 * n, m)
     return BottMatrix._trusted(n, lanes[:n], lanes[n:])
 
 

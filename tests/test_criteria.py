@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import FrozenInstanceError, fields
 from types import SimpleNamespace
@@ -400,8 +401,8 @@ class TestRowScanMatchesPairScan:
                     keep = (1 << j) | (1 << k)
                     rows = [0] * C.n
                     rows[j], rows[k] = C.rows[j], C.rows[k]
-                    q = sum(1 << i for i in (j, k) if rows[i].bit_count() & 2)
-                    full = _scan(enumerate(rows), [c & keep for c in cols], q)
+                    q = [N >> 1 & 1 for N in range(C.n)]
+                    full = _scan(rows, [c & keep for c in cols], q)
                     P, Q = _closed_form_terms(C.rows, j, k)
                     first_odd = next((i + 1 for i in (j, k) if C.rows[i].bit_count() & 1), 0)
                     assert (first_odd, None if P == Q else (j + 1, k + 1, P, Q)) == full
@@ -468,3 +469,72 @@ class TestRowScanMatchesPairScan:
                     assert mismatch is None, mismatch
                     spin += verdict
         assert spin >= 60
+
+
+def conjugate_sweep(n: int, sigmas_per_matrix: int | None = None, seed: int = 0) -> int:
+    """Every n x n matrix C under every permutation sigma, or under a seeded
+    draw of `sigmas_per_matrix` of them: the general matrix G = conjugate(C,
+    sigma) must give C's flags on the closed-form, digraph and two-row
+    routes, both records must equal the per-pair references on G, witnesses
+    included, and the ring on normalize(G)'s matrix must give C's flags.
+    Returns the number of conjugates checked.  Sweeps decode triangular
+    matrices only, so this puts the routes' k -> j terms under a sweep;
+    `python tests/test_criteria.py` runs every permutation at n = 5."""
+    sigmas = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(seed)
+    ring: dict[tuple[int, ...], tuple[bool, bool]] = {}
+    checked = 0
+    for C in enumerate_all(n):
+        v = is_spin(C)
+        flags = (v.orientable, v.spin)
+        drawn = sigmas if sigmas_per_matrix is None else rng.sample(sigmas, sigmas_per_matrix)
+        for sigma in drawn:
+            G = conjugate(C, sigma)
+            closed, digraph = is_spin(G), digraph_spin(build_digraph(G))
+            assert (closed.orientable, closed.spin) == flags, (C, sigma)
+            assert (digraph.orientable, digraph.spin) == flags, (C, sigma)
+            assert spin_by_pairs(G) == v.spin, (C, sigma)
+            assert closed == _pair_scan(G.rows, _closed_form_terms), (C, sigma)
+            assert digraph == _pair_scan(G.rows, _exact_binomial_terms), (C, sigma)
+            N = normalize(G)[1]
+            if N.rows not in ring:
+                profile = total_sw_class(N)
+                ring[N.rows] = (profile.orientable, profile.spin is True)
+            assert ring[N.rows] == flags, (C, sigma)
+            checked += 1
+    return checked
+
+
+class TestConjugateSweeps:
+    def test_every_permutation_up_to_n4(self):
+        counts = [conjugate_sweep(n) for n in range(1, 5)]
+        assert counts == [1, 4, 48, 1536]
+
+    def test_seeded_permutations_at_n5(self):
+        # 1024 matrices, 12 of the 120 permutations each; the full set runs
+        # as a CI step (see `conjugate_sweep`)
+        assert conjugate_sweep(5, 12, seed=2605) == 12 * 1024
+
+
+class TestScansBeyondTheParseCap:
+    def test_routes_match_per_pair_reference(self):
+        # the pair-sum tables must cover every row sum the constructors
+        # allow, not only those up to MAX_SINGLE_N
+        blocks = _spin_blocks()
+        rng = random.Random(2606)
+        for n in (21, 40, 70):
+            cases = [BottMatrix.zero(n), _random_density(rng, n, 0.05),
+                     _random_density(rng, n, 0.5), _spin_sum(rng, n, blocks)]
+            for C in cases:
+                sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                for M in (C, conjugate(C, sigma)):
+                    closed = _pair_scan(M.rows, _closed_form_terms)
+                    assert is_spin(M) == closed, M
+                    assert digraph_spin(build_digraph(M)) == _pair_scan(
+                        M.rows, _exact_binomial_terms), M
+                    assert spin_by_pairs(M) == closed.spin, M
+            assert is_spin(cases[3]).spin and is_spin(cases[0]).spin
+
+
+if __name__ == "__main__":
+    print(f"conjugate sweep n = 5: {conjugate_sweep(5)} conjugates, all routes agree")

@@ -379,11 +379,8 @@ class TestSweep:
         # matrix is not orientable: the flags agree and only the pair
         # witness moves, so the records must be compared
         def mutant(D):
-            q = 0
-            for k, out in enumerate(D.out_masks):
-                N = out.bit_count()
-                q |= (((N + 1) * N // 2) & 1) << k
-            return _verdict(*_scan(enumerate(D.out_masks), D.in_masks, q))
+            q = [((N + 1) * N // 2) & 1 for N in range(D.n)]
+            return _verdict(*_scan(D.out_masks, D.in_masks, q))
 
         monkeypatch.setattr(enumeration, "digraph_spin", mutant)
         r = sweep(5)

@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from realbott import BottMatrix, matrix_from_index, total_sw_class
+from realbott import BottMatrix, enumerate_all, matrix_from_index, total_sw_class
 from realbott import cohomology, criteria, digraph
 
 
@@ -128,3 +128,16 @@ def test_profile_classes_cached():
     # the cache sits outside the fields
     assert (repr(profile), hash(profile)) == before
     assert profile == cohomology.SWProfile(profile.matrix, profile.total)
+
+
+def test_profile_flags_derived_once():
+    # total_sw_class stores the flags beside the fields; a profile built
+    # from the same fields derives equal ones on first read and keeps them
+    for n in range(1, 6):
+        for C in enumerate_all(n):
+            profile = total_sw_class(C)
+            assert {"orientable", "spin"} <= profile.__dict__.keys()
+            built = cohomology.SWProfile(C, profile.total)
+            assert (built.orientable, built.spin) == (profile.orientable, profile.spin)
+            assert built.__dict__["spin"] is built.spin
+            assert built == profile and repr(built) == repr(profile)
