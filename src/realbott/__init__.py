@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 #: access (PEP 562), so `import realbott` loads no submodule.
 _EXPORTS = {
     "cohomology": (
-        "RingElement", "SWProfile", "monomial_degree", "monomial_str", "multiply",
+        "RingElement", "SWProfile", "monomial_str", "multiply",
         "reduce_power_product", "reduce_square", "sw_number", "sw_partitions",
         "total_sw_class", "w1_formula", "w_top_minus_one", "wk_recursive",
     ),
@@ -37,7 +37,7 @@ _EXPORTS = {
     "fixtures": ("orientable_not_spin_family",),
     "matrix": (
         "BottMatrix", "GeneralBottMatrix", "Permutation", "conjugate",
-        "delete_leading", "leading_submatrix", "load_matrix", "matrix_from_index",
+        "delete_leading", "load_matrix", "matrix_from_index",
         "matrix_from_json", "matrix_index", "normalize", "parse_matrix",
         "row_pair_matrix",
     ),

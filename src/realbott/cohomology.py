@@ -52,10 +52,6 @@ from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _
                      _iterate, _require_triangular)
 
 
-def monomial_degree(mask: int) -> int:
-    return mask.bit_count()
-
-
 def monomial_str(mask: int) -> str:
     """"y1*y3" style rendering; the empty monomial renders as "1"."""
     _check_int(mask, "monomial mask", nonnegative=True)
@@ -153,10 +149,6 @@ class RingElement:
             bits ^= 1 << m
         return cls(bits)
 
-    @property
-    def terms(self) -> frozenset[int]:
-        return frozenset(self)
-
     def __xor__(self, other: "RingElement") -> "RingElement":
         return RingElement(self.bits ^ other.bits)
 
@@ -173,18 +165,6 @@ class RingElement:
 
     def is_zero(self) -> bool:
         return not self.bits
-
-    def degree_part(self, k: int) -> "RingElement":
-        _check_int(k, "degree")
-        return RingElement.from_masks(m for m in self if m.bit_count() == k)
-
-    def is_homogeneous(self, k: int) -> bool:
-        _check_int(k, "degree")
-        return all(m.bit_count() == k for m in self)
-
-    def coefficient(self, mask: int) -> int:
-        _check_int(mask, "monomial mask")
-        return (self.bits >> mask) & 1 if mask >= 0 else 0
 
     def __str__(self) -> str:
         if not self.bits:
@@ -323,38 +303,31 @@ class SWProfile:
     orientable/spin flags.  The SW numbers (on demand) are `sw_number`'s,
     which reads the matrix's own classes, not `total`.
 
-    The matrix must be triangular, and `total` a non-negative int with no
-    monomial beyond y_n; whether it is the matrix's class is not checked.
-    The flags are derived once, on first read or by `total_sw_class`."""
+    The matrix must be triangular and within the ring's cap, and `total` a
+    non-negative int with no monomial beyond y_n; whether it is the matrix's
+    class is not checked.  The flags, orientable (w_1 = 0) and spin (w_2 = 0
+    when orientable, None otherwise), are derived by `_flags` when the
+    profile is built, here as in `total_sw_class`."""
 
     matrix: BottMatrix
     total: int
 
     def __init__(self, matrix: BottMatrix, total: int) -> None:  # see digraph.BottDigraph
-        # one test; the owners of the three rules raise their own errors
-        if (not isinstance(matrix, BottMatrix) or type(total) is not int or total < 0
-                or total >> (1 << matrix.n)):
-            _require_triangular(matrix, "classes need")
+        # one test; the owners of the four rules raise their own errors
+        if (not isinstance(matrix, BottMatrix) or matrix.n > MAX_SINGLE_N
+                or type(total) is not int or total < 0 or total >> (1 << matrix.n)):
+            _ring_columns(matrix)  # before any table of that n is built
             _check_int(total, "total class", nonnegative=True)
             _check_element(matrix, total)
         d = self.__dict__
         d["matrix"], d["total"] = matrix, total
+        d["orientable"], d["spin"] = _flags(matrix.n, total, _ring_tables(matrix.n)[1])
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
         """w_0..w_n: the total class split by degree."""
         degrees = _ring_tables(self.matrix.n)[1]
         return tuple(RingElement(self.total & mask) for mask in degrees)
-
-    @cached_property
-    def orientable(self) -> bool:
-        """w_1 = 0."""
-        return _flags(self.matrix.n, self.total, _ring_tables(self.matrix.n)[1])[0]
-
-    @cached_property
-    def spin(self) -> bool | None:
-        """w_2 = 0: True/False when orientable, None otherwise."""
-        return _flags(self.matrix.n, self.total, _ring_tables(self.matrix.n)[1])[1]
 
     @cached_property
     def sw_numbers(self) -> dict[tuple[int, ...], int]:

@@ -32,27 +32,14 @@ class BottDigraph:
         d = self.__dict__
         d["n"], d["out_masks"], d["in_masks"] = n, out_masks, in_masks
 
-    def has_edge(self, i: int, j: int) -> int:
-        _check_index(i, self.n, "vertex")
-        _check_index(j, self.n, "vertex")
-        return (self.out_masks[i - 1] >> (j - 1)) & 1
-
     def out_neighbours(self, i: int) -> tuple[int, ...]:
         """1-based vertices reachable by one edge from u_i."""
         _check_index(i, self.n, "vertex")
         return _vertices(self.out_masks[i - 1])
 
-    def in_neighbours(self, i: int) -> tuple[int, ...]:
-        _check_index(i, self.n, "vertex")
-        return _vertices(self.in_masks[i - 1])
-
     def out_degree(self, i: int) -> int:
         _check_index(i, self.n, "vertex")
         return self.out_masks[i - 1].bit_count()
-
-    def in_degree(self, i: int) -> int:
-        _check_index(i, self.n, "vertex")
-        return self.in_masks[i - 1].bit_count()
 
 
 def _vertices(mask: int) -> tuple[int, ...]:

@@ -91,10 +91,6 @@ class _BinaryMatrix:
         _check_index(j, self.n)
         return (self.rows[i - 1] >> (j - 1)) & 1
 
-    def row_sum(self, i: int) -> int:
-        _check_index(i, self.n)
-        return self.rows[i - 1].bit_count()
-
     def columns(self) -> tuple[int, ...]:
         """Column masks, 0-based: bit i of entry j is set iff c_{i+1,j+1} = 1,
         i.e. the in-neighbours of vertex j.  Every construction stores them
@@ -104,11 +100,6 @@ class _BinaryMatrix:
         tables.  Every spin route and the ring read this one tuple.
         """
         return self._columns
-
-    def column_mask(self, j: int) -> int:
-        """Bitmask of 0-based rows i with c_{i+1,j} = 1."""
-        _check_index(j, self.n)
-        return self.columns()[j - 1]
 
     def to_lists(self) -> list[list[int]]:
         return [[(row >> j) & 1 for j in range(self.n)] for row in self.rows]
@@ -547,7 +538,7 @@ def _relabel(rows: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
 
 def row_pair_matrix(C: AnyBottMatrix, j: int, k: int) -> AnyBottMatrix:
     """Matrix with rows j and k copied from C, all other rows zero.  This
-    and the two submatrix helpers below return a matrix of C's class."""
+    and the submatrix helper below return a matrix of C's class."""
     _check_pair(j, k, C.n)
     rows = [0] * C.n
     rows[j - 1] = C.rows[j - 1]
@@ -561,11 +552,3 @@ def delete_leading(C: AnyBottMatrix, k: int) -> AnyBottMatrix:
         raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {k!r}")
     m = C.n - k
     return type(C)(m, tuple(C.rows[i + k] >> k for i in range(m)))
-
-
-def leading_submatrix(C: AnyBottMatrix, t: int) -> AnyBottMatrix:
-    """Leading principal submatrix: keep the first t rows and columns."""
-    if type(t) is not int or not 1 <= t <= C.n:
-        raise IndexOutOfRange(f"need 1 <= t <= {C.n}, got {t!r}")
-    full = (1 << t) - 1
-    return type(C)(t, tuple(C.rows[i] & full for i in range(t)))

@@ -8,20 +8,26 @@ import time
 
 from realbott import (
     Permutation,
+    RingElement,
     build_digraph,
     common_out,
     conjugate,
+    delete_leading,
     digraph_spin,
     enumerate_all,
+    fibre_chain_verdicts,
+    is_orientable,
     is_spin,
     is_spin_general,
     matrix_index,
     normalize,
     pair_terms,
     reduce_power_product,
+    row_pair_matrix,
     spin_by_pairs,
     sweep,
     total_sw_class,
+    w1_formula,
     w_top_minus_one,
     wk_recursive,
 )
@@ -250,3 +256,40 @@ def test_criterion_11_wu_consequence():
                     ok &= profile.classes[3].is_zero()
     report(11, "w1=0 and w2=0 imply w3=0, exhaustive n<=5", ok,
            time.perf_counter() - start, 60.0)
+
+
+def test_criterion_12_paper_statements():
+    # on C and a conjugate G of it: the w_1 formula (G's names y_sigma(i)
+    # where C's names y_i), orientability as w_1 = 0, spin as every two-row
+    # extraction spin; and on C and G's triangular form, the fibre chain's
+    # verdicts are the ring's flags of each fibre, and keep the top's flags
+    start = time.perf_counter()
+    ok = True
+    rng = random.Random(1201)
+    checked = 0
+    for n in range(1, 6):
+        pairs = [(j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+        for C in enumerate_all(n):
+            sigma = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+            G = conjugate(C, sigma)
+            profile = total_sw_class(C)
+            w1 = profile.classes[1]
+            ok &= w1_formula(C) == w1
+            ok &= w1_formula(G) == RingElement.from_masks(
+                1 << (sigma(m.bit_length()) - 1) for m in w1)
+            for M in (C, G):
+                ok &= is_orientable(M) == w1.is_zero()
+                extractions = all(is_spin(row_pair_matrix(M, j, k)).spin for j, k in pairs)
+                ok &= spin_by_pairs(M) == extractions == (profile.spin is True)
+            for M in (C, normalize(G)[1]):
+                chain = [(v.orientable, v.spin) for v in fibre_chain_verdicts(M)]
+                fibres = [total_sw_class(delete_leading(M, k)) for k in range(max(n - 1, 1))]
+                ok &= chain == [(f.orientable, f.spin is True) for f in fibres]
+                ok &= chain[0] == (profile.orientable, profile.spin is True)
+                ok &= all(o for o, _ in chain) or not profile.orientable
+                ok &= all(s for _, s in chain) or not profile.spin
+            checked += 1
+    assert checked == 1 + 2 + 8 + 64 + 1024
+    report(12, "w1 formula, orientable iff w1=0, spin iff every two-row "
+               "extraction is, flags kept down the fibre chain: exhaustive "
+               "n<=5 and a conjugate of each", ok, time.perf_counter() - start, 60.0)

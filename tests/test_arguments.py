@@ -5,7 +5,8 @@ equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
 its one owner in `realbott.matrix`.  `multiply` also refuses an element
 with variables beyond the matrix's own, and `SWProfile` a total class with
-them, a general matrix or anything else as its matrix."""
+them, a general matrix, a matrix above the ring's cap or anything else
+as its matrix."""
 
 import pytest
 
@@ -13,6 +14,7 @@ from realbott import (
     BottError,
     BottMatrix,
     DimensionMismatch,
+    DimensionTooLarge,
     GeneralBottMatrix,
     IndexOutOfRange,
     NonSquare,
@@ -23,7 +25,6 @@ from realbott import (
     common_out,
     delete_leading,
     enumerate_all,
-    leading_submatrix,
     matrix_from_index,
     monomial_str,
     multiply,
@@ -38,6 +39,7 @@ from realbott import (
     total_sw_class,
     wk_recursive,
 )
+from realbott.cohomology import _ring_tables
 from realbott.matrix import _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
@@ -65,22 +67,16 @@ REFUSALS = [
      "index 1.0 outside 1..3"),
     ("entry-float", lambda: C.entry(2.0, 3), IndexOutOfRange, "index 2.0 outside 1..3"),
     ("entry-bool", lambda: C.entry(True, 3), IndexOutOfRange, "index True outside 1..3"),
-    ("row_sum-float", lambda: C.row_sum(1.0), IndexOutOfRange, "index 1.0"),
-    ("column_mask-none", lambda: C.column_mask(None), IndexOutOfRange, "index None"),
     ("reduce_square-float", lambda: reduce_square(C, 2.0), IndexOutOfRange, "index 2.0"),
     ("power_product-float", lambda: reduce_power_product(C, [2.0]), IndexOutOfRange,
      "index 2.0"),
     ("power_product-not-iterable", lambda: reduce_power_product(C, 5), IndexOutOfRange,
      "indices must be iterable, got 5"),
     ("out_degree-float", lambda: D.out_degree(1.0), IndexOutOfRange, "vertex 1.0 outside 1..3"),
-    ("has_edge-float", lambda: D.has_edge(1, 2.0), IndexOutOfRange, "vertex 2.0"),
-    ("in_neighbours-bool", lambda: D.in_neighbours(True), IndexOutOfRange, "vertex True"),
     ("wk_recursive-float", lambda: wk_recursive(C, 1.0), IndexOutOfRange,
      "degree 1.0 outside 1..3"),
     ("variable-float", lambda: RingElement.variable(2.0), IndexOutOfRange,
      "variable index 2.0 outside 1..20"),
-    ("leading_submatrix-float", lambda: leading_submatrix(C, 2.0), IndexOutOfRange,
-     "need 1 <= t <= 3, got 2.0"),
     ("delete_leading-float", lambda: delete_leading(C, 1.0), IndexOutOfRange,
      "need 0 <= k < 3, got 1.0"),
     ("delete_leading-bool", lambda: delete_leading(C, False), IndexOutOfRange, "got False"),
@@ -96,22 +92,6 @@ REFUSALS = [
      "monomial mask must be an int, got 1.0"),
     ("from_masks-float", lambda: RingElement.from_masks([1.0]), IndexOutOfRange,
      "monomial mask 1.0 is not a product"),
-    ("degree_part-float", lambda: RingElement(2).degree_part(1.0), IndexOutOfRange,
-     "degree must be an int, got 1.0"),
-    ("degree_part-bool", lambda: RingElement(2).degree_part(True), IndexOutOfRange,
-     "degree must be an int, got True"),
-    ("degree_part-half", lambda: RingElement(2).degree_part(1.5), IndexOutOfRange,
-     "degree must be an int, got 1.5"),
-    ("is_homogeneous-float", lambda: RingElement(2).is_homogeneous(1.0), IndexOutOfRange,
-     "degree must be an int, got 1.0"),
-    ("is_homogeneous-bool", lambda: RingElement(2).is_homogeneous(True), IndexOutOfRange,
-     "degree must be an int, got True"),
-    ("is_homogeneous-half", lambda: RingElement(2).is_homogeneous(1.5), IndexOutOfRange,
-     "degree must be an int, got 1.5"),
-    ("coefficient-float", lambda: RingElement(2).coefficient(1.0), IndexOutOfRange,
-     "monomial mask must be an int, got 1.0"),
-    ("coefficient-bool", lambda: RingElement(2).coefficient(True), IndexOutOfRange,
-     "monomial mask must be an int, got True"),
     ("ring-element-float", lambda: RingElement(1.5), IndexOutOfRange,
      "ring element bitset must be an int, got 1.5"),
     ("ring-element-bool", lambda: RingElement(True), IndexOutOfRange,
@@ -124,11 +104,14 @@ REFUSALS = [
      DimensionMismatch, "monomial y4 uses variables beyond y3"),
     ("multiply-second-element-beyond", lambda: multiply(C, RingElement(1), RingElement(1 << 9)),
      DimensionMismatch, "monomial y1*y4 uses variables beyond y3"),
-    # a profile holds a triangular matrix and a class of its own ring's size
+    # a profile holds a triangular matrix within the ring's cap and a class
+    # of its own ring's size
     ("profile-general", lambda: SWProfile(GeneralBottMatrix(2, (0, 1)), 1), BottError,
      "classes need a strictly upper triangular matrix; normalize the general one first"),
     ("profile-not-a-matrix", lambda: SWProfile([[0, 1], [0, 0]], 1), BottError,
      "classes need a strictly upper triangular matrix"),
+    ("profile-above-cap", lambda: SWProfile(Z21, 1), DimensionTooLarge,
+     "ring elements take 2^n bits; n=21 exceeds the cap 20"),
     ("profile-float-total", lambda: SWProfile(C, 1.0), IndexOutOfRange,
      "total class must be an int, got 1.0"),
     ("profile-bool-total", lambda: SWProfile(C, True), IndexOutOfRange,
@@ -150,10 +133,14 @@ def test_non_int_arguments_refused(call, error, fragment):
     assert fragment in str(info.value)
 
 
-def test_out_of_range_ints_still_answer():
-    # a negative int mask names no monomial: an answer, not an error
-    assert RingElement(2).coefficient(-1) == 0
-    assert RingElement(2).coefficient(1) == 1 and RingElement(2).coefficient(0) == 0
+def test_profile_above_cap_builds_no_table():
+    # the cap is checked before the flags read any table of that n
+    before = _ring_tables.cache_info()
+    for n in (21, 30):
+        with pytest.raises(DimensionTooLarge, match=f"2\\^n bits; n={n} exceeds the cap 20$"):
+            SWProfile(BottMatrix.zero(n), 1)
+    after = _ring_tables.cache_info()
+    assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
 
 def test_power_product_reads_a_generator_once():

@@ -1,14 +1,19 @@
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realbott
 from realbott import NonBinary, NonSquare, load_matrix, matrix_from_json
 from realbott.cli import main
 from realbott.fixtures import default_fixture_dir
@@ -314,3 +319,181 @@ class TestVerifyPaper:
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["verify-paper", "--fixtures", str(tmp_path / "gone")]) == 2
+
+
+def cli(capsys, monkeypatch, *argv, stdin=None):
+    """(exit code, stdout, stderr) of `main(argv)`, with `stdin` as text."""
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def cli_process(*argv, stdin=b""):
+    """(exit code, stdout, stderr) as bytes of `python -m realbott argv` in a
+    fresh interpreter, for argv and stdin bytes that only a process sees as
+    a shell passes them."""
+    src = str(Path(realbott.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "realbott", *argv], input=stdin,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stdout, done.stderr
+
+
+def rows_text(rows):
+    return ";".join("".join(map(str, row)) for row in rows)
+
+
+CYCLE_20 = rows_text([[int(j == (i + 1) % 20) for j in range(20)] for i in range(20)])
+REVERSAL_20 = rows_text([[int(j == i - 1) for j in range(20)] for i in range(20)])
+ONES_12 = ";".join("0" * (i + 1) + "1" * (11 - i) for i in range(12))
+GENERAL_17 = (
+    "00100001000101000;10000101011100011;00000000000000000;00100000000001000;"
+    "00100010000000000;00000000000000000;00000000001000001;00100000101001110;"
+    "00010000000001000;10000000101100000;00100100000100001;00000000000000000;"
+    "00100001001000100;00000000000000000;00000000000000000;00100100000101000;"
+    "00100000000001000"
+)
+NORMALIZED_17 = (
+    "00011010010111100;00100000000000010;00000000010000100;00001001010001000;"
+    "00000010000001011;00000010011000010;00000001011100011;00000000100000001;"
+    "00000000000000011;00000000000011110;00000000000000000;00000000000011011;"
+    "00000000000000000;00000000000000000;00000000000000011;00000000000000000;"
+    "00000000000000000"
+)
+#: A direct sum of spin blocks, riffled by a permutation that keeps it
+#: triangular, with zero rows 1 and 9 among its nonzero ones, which the
+#: scans pass over; a second permutation makes it general.
+RIFFLED = (
+    "000000000000000000;000000000110000000;000100000000010000;000000000000011000;"
+    "000000001000000001;000000100001000000;000000000001100000;000000001000000001;"
+    "000000000000000000;000000000010000100;000000000000000000;000000000000000000;"
+    "000000000000000000;000000000000000000;000000000000000000;000000000000000000;"
+    "000000000000000000;000000000000000000"
+)
+RIFFLED_GENERAL = (
+    "000000000000000000;001000001000000000;000000000000000000;000000000000000000;"
+    "100000000000000010;000100000001000000;000000000000000000;000000100000100000;"
+    "000000000000000000;000000010000100000;100010000000000000;000000000000000000;"
+    "000000000000000000;000000000000000000;000001000001000000;000000000000000000;"
+    "000000000000000000;001000001000000000"
+)
+#: A conjugate of a density-0.5 n = 20 matrix, orientable and not spin,
+#: whose first failing pair (1,5) takes its Q = 1 from the edge 5 -> 1, and
+#: its normalized form.
+DENSE_GENERAL = (
+    "00000100000000000100;10000100000000000000;00011100101100000101;10001000001000000100;"
+    "10000101111000010100;00000000000000000000;11000100001000010100;01000100000100000100;"
+    "11000010011000010000;00000110000100000100;11000000000000010100;00000000000000000000;"
+    "10010101011100000100;00000100110010100100;00000100001010000100;11000100000000000100;"
+    "10010101110010010101;00000000000000000000;01001100101011000001;10000100000110000000"
+)
+DENSE_NORMALIZED = (
+    "00000101101001100011;00000111011100010111;00010110101001001010;00001010001100000011;"
+    "00000010000001000011;00000010000000100110;00000001010101100111;00000000100001000101;"
+    "00000000011101010111;00000000000000101011;00000000000111011100;00000000000010100011;"
+    "00000000000001011111;00000000000000011101;00000000000000000000;00000000000000001111;"
+    "00000000000000000110;00000000000000000011;00000000000000000000;00000000000000000000"
+)
+
+
+class TestWorkflowChecks:
+    """The end-to-end CLI checks that start no process pool, with the
+    commands, output and exit codes of the workflow lines they replace."""
+
+    def test_sample_json_parameters(self, capsys, monkeypatch):
+        code, out, _ = cli(capsys, monkeypatch, "enumerate", "-n", "5", "--mode", "sample",
+                           "--count", "300", "--seed", "9", "--threads", "1", "--format", "json")
+        r = json.loads(out)
+        assert code == 0 and (r["seed"], r["count"], r["total"]) == (9, 300, 300), r
+
+    def test_sw_numbers_vanish(self, capsys, monkeypatch):
+        code, out, _ = cli(capsys, monkeypatch, "sw", "--numbers", fixture_file("digraph_d"))
+        assert code == 0 and "all_sw_numbers_zero=true" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, err", [
+        (["enumerate", "-n", "3", "--threads", "-1"], None),
+        (["enumerate", "-n", "0"], "error: dimension must be >= 1, got 0\n"),
+        (["enumerate", "-n", "21", "--mode", "sample", "--count", "2"],
+         "error: sampling: n=21 exceeds the cap 20\n"),
+        (["enumerate", "-n", "4", "--mode", "sample", "--count", "0", "--seed", "1"], None),
+    ], ids=["threads-minus-one", "n-zero", "sampling-cap", "count-zero"])
+    def test_enumerate_input_errors(self, capsys, monkeypatch, argv, err):
+        code, _, got = cli(capsys, monkeypatch, *argv)
+        assert code == 2
+        assert err is None or got == err
+
+    @pytest.mark.parametrize("stdin, err", [
+        ("0 1\n1 0\n", "error: matrix digraph contains a directed cycle\n"),
+        ("1 0\n0 0\n", "error: diagonal entry (1,1) is 1\n"),
+    ], ids=["cycle", "diagonal"])
+    def test_stdin_refusals(self, capsys, monkeypatch, stdin, err):
+        assert cli(capsys, monkeypatch, "check", "-", stdin=stdin) == (2, "", err)
+
+    def test_comment_holds_any_utf8(self, capsys, monkeypatch):
+        text = "# caf\u00e9 \u2014 \u03bb\n0 1 1 0\n0 0 1 1\n0 0 0 0\n0 0 0 0\n"
+        code, out, _ = cli(capsys, monkeypatch, "check", "-", stdin=text)
+        assert code == 0 and "orientable=true spin=true" in out.splitlines()
+
+    def test_twenty_cycle_refused_reversal_accepted(self, capsys, monkeypatch):
+        code, _, err = cli(capsys, monkeypatch, "check", "--matrix", CYCLE_20)
+        assert (code, err) == (2, "error: matrix digraph contains a directed cycle\n")
+        assert cli(capsys, monkeypatch, "check", "--matrix", REVERSAL_20)[0] == 0
+
+    @pytest.mark.parametrize("general, normalized, flags", [
+        (GENERAL_17, NORMALIZED_17, "orientable=true spin=false"),
+        (DENSE_GENERAL, DENSE_NORMALIZED, "orientable=true spin=false"),
+    ], ids=["n17", "dense-n20"])
+    def test_general_and_normalized_agree(self, capsys, monkeypatch, general, normalized,
+                                          flags):
+        fields = []
+        for rows in (general, normalized):
+            code, out, _ = cli(capsys, monkeypatch, "check", "--matrix", rows)
+            assert code == 0
+            fields.append(" ".join(out.split(" ")[:2]).rstrip("\n"))
+        assert fields == [flags, flags]
+
+    def test_dense_witness(self, capsys, monkeypatch):
+        code, out, _ = cli(capsys, monkeypatch, "check", "--matrix", DENSE_GENERAL)
+        assert code == 0
+        assert "orientable=true spin=false witness pair (1,5) P=0 Q=1" in out.splitlines()
+
+    @pytest.mark.parametrize("rows", [RIFFLED, RIFFLED_GENERAL], ids=["riffled", "general"])
+    def test_riffled_spin_sum(self, capsys, monkeypatch, rows):
+        code, out, _ = cli(capsys, monkeypatch, "check", "--matrix", rows)
+        assert code == 0 and "orientable=true spin=true" in out.splitlines()
+
+    @pytest.mark.parametrize("rows, flags", [
+        (NORMALIZED_17, (True, False)),
+        (ONES_12, (False, False)),
+        (RIFFLED, (True, True)),
+        (DENSE_NORMALIZED, (True, False)),
+    ], ids=["n17", "ones-n12", "riffled", "dense-n20"])
+    def test_ring_and_closed_form_flags(self, capsys, monkeypatch, rows, flags):
+        # sw's spin is null when not orientable
+        code, out, _ = cli(capsys, monkeypatch, "sw", "--matrix", rows, "--format", "json")
+        r = json.loads(out)
+        assert code == 0 and (r["orientable"], r["spin"] is True) == flags
+        code, out, _ = cli(capsys, monkeypatch, "check", "--matrix", rows, "--format", "json")
+        r = json.loads(out)
+        assert code == 0 and (r["orientable"], r["spin"]) == flags
+
+    @pytest.mark.parametrize("stdin, line", [
+        (b"0 1\r\n0 0\r\n", b"orientable=false spin=false witness row 1"),
+        # a comment, a blank line, CRLF, a tab, a no-break space and a U+2028 break
+        (b"# header\r\n\r\n0 1 1 0\r\n0\t0\xc2\xa01 1\xe2\x80\xa80 0 0 0\r\n0 0 0 0\n",
+         b"orientable=true spin=true"),
+        # the group and record separators break lines, the unit separator is an in-line space
+        (b"0\x1f1\x1d0 0\x1e", b"orientable=false spin=false witness row 1"),
+    ], ids=["crlf", "mixed-breaks", "separators"])
+    def test_stdin_bytes(self, stdin, line):
+        code, out, _ = cli_process("check", "-", stdin=stdin)
+        assert code == 0 and line in out.splitlines()
+
+    def test_lone_carriage_return_refused(self):
+        assert cli_process("check", "-", stdin=b"0\r \n;")[0] == 2
+
+    def test_non_utf8_argv_byte(self):
+        # a byte that is not UTF-8 reaches argv as a lone surrogate: a bad character
+        code, _, err = cli_process("check", "--matrix", b"0\xff;00")
+        assert (code, err) == (2, b"error: line 1: bad character '\\udcff'\n")

@@ -47,7 +47,7 @@ KLEIN = parse_matrix("0 1\n0 0")
 
 
 def masks(element):
-    return set(element.terms)
+    return set(element)
 
 
 class TestRingElement:
@@ -85,12 +85,6 @@ class TestRingElement:
         b = RingElement.from_masks({0b10, 0b100})
         assert masks(a + b) == {0b01, 0b100}
         assert (a + a).is_zero()
-
-    def test_degree_part(self):
-        e = RingElement.from_masks({0b0, 0b11, 0b101, 0b1})
-        assert masks(e.degree_part(2)) == {0b11, 0b101}
-        assert e.is_homogeneous(2) is False
-        assert e.degree_part(2).is_homogeneous(2)
 
 
 class TestReduceSquare:
@@ -133,7 +127,7 @@ class TestReduceSquare:
         for _ in range(30):
             m = random_bott(rng, rng.randint(2, 7))
             i = rng.randint(1, m.n)
-            assert reduce_square(m, i).is_homogeneous(2)
+            assert all(mask.bit_count() == 2 for mask in reduce_square(m, i))
 
 
 class TestMultiply:
@@ -208,7 +202,7 @@ class TestMultiply:
             a = _random_homogeneous(rng, n, p)
             b = _random_homogeneous(rng, n, q)
             prod = multiply(m, a, b)
-            assert prod.is_homogeneous(p + q)
+            assert all(mask.bit_count() == p + q for mask in prod)
 
 
 def _mask(indices):
@@ -315,7 +309,7 @@ class TestTotalClass:
             assert len(profile.classes) == m.n + 1
             assert str(profile.classes[0]) == "1"
             for k, w in enumerate(profile.classes):
-                assert w.is_homogeneous(k)
+                assert all(mask.bit_count() == k for mask in w)
 
     def test_one_pass_matches_linear_chain(self):
         # keep = -1 runs the rewrite loop over every column in one call; it

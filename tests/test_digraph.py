@@ -25,7 +25,7 @@ class TestBuild:
     def test_edgeless(self):
         D = build_digraph(BottMatrix.zero(3))
         assert all(D.out_degree(i) == 0 for i in range(1, 4))
-        assert all(D.in_degree(i) == 0 for i in range(1, 4))
+        assert D.in_masks == (0, 0, 0)
 
     def test_out_neighbour_sets(self):
         for fx in DIGRAPH_FIXTURES:
@@ -39,16 +39,14 @@ class TestBuild:
             D = build_digraph(m)
             for i in range(1, m.n + 1):
                 for j in range(1, m.n + 1):
-                    assert D.has_edge(i, j) == (
-                        1 if i in D.in_neighbours(j) else 0
-                    )
+                    assert D.out_masks[i - 1] >> (j - 1) & 1 == D.in_masks[j - 1] >> (i - 1) & 1
 
     def test_out_degree_is_row_sum(self, rng):
         for _ in range(50):
             m = random_bott(rng, rng.randint(1, 8))
             D = build_digraph(m)
             for i in range(1, m.n + 1):
-                assert D.out_degree(i) == m.row_sum(i)
+                assert D.out_degree(i) == m.rows[i - 1].bit_count()
 
 
 class TestCommonOut:

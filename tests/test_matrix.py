@@ -25,7 +25,6 @@ from realbott import (
     Permutation,
     conjugate,
     delete_leading,
-    leading_submatrix,
     load_matrix,
     matrix_from_json,
     build_digraph,
@@ -539,7 +538,6 @@ class TestConstruction:
                 seen = (repr(M), hash(M))
                 assert list(M.columns()) == cols
                 assert M.columns() is M.columns()
-                assert [M.column_mask(j) for j in range(1, n + 1)] == cols
                 assert M == fresh and fresh == M
                 assert (repr(M), hash(M)) == seen == (repr(fresh), hash(fresh))
                 assert list(fresh.columns()) == cols
@@ -560,7 +558,6 @@ class TestConstruction:
             normalize(G)[1],
             row_pair_matrix(C, 2, 4),
             delete_leading(C, 2),
-            leading_submatrix(C, 4),
             orientable_not_spin_family(7),
         ]
         for M in built:
@@ -862,15 +859,6 @@ class TestSubmatrices:
         with pytest.raises(IndexOutOfRange):
             delete_leading(m, 5)
 
-    def test_leading_submatrix(self):
-        m = orientable_not_spin_family(5)
-        lead = leading_submatrix(m, 3)
-        assert lead.n == 3
-        assert lead.entry(1, 2) == 1 and lead.entry(1, 3) == 1
-        assert leading_submatrix(m, 5) == m
-        with pytest.raises(IndexOutOfRange):
-            leading_submatrix(m, 0)
-
     def test_submatrices_stay_valid(self, rng):
         for _ in range(100):
             m = random_bott(rng, rng.randint(2, 8))
@@ -888,12 +876,10 @@ class TestSubmatrices:
             j = rng.randint(1, n - 1)
             k = rng.randint(j + 1, n)
             d = rng.randrange(n)
-            t = rng.randint(1, n)
             pair = [row if i in (j - 1, k - 1) else [0] * n for i, row in enumerate(grid)]
             for sub, expected in [
                 (row_pair_matrix(G, j, k), pair),
                 (delete_leading(G, d), [row[d:] for row in grid[d:]]),
-                (leading_submatrix(G, t), [row[:t] for row in grid[:t]]),
             ]:
                 assert type(sub) is GeneralBottMatrix
                 assert sub.to_lists() == expected

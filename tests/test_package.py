@@ -1,7 +1,9 @@
 """The package's public names and what a start loads: each exported name
-comes from its module on first access, and a CLI command imports only the
-modules it runs."""
+comes from its module on first access, every function that no other
+package code calls has a recorded reason to stay, and a CLI command imports
+only the modules it runs."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -15,7 +17,7 @@ import realbott
 #: The names `realbott` exports, by module.
 EXPORTS = {
     "cohomology": [
-        "RingElement", "SWProfile", "monomial_degree", "monomial_str", "multiply",
+        "RingElement", "SWProfile", "monomial_str", "multiply",
         "reduce_power_product", "reduce_square", "sw_number", "sw_partitions",
         "total_sw_class", "w1_formula", "w_top_minus_one", "wk_recursive",
     ],
@@ -37,7 +39,7 @@ EXPORTS = {
     "fixtures": ["orientable_not_spin_family"],
     "matrix": [
         "BottMatrix", "GeneralBottMatrix", "Permutation", "conjugate",
-        "delete_leading", "leading_submatrix", "load_matrix", "matrix_from_index",
+        "delete_leading", "load_matrix", "matrix_from_index",
         "matrix_from_json", "matrix_index", "normalize", "parse_matrix",
         "row_pair_matrix",
     ],
@@ -47,7 +49,7 @@ EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in name
 
 class TestPublicNames:
     def test_all_is_pinned(self):
-        assert len(EXPORTED) == 58
+        assert len(EXPORTED) == 56
         assert sorted(realbott.__all__) == sorted(name for _, name in EXPORTED)
 
     @pytest.mark.parametrize("module,name", EXPORTED)
@@ -68,6 +70,98 @@ class TestPublicNames:
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="'realbott' has no attribute 'no_such_name'"):
             getattr(realbott, "no_such_name")
+
+
+SRC = Path(realbott.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+BENCH = SRC.parents[1] / "bench"
+
+#: Each function or method of the package that no other code in it names,
+#: with the kind of reason it stays and the reason.  What the CLI or a sweep
+#: runs is named inside the package, so it never needs an entry here.
+UNCALLED_IN_SRC = {
+    "conjugate": ("criterion", "criteria 9 and 12 check conjugates"),
+    "entry": ("criterion", "criterion 8 sums entry products for the pair counts"),
+    "enumerate_all": ("criterion", "criteria 1, 2, 6, 7, 8, 11 and 12 run every matrix of an n"),
+    "fibre_chain_verdicts": ("criterion", "criterion 12: the fibres keep the top's flags"),
+    "from_lists": ("constructor", "a matrix from a 0/1 grid"),
+    "identity": ("constructor", "the identity permutation"),
+    "is_orientable": ("criterion", "criterion 12: orientable iff w_1 = 0"),
+    "is_zero": ("criterion", "criterion 11 reads w_1, w_2 and w_3 = 0 with it"),
+    "multiply": ("test reference", "the dense product; it and reduce_power_product check each other"),
+    "normalize": ("criterion", "criterion 9 round-trips conjugates through it"),
+    "one": ("constructor", "the ring's unit"),
+    "out_degree": ("criterion", "criterion 8 reads N_k as an out-degree"),
+    "pair_terms": ("criterion", "criterion 8 checks Q against C(N_k, 2)"),
+    "reduce_power_product": ("criterion", "criterion 10: both rewrite orders agree"),
+    "reduce_square": ("test reference", "reduce_power_product's squares are checked against it"),
+    "row_pair_matrix": ("criterion", "criterion 12: spin iff every two-row extraction is"),
+    "to_text": ("bench", "check-batch writes its input texts with it"),
+    "variable": ("constructor", "the generator y_i"),
+    "w1_formula": ("criterion", "criterion 12: the w_1 formula equals the ring's w_1"),
+    "w_top_minus_one": ("criterion", "criterion 6 checks it against the ring's w_{n-1}"),
+    "wk_recursive": ("criterion", "criterion 6 checks it against the ring's w_k"),
+}
+
+
+def _named(paths) -> set[str]:
+    """Every name and attribute name the files use."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _uncalled_in_src() -> tuple[set[str], set[str]]:
+    """(functions and methods that no other package code names, the
+    classmethods among all of them); special methods are left out, as the
+    language calls them."""
+    spans, named, classmethods = {}, [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                spans.setdefault(node.name, []).append((path, node.lineno, node.end_lineno))
+                if any(isinstance(d, ast.Name) and d.id == "classmethod"
+                       for d in node.decorator_list):
+                    classmethods.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                named.append((name, path, node.lineno))
+    called = {name for name, path, line in named if name in spans
+              and not any(p == path and a <= line <= b for p, a, b in spans[name])}
+    return set(spans) - called, classmethods
+
+
+class TestEveryNameEarnsItsPlace:
+    def test_uncalled_functions_are_the_listed_ones(self):
+        # a new uncalled function needs an entry; one that the package now
+        # calls, or that is gone, loses its entry
+        assert _uncalled_in_src()[0] == set(UNCALLED_IN_SRC)
+
+    def test_each_reason_holds(self):
+        where = {
+            "criterion": _named([TESTS / "test_acceptance.py"]),
+            "test reference": _named(TESTS.glob("*.py")),
+            "bench": _named(BENCH.glob("*.py")),
+            "constructor": _uncalled_in_src()[1],
+        }
+        for name, (kind, reason) in UNCALLED_IN_SRC.items():
+            assert name in where[kind], (name, kind, reason)
+
+    def test_bench_imports_resolve(self):
+        imported = []
+        for path in sorted(BENCH.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module in (
+                        "realbott", "realbott.enumeration"):
+                    imported += [(node.module, alias.name) for alias in node.names]
+        assert {"w1_formula", "is_spin_general", "index_space"} <= {n for _, n in imported}
+        for module, name in imported:
+            assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 MARK = "-- modules --"

@@ -131,13 +131,14 @@ def test_profile_classes_cached():
 
 
 def test_profile_flags_derived_once():
-    # total_sw_class stores the flags beside the fields; a profile built
-    # from the same fields derives equal ones on first read and keeps them
+    # both construction paths store the flags beside the fields when the
+    # profile is built, by the one rule of `_flags`
     for n in range(1, 6):
         for C in enumerate_all(n):
             profile = total_sw_class(C)
             assert {"orientable", "spin"} <= profile.__dict__.keys()
             built = cohomology.SWProfile(C, profile.total)
+            assert {"orientable", "spin"} <= built.__dict__.keys()
             assert (built.orientable, built.spin) == (profile.orientable, profile.spin)
             assert built.__dict__["spin"] is built.spin
             assert built == profile and repr(built) == repr(profile)
