@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
     p.add_argument("--count", type=int, default=1000, help="sample size (sample mode)")
     p.add_argument("--seed", type=int, default=0, help="sample seed (sample mode)")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker processes; 0 = all cores, 1 = serial")
+    p.add_argument("--threads", type=int, default=0, help="worker processes, one per run "
+                   "of 16384 indices at most; 0 = all cores, 1 = serial")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_enumerate)
 

@@ -58,11 +58,11 @@ BATCH = 1 << 14
 WINDOW = 4
 
 
-def _index_batches(n, mode, count, seed, cap, parts=1) -> Iterator[Sequence[int]]:
-    """The indices in order, in runs of equal size (the last one shorter),
-    at most BATCH and at most 1/`parts` of all, so that `parts` workers can
-    share even a short sweep.  Sample draws come from one seeded RNG as the
-    runs are read, so a seed gives the same indices whatever the run size."""
+def _index_batches(n, mode, count, seed, cap) -> Iterator[Sequence[int]]:
+    """The indices in order, in runs of BATCH (the last one shorter), so a
+    sweep of at most BATCH indices is one run and starts no pool.  Sample
+    draws come from one seeded RNG as the runs are read, so a seed gives the
+    same indices whatever the run size."""
     _check_dimension(n, "sampling: " if mode == "sample" else None)
     if mode == "exhaustive":
         limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
@@ -83,13 +83,12 @@ def _index_batches(n, mode, count, seed, cap, parts=1) -> Iterator[Sequence[int]
         total = count
     else:
         raise BottError(f"unknown mode {mode!r}")
-    size = min(BATCH, -(-total // parts))
-    starts = range(0, total, size)
+    starts = range(0, total, BATCH)
     if mode == "exhaustive":
-        return (range(lo, min(lo + size, total)) for lo in starts)
+        return (range(lo, min(lo + BATCH, total)) for lo in starts)
     rng = random.Random(seed)
     space = index_space(n)
-    return ([rng.randrange(space) for _ in range(min(size, total - lo))] for lo in starts)
+    return ([rng.randrange(space) for _ in range(min(BATCH, total - lo))] for lo in starts)
 
 
 def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
@@ -235,12 +234,12 @@ def sweep(
 ) -> SweepReport:
     """Evaluate every enumerated matrix on all criteria and tally.
 
-    With jobs > 1 the indices are split into contiguous runs of at most
-    BATCH, shared among min(jobs, CPU count) worker processes with at most
-    WINDOW runs per worker in flight; merged results are
-    identical to the serial ones.  At n=4 exhaustive the spin set is additionally
-    matched against the packaged list of the eight dimension-4 spin
-    matrices (reference_ok); each index is visited once, so a spin count
+    The indices go in contiguous runs of BATCH.  One run, or jobs=1, runs in
+    this process; more are shared among min(jobs, CPU count, runs) worker
+    processes with at most WINDOW runs per worker in flight, and merged
+    results are identical to the serial ones.  At n=4 exhaustive the spin set
+    is additionally matched against the packaged list of the eight dimension-4
+    spin matrices (reference_ok); each index is visited once, so a spin count
     equal to the list's size with every listed matrix spin means equal sets.
     """
     start = time.perf_counter()
@@ -249,7 +248,7 @@ def sweep(
     # More workers than cores only adds start-up cost, and fork starts them
     # all at once
     jobs = max(1, min(jobs, os.cpu_count() or 1))
-    batches = _index_batches(n, mode, count, seed, cap, parts=jobs)
+    batches = _index_batches(n, mode, count, seed, cap)
     total = orientable = spin = 0
     mismatches: list[dict] = []
     for t, o, s, mm in _chunk_results(((n, batch) for batch in batches), jobs):

@@ -347,6 +347,7 @@ def rows_text(rows):
 CYCLE_20 = rows_text([[int(j == (i + 1) % 20) for j in range(20)] for i in range(20)])
 REVERSAL_20 = rows_text([[int(j == i - 1) for j in range(20)] for i in range(20)])
 ONES_12 = ";".join("0" * (i + 1) + "1" * (11 - i) for i in range(12))
+ONES_14 = ";".join("0" * (i + 1) + "1" * (13 - i) for i in range(14))
 GENERAL_17 = (
     "00100001000101000;10000101011100011;00000000000000000;00100000000001000;"
     "00100010000000000;00000000000000000;00000000001000001;00100000101001110;"
@@ -406,6 +407,43 @@ class TestWorkflowChecks:
                            "--count", "300", "--seed", "9", "--threads", "1", "--format", "json")
         r = json.loads(out)
         assert code == 0 and (r["seed"], r["count"], r["total"]) == (9, 300, 300), r
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """Four cores, and a process pool that fails the test if it starts."""
+        def refuse(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers started")
+
+        monkeypatch.setattr("realbott.enumeration.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+
+    @pytest.mark.parametrize("argv, env_cap, fragments", [
+        (["-n", "5", "--format", "json"], None, ['"total": 1024', '"mismatches": []']),
+        (["-n", "4"], None, ["reference_ok=true"]),
+        (["-n", "6", "--mode", "sample", "--count", "50", "--seed", "1"], "5", [" total=50 "]),
+        # one sample sweep per decoder lane width (8, 16 and 32 bits)
+        (["-n", "7", "--mode", "sample", "--count", "5000", "--seed", "3"], None,
+         [" total=5000 orientable=82 spin=3 mismatches=0 "]),
+        (["-n", "9", "--mode", "sample", "--count", "2000", "--seed", "4"], None,
+         [" total=2000 ", " mismatches=0 "]),
+        (["-n", "20", "--mode", "sample", "--count", "100", "--seed", "6"], None,
+         [" total=100 ", " mismatches=0 "]),
+    ], ids=["n5-json", "n4-reference", "sample-n6-env-cap", "sample-n7", "sample-n9",
+            "sample-n20"])
+    def test_one_run_sweeps(self, capsys, monkeypatch, no_pool, argv, env_cap, fragments):
+        # the default --threads: each sweep is one run, so no pool starts
+        if env_cap is not None:
+            monkeypatch.setenv("BOTT_MAX_N", env_cap)
+        code, out, _ = cli(capsys, monkeypatch, "enumerate", *argv)
+        assert code == 0
+        assert all(fragment in out for fragment in fragments), out
+
+    def test_sw_numbers_long_prefix_chains(self, capsys, monkeypatch, no_pool):
+        # the all-ones n = 14 matrix has 135 partitions
+        code, out, _ = cli(capsys, monkeypatch, "sw", "--numbers", "--matrix", ONES_14)
+        lines = out.splitlines()
+        assert code == 0 and sum(line.startswith("sw_number[") for line in lines) == 135
+        assert "all_sw_numbers_zero=true" in lines
 
     def test_sw_numbers_vanish(self, capsys, monkeypatch):
         code, out, _ = cli(capsys, monkeypatch, "sw", "--numbers", fixture_file("digraph_d"))

@@ -308,9 +308,10 @@ class TestSweep:
         assert r.spin_count <= r.orientable_count <= r.total
         assert r.mismatches == []
 
-    @pytest.mark.parametrize("cores, workers", [(4, 4), (64, 8)])
-    def test_workers_capped(self, cores, workers, monkeypatch):
-        # min(jobs, chunks, cores): n=3 has 8 indices, so at most 8 chunks
+    @staticmethod
+    def pools_started(monkeypatch, cores):
+        """The worker counts of the pools a sweep starts, on `cores` cores,
+        with an in-process pool standing in for the real one."""
         started = []
 
         class SerialPool:
@@ -330,6 +331,13 @@ class TestSweep:
 
         monkeypatch.setattr("realbott.enumeration.ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr("os.cpu_count", lambda: cores)
+        return started
+
+    @pytest.mark.parametrize("cores, workers", [(4, 4), (64, 8)])
+    def test_workers_capped(self, cores, workers, monkeypatch):
+        # min(jobs, runs, cores): runs of one index give n=3 its 8 runs
+        monkeypatch.setattr(enumeration, "BATCH", 1)
+        started = self.pools_started(monkeypatch, cores)
         report = sweep(3, jobs=10**6).to_json_dict()
         assert started == [workers]
         serial = sweep(3, jobs=1).to_json_dict()
@@ -337,7 +345,14 @@ class TestSweep:
         serial.pop("elapsed_ms")
         assert report == serial
 
-    def test_parallel_matches_serial(self):
+    def test_one_run_starts_no_pool(self, monkeypatch):
+        started = self.pools_started(monkeypatch, 64)
+        assert sweep(5, jobs=10**6).total == 1024
+        assert started == []
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        # runs of 16 give n=4 four runs, so the real pool starts
+        monkeypatch.setattr(enumeration, "BATCH", 16)
         serial = sweep(4, jobs=1).to_json_dict()
         parallel = sweep(4, jobs=3).to_json_dict()
         serial.pop("elapsed_ms")

@@ -214,3 +214,14 @@ class TestStartupImports:
         loaded = loaded_after(cli_main("enumerate", "-n", "4", "--threads", "1"))
         assert "realbott.enumeration" in loaded
         assert "concurrent.futures.process" not in loaded
+
+    def test_one_run_sweeps_load_no_pool(self):
+        # the default --threads on four cores: each sweep is one run of at most BATCH
+        code = "\n".join(["import os", "os.cpu_count = lambda: 4",
+                          cli_main("enumerate", "-n", "4"),
+                          cli_main("enumerate", "-n", "5"),
+                          cli_main("enumerate", "-n", "6", "--mode", "sample",
+                                   "--count", "50", "--seed", "1")])
+        loaded = loaded_after(code)
+        assert "realbott.enumeration" in loaded
+        assert "concurrent.futures.process" not in loaded
