@@ -303,25 +303,21 @@ class SWProfile:
     orientable/spin flags.  The SW numbers (on demand) are `sw_number`'s,
     which reads the matrix's own classes, not `total`.
 
-    The matrix must be triangular and within the ring's cap, and `total` a
-    non-negative int with no monomial beyond y_n; whether it is the matrix's
-    class is not checked.  The flags, orientable (w_1 = 0) and spin (w_2 = 0
-    when orientable, None otherwise), are derived by `_flags` when the
-    profile is built, here as in `total_sw_class`."""
+    The generated constructor checks that the matrix is triangular and within
+    the ring's cap, and `total` a non-negative int with no monomial beyond
+    y_n, not that it is the matrix's class; `total_sw_class` skips the checks.
+    Both store the flags by `_flags`: orientable (w_1 = 0) and spin (w_2 = 0
+    when orientable, None otherwise)."""
 
     matrix: BottMatrix
     total: int
 
-    def __init__(self, matrix: BottMatrix, total: int) -> None:  # see digraph.BottDigraph
-        # one test; the owners of the four rules raise their own errors
-        if (not isinstance(matrix, BottMatrix) or matrix.n > MAX_SINGLE_N
-                or type(total) is not int or total < 0 or total >> (1 << matrix.n)):
-            _ring_columns(matrix)  # before any table of that n is built
-            _check_int(total, "total class", nonnegative=True)
-            _check_element(matrix, total)
-        d = self.__dict__
-        d["matrix"], d["total"] = matrix, total
-        d["orientable"], d["spin"] = _flags(matrix.n, total, _ring_tables(matrix.n)[1])
+    def __post_init__(self) -> None:
+        _ring_columns(self.matrix)  # before any table of that n is built
+        _check_int(self.total, "total class", nonnegative=True)
+        _check_element(self.matrix, self.total)
+        d, n = self.__dict__, self.matrix.n
+        d["orientable"], d["spin"] = _flags(n, self.total, _ring_tables(n)[1])
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
@@ -359,7 +355,7 @@ def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
     columns of C; the profile splits it by degree."""
     if not isinstance(C, BottMatrix) or C.n > MAX_SINGLE_N:
-        _ring_columns(C)  # only to raise, as in SWProfile.__init__
+        _ring_columns(C)  # only to raise, as in SWProfile.__post_init__
     cols = C.columns()
     lanes, degrees = _ring_tables(C.n)
     profile = object.__new__(SWProfile)  # C and its class pass SWProfile's checks

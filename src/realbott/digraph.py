@@ -23,15 +23,6 @@ class BottDigraph:
     out_masks: tuple[int, ...]
     in_masks: tuple[int, ...]
 
-    # `build_digraph` builds one per matrix.  An __init__ in the class body
-    # keeps @dataclass from generating its frozen one, which sets each field
-    # through object.__setattr__ at several times the cost; this one stores
-    # each field into the instance __dict__, with no keyword dict built.
-    # Equality, hashing, repr, fields() and replace() are unchanged.
-    def __init__(self, n: int, out_masks: tuple[int, ...], in_masks: tuple[int, ...]) -> None:
-        d = self.__dict__
-        d["n"], d["out_masks"], d["in_masks"] = n, out_masks, in_masks
-
     def out_neighbours(self, i: int) -> tuple[int, ...]:
         """1-based vertices reachable by one edge from u_i."""
         _check_index(i, self.n, "vertex")
@@ -52,8 +43,12 @@ def _vertices(mask: int) -> tuple[int, ...]:
 
 
 def build_digraph(M: AnyBottMatrix) -> BottDigraph:
-    """Digraph whose adjacency matrix is M (already validated acyclic)."""
-    return BottDigraph(M.n, M.rows, M.columns())
+    """Digraph whose adjacency matrix is M (already validated acyclic); one
+    per matrix, so its fields go straight into the instance __dict__."""
+    D = object.__new__(BottDigraph)
+    d = D.__dict__
+    d["n"], d["out_masks"], d["in_masks"] = M.n, M.rows, M.columns()
+    return D
 
 
 def common_out(D: BottDigraph, j: int, k: int) -> int:

@@ -34,7 +34,8 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import BottMatrix, _check_dimension, index_space, matrix_from_index, matrix_index
+from .matrix import (AnyBottMatrix, BottMatrix, _check_dimension, index_space, matrix_from_index,
+                     matrix_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 7
 
@@ -239,8 +240,7 @@ def sweep(
     processes with at most WINDOW runs per worker in flight, and merged
     results are identical to the serial ones.  At n=4 exhaustive the spin set
     is additionally matched against the packaged list of the eight dimension-4
-    spin matrices (reference_ok); each index is visited once, so a spin count
-    equal to the list's size with every listed matrix spin means equal sets.
+    spin matrices (reference_ok, by `_spin_set_ok`).
     """
     start = time.perf_counter()
     if type(jobs) is not int:
@@ -258,9 +258,7 @@ def sweep(
         mismatches.extend(mm)
     reference_ok = None
     if mode == "exhaustive" and n == 4:
-        expected = {matrix_index(load_fixture(name)) for name in DIM4_SPIN_LIST}
-        listed_spin = all(is_spin(matrix_from_index(4, i)).spin for i in expected)
-        reference_ok = spin == len(expected) and listed_spin
+        reference_ok = _spin_set_ok([load_fixture(name) for name in DIM4_SPIN_LIST], spin)
     return SweepReport(
         n=n,
         mode=mode,
@@ -274,6 +272,12 @@ def sweep(
         elapsed=time.perf_counter() - start,
         cap=(DEFAULT_EXHAUSTIVE_CAP if cap is None else cap) if mode == "exhaustive" else None,
     )
+
+
+def _spin_set_ok(listed: Sequence[AnyBottMatrix], spin: int) -> bool:
+    """Whether `listed` is the whole spin set of an n=4 sweep that counted `spin`."""
+    return all(isinstance(M, BottMatrix) and M.n == 4 and is_spin(M).spin for M in listed) and (
+        len({matrix_index(M) for M in listed}) == len(listed) == spin)
 
 
 @dataclass
@@ -354,18 +358,19 @@ def verify_fixture_suite(directory: Path | str | None = None) -> VerificationRep
     digraph examples with their expected neighbour data."""
     report = verify_representatives(directory)
 
-    for name in DIM4_SPIN_LIST:
-        matrix = load_fixture(name, directory)
+    listed = [load_fixture(name, directory) for name in DIM4_SPIN_LIST]
+    for name, matrix in zip(DIM4_SPIN_LIST, listed):
         orientable, spin, mismatch = evaluate_matrix(matrix)
         report.add(name, mismatch is None and orientable and spin,
                    f"orientable={orientable} spin={spin}")
     sweep4 = sweep(4, "exhaustive")
+    listed_ok = _spin_set_ok(listed, sweep4.spin_count)
     report.add(
         "dimension-4 exhaustive sweep",
-        sweep4.ok and sweep4.orientable_count == 8 and sweep4.spin_count == 8
-        and sweep4.reference_ok is True,
+        not sweep4.mismatches and sweep4.orientable_count == sweep4.spin_count == 8
+        and listed_ok,
         f"orientable={sweep4.orientable_count} spin={sweep4.spin_count} "
-        f"reference_ok={sweep4.reference_ok}",
+        f"reference_ok={listed_ok}",
     )
 
     for fx in DIGRAPH_FIXTURES:

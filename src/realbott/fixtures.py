@@ -22,12 +22,15 @@ def default_fixture_dir() -> Path:
 
 def load_fixture(name: str, directory: Path | str | None = None) -> AnyBottMatrix:
     """Parse the named fixture (no .txt suffix) from the given directory,
-    defaulting to the packaged data."""
+    defaulting to the packaged data; an error names the file once."""
     base = Path(directory) if directory is not None else default_fixture_dir()
     path = base / f"{name}.txt"
     if not path.is_file():
         raise BottError(f"fixture file missing: {path}")
-    return load_matrix(path)
+    try:
+        return load_matrix(path)
+    except BottError as exc:  # `load_matrix` names the file of a non-UTF-8 one
+        raise type(exc)(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from exc
 
 
 #: Orientable representatives per dimension and which of them are spin.

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realbott
-from realbott import NonBinary, NonSquare, load_matrix, matrix_from_json
+from realbott import NonBinary, NonSquare, enumeration, load_matrix, matrix_from_json
 from realbott.cli import main
 from realbott.fixtures import default_fixture_dir
 
@@ -246,6 +246,15 @@ class TestEnumerate:
     def test_cap_exit_2(self, capsys):
         assert main(["enumerate", "-n", "30"]) == 2
 
+    def test_threads_help_states_batch(self, capsys):
+        # the parser may not import `enumeration` (`check` must not load it),
+        # so the run size is written in both places
+        with pytest.raises(SystemExit):
+            main(["enumerate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(r"one per run of (\d+) indices at most", help_text)[1] == str(
+            enumeration.BATCH)
+
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("BOTT_MAX_N", "3")
         assert main(["enumerate", "-n", "4", "--threads", "1"]) == 2
@@ -311,6 +320,25 @@ class TestVerifyPaper:
         assert main(["verify-paper", "--fixtures", str(fixtures)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "reps_n4_1.txt: not UTF-8" in err
+        assert err.count("reps_n4_1.txt") == 1
+
+    def test_incomplete_spin4_list_exit_1(self, tmp_path, capsys):
+        # eight spin matrices of size 4, but one twice: not the whole spin set
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        shutil.copyfile(fixtures / "spin4_0.txt", fixtures / "spin4_3.txt")
+        assert main(["verify-paper", "--fixtures", str(fixtures)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL dimension-4 exhaustive sweep: orientable=8 spin=8 reference_ok=False"]
+
+    def test_unparsable_fixture_named_exit_2(self, tmp_path, capsys):
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        (fixtures / "reps_n3_1.txt").write_text("0 1 x\n")
+        assert main(["verify-paper", "--fixtures", str(fixtures)]) == 2
+        path = fixtures / "reps_n3_1.txt"
+        assert capsys.readouterr().err == f"error: {path}: line 1: bad character 'x'\n"
 
     def test_empty_dir_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
@@ -399,8 +427,8 @@ DENSE_NORMALIZED = (
 
 
 class TestWorkflowChecks:
-    """The end-to-end CLI checks that start no process pool, with the
-    commands, output and exit codes of the workflow lines they replace."""
+    """The end-to-end CLI checks, in process, with the commands, output and
+    exit codes of the workflow lines they replace."""
 
     def test_sample_json_parameters(self, capsys, monkeypatch):
         code, out, _ = cli(capsys, monkeypatch, "enumerate", "-n", "5", "--mode", "sample",
@@ -437,6 +465,46 @@ class TestWorkflowChecks:
         code, out, _ = cli(capsys, monkeypatch, "enumerate", *argv)
         assert code == 0
         assert all(fragment in out for fragment in fragments), out
+
+    @pytest.fixture
+    def pool_of_two(self, monkeypatch):
+        """Two cores, and the worker count of each process pool that starts."""
+        started = []
+        pool = enumeration.ProcessPoolExecutor
+
+        def record(max_workers):
+            started.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr("realbott.enumeration.ProcessPoolExecutor", record)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        return started
+
+    # n = 6 is two runs of BATCH, so these sweeps share them among two workers
+    def test_pool_csv_matches_serial(self, capsys, monkeypatch, pool_of_two):
+        rows = []
+        for threads in ("2", "1"):
+            code, out, _ = cli(capsys, monkeypatch, "enumerate", "-n", "6", "--threads", threads,
+                               "--format", "csv")
+            assert code == 0
+            rows.append([line.rsplit(",", 1)[0] for line in out.splitlines()])  # no elapsed_ms
+        assert rows[0] == rows[1] and "6,32768,1024,176,0" in rows[1]
+        assert pool_of_two == [2]
+
+    def test_pool_default_threads(self, capsys, monkeypatch, pool_of_two):
+        code, out, _ = cli(capsys, monkeypatch, "enumerate", "-n", "6")
+        assert code == 0 and " total=32768 orientable=1024 spin=176 mismatches=0 " in out
+        assert pool_of_two == [2]
+
+    def test_pool_json(self, capsys, monkeypatch, pool_of_two):
+        code, out, _ = cli(capsys, monkeypatch, "enumerate", "-n", "6", "--threads", "2",
+                           "--format", "json")
+        r = json.loads(out)
+        assert code == 0 and r["mismatches"] == [], r
+        assert (r["total"], r["orientable"], r["spin"]) == (32768, 1024, 176), r
+        assert r["version"] == realbott.__version__, r
+        assert (r["seed"], r["count"]) == (None, None), r
+        assert pool_of_two == [2]
 
     def test_sw_numbers_long_prefix_chains(self, capsys, monkeypatch, no_pool):
         # the all-ones n = 14 matrix has 135 partitions
@@ -535,3 +603,12 @@ class TestWorkflowChecks:
         # a byte that is not UTF-8 reaches argv as a lone surrogate: a bad character
         code, _, err = cli_process("check", "--matrix", b"0\xff;00")
         assert (code, err) == (2, b"error: line 1: bad character '\\udcff'\n")
+
+
+if __name__ == "__main__":
+    # the exhaustive n = 7 sweep over two workers, about 25 s on two cores: a CI step
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(["enumerate", "-n", "7", "--threads", "2"])
+    line = out.getvalue()
+    assert code == 0 and " total=2097152 orientable=32768 spin=1482 mismatches=0 " in line, line
+    print(line, end="")

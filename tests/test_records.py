@@ -1,9 +1,10 @@
 """Value semantics of the records against plain frozen-dataclass
 declarations of the same fields: construction, ==, hash, repr,
 immutability, fields(), replace() and pickling must not tell them apart.
-The verdict records are generated dataclasses; `BottDigraph` and
-`SWProfile`, built once per matrix, store each field into the instance
-__dict__ in their own __init__."""
+Every record has its generated constructor; `build_digraph` and
+`total_sw_class`, which build one per matrix, skip it and store each field
+into the instance __dict__, and what they build must be indistinguishable
+from what the constructor builds."""
 
 import dataclasses
 import itertools
@@ -12,7 +13,7 @@ from dataclasses import FrozenInstanceError, dataclass
 
 import pytest
 
-from realbott import BottMatrix, enumerate_all, matrix_from_index, total_sw_class
+from realbott import BottMatrix, build_digraph, enumerate_all, matrix_from_index, total_sw_class
 from realbott import cohomology, criteria, digraph
 
 
@@ -142,3 +143,22 @@ def test_profile_flags_derived_once():
             assert (built.orientable, built.spin) == (profile.orientable, profile.spin)
             assert built.__dict__["spin"] is built.spin
             assert built == profile and repr(built) == repr(profile)
+
+
+def assert_alike(fast, built):
+    """`fast` from a per-matrix builder, `built` by the constructor: the same
+    state, flags included, under ==, hash, repr, pickling and replace()."""
+    assert type(fast) is type(built) and vars(fast) == vars(built)
+    assert fast == built and (repr(fast), hash(fast)) == (repr(built), hash(built))
+    for a, b in [(pickle.loads(pickle.dumps(fast)), built),
+                 (dataclasses.replace(fast), dataclasses.replace(built))]:
+        assert type(a) is type(b) and vars(a) == vars(b)
+        assert a == b and (repr(a), hash(a)) == (repr(b), hash(b))
+
+
+def test_builders_match_constructors():
+    for n in range(1, 5):
+        for M in enumerate_all(n):
+            assert_alike(build_digraph(M), digraph.BottDigraph(M.n, M.rows, M.columns()))
+            profile = total_sw_class(M)
+            assert_alike(profile, cohomology.SWProfile(M, profile.total))
