@@ -90,10 +90,8 @@ def cmd_sw(args) -> int:
 
 
 def cmd_digraph(args) -> int:
-    from .digraph import build_digraph, digraph_spin, export_dot
-    m = _read_matrix(args)
-    D = build_digraph(m)
-    dot = export_dot(D, digraph_spin(D))
+    from .digraph import build_digraph, export_dot
+    dot = export_dot(build_digraph(_read_matrix(args)))
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
     else:

@@ -54,7 +54,7 @@ from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _
 
 def monomial_str(mask: int) -> str:
     """"y1*y3" style rendering; the empty monomial renders as "1"."""
-    _check_int(mask, "monomial mask", nonnegative=True)
+    _check_int(mask, "monomial mask")
     return _monomial_strs([mask])[0]
 
 
@@ -122,7 +122,7 @@ class RingElement:
     bits: int
 
     def __post_init__(self) -> None:
-        _check_int(self.bits, "ring element bitset", nonnegative=True)
+        _check_int(self.bits, "ring element bitset")
 
     @classmethod
     def zero(cls) -> "RingElement":
@@ -314,7 +314,7 @@ class SWProfile:
 
     def __post_init__(self) -> None:
         _ring_columns(self.matrix)  # before any table of that n is built
-        _check_int(self.total, "total class", nonnegative=True)
+        _check_int(self.total, "total class")
         _check_element(self.matrix, self.total)
         d, n = self.__dict__, self.matrix.n
         d["orientable"], d["spin"] = _flags(n, self.total, _ring_tables(n)[1])

@@ -70,22 +70,15 @@ def digraph_spin(D: BottDigraph) -> SpinVerdict:
     return _verdict(*_scan(D.out_masks, D.in_masks, _pair_bit_tables(D.n)[1]))
 
 
-def export_dot(D: BottDigraph, verdict: SpinVerdict | None = None) -> str:
+def export_dot(D: BottDigraph) -> str:
     """Graphviz DOT text, byte-stable: vertices u1..un, edges in row-major
-    order.  With a verdict, the graph label states the flags and every
+    order.  The graph label states the flags of `digraph_spin(D)` and every
     failing pair is drawn dashed red (as an extra non-constraint line when
     the pair is not an edge)."""
-    failing = set()
-    if verdict is not None:
-        failing = {
-            (w.j, w.k) for w in verdict.witnesses if isinstance(w, PairWitness)
-        }
-    lines = ["digraph {"]
-    if verdict is not None:
-        lines.append(
-            f'  label="orientable={str(verdict.orientable).lower()} '
-            f'spin={str(verdict.spin).lower()}";'
-        )
+    verdict = digraph_spin(D)
+    failing = {(w.j, w.k) for w in verdict.witnesses if isinstance(w, PairWitness)}
+    lines = ["digraph {", f'  label="orientable={str(verdict.orientable).lower()} '
+             f'spin={str(verdict.spin).lower()}";']
     for i in range(1, D.n + 1):
         lines.append(f"  u{i};")
     annotated = set()

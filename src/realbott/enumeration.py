@@ -65,6 +65,9 @@ def _index_batches(n, mode, count, seed, cap) -> Iterator[Sequence[int]]:
     draws come from one seeded RNG as the runs are read, so a seed gives the
     same indices whatever the run size."""
     _check_dimension(n, "sampling: " if mode == "sample" else None)
+    # type(): True is no cap or seed; a seed may be negative, so not `_check_int`
+    if cap is not None and type(cap) is not int:
+        raise BottError(f"cap must be an int, got {cap!r}")
     if mode == "exhaustive":
         limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
         if n > limit:
@@ -79,6 +82,8 @@ def _index_batches(n, mode, count, seed, cap) -> Iterator[Sequence[int]]:
     elif mode == "sample":
         if seed is None:
             raise BottError("sample mode requires a seed")
+        if type(seed) is not int:
+            raise BottError(f"seed must be an int, got {seed!r}")
         if type(count) is not int or count < 1:
             raise BottError("sample mode requires a positive count")
         total = count
@@ -284,7 +289,7 @@ def _spin_set_ok(listed: Sequence[AnyBottMatrix], spin: int) -> bool:
 class CheckResult:
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
@@ -302,7 +307,7 @@ class VerificationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.ok]
 
-    def add(self, name: str, ok: bool, detail: str = "") -> None:
+    def add(self, name: str, ok: bool, detail: str) -> None:
         self.checks.append(CheckResult(name, ok, detail))
 
     def to_json_dict(self) -> dict:

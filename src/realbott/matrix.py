@@ -189,11 +189,11 @@ def _check_dimension(n: int, capped: str | None = None) -> None:
         raise DimensionTooLarge(f"{capped}n={n} exceeds the cap {MAX_SINGLE_N}")
 
 
-def _check_int(x: int, what: str, nonnegative: bool = False) -> None:
-    """Refuse a non-int (bool included), and a negative int if asked."""
+def _check_int(x: int, what: str) -> None:
+    """Refuse a non-int (bool included), and a negative int."""
     if type(x) is not int:
         raise IndexOutOfRange(f"{what} must be an int, got {x!r}")
-    if nonnegative and x < 0:
+    if x < 0:
         raise IndexOutOfRange(f"{what} {x} is negative")
 
 
@@ -296,7 +296,7 @@ _ASCII_SPACE = {**_DROP_INLINE_SPACE, 0x85: "\n", 0x2028: "\n", 0x2029: "\n"}
 _INLINE_BYTES, _BREAKS = b"\t\x1f ", bytes.maketrans(b"\x1c\x1d\x1e", b"\n\n\n")
 
 
-def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
+def parse_matrix(text: str) -> AnyBottMatrix:
     """Parse a 0/1 grid into a BottMatrix, or a GeneralBottMatrix when the
     grid is not upper triangular but still has zero diagonal and an acyclic
     digraph.
@@ -305,7 +305,7 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
     are the entries, so "0 1 1 0", "0110" and "01 10" are the same row.
     Blank lines and lines whose first non-space character is '#' are
     ignored.  Errors are reported in this order: the first bad character of
-    the first bad line, ragged rows, a non-square grid, the ``max_n`` cap.
+    the first bad line, ragged rows, a non-square grid, n above MAX_SINGLE_N.
 
     It reads the text as UTF-8 bytes (a non-ASCII character that is not a
     space is bad outside a comment), splits them at line breaks, checks all
@@ -335,13 +335,11 @@ def parse_matrix(text: str, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
             if len(bits) != n:
                 raise NonSquare(f"row {i} has {len(bits)} entries, expected {n}")
         raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
-    if max_n is not None and n > max_n:
-        raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
     return _matrix_from_word(int(word[::-1], 2), n, m)
 
 
-def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
-    """Build a matrix from ``{"n": int, "rows": [[0,1,...], ...]}``."""
+def matrix_from_json(data: Union[str, dict]) -> AnyBottMatrix:
+    """Build a matrix from ``{"n": int, "rows": [[0,1,...], ...]}``, n <= MAX_SINGLE_N."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -360,19 +358,17 @@ def matrix_from_json(data: Union[str, dict], max_n: int | None = MAX_SINGLE_N) -
         raise NonSquare(f'"n" is {n} but {len(rows)} rows given')
     _check_dimension(n)
     masks = _grid_masks(rows)
-    if max_n is not None and n > max_n:
-        raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
     m = 1 << (n - 1).bit_length()
     return _matrix_from_word(sum(row << i * m for i, row in enumerate(masks)), n, m)
 
 
-def load_matrix(path, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
+def load_matrix(path) -> AnyBottMatrix:
     """Read a matrix file, JSON or text grid (auto-detected)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _read_stream(fh, path, max_n)
+        return _read_stream(fh, path)
 
 
-def _read_stream(fh: TextIO, name, max_n: int | None = MAX_SINGLE_N) -> AnyBottMatrix:
+def _read_stream(fh: TextIO, name) -> AnyBottMatrix:
     """Read a text stream to the end and parse it as JSON when it starts
     with '{', else as a text grid; a decoding error becomes NonBinary."""
     try:
@@ -380,8 +376,8 @@ def _read_stream(fh: TextIO, name, max_n: int | None = MAX_SINGLE_N) -> AnyBottM
     except UnicodeDecodeError as exc:
         raise NonBinary(f"{name}: not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
-        return matrix_from_json(text, max_n=max_n)
-    return parse_matrix(text, max_n=max_n)
+        return matrix_from_json(text)
+    return parse_matrix(text)
 
 
 @lru_cache(maxsize=8)
@@ -445,7 +441,10 @@ def _check_word(x: int, n: int, m: int, triangular: bool) -> tuple[bool, tuple[i
 
 def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
     """The matrix whose entry (i, j) is bit i*m + j of `x`, each of the n
-    rows an m-bit lane with nothing beyond column n."""
+    rows an m-bit lane with nothing beyond column n; both readers end here,
+    so it refuses n > MAX_SINGLE_N (`_check_dimension` is called only to raise)."""
+    if n > MAX_SINGLE_N:
+        _check_dimension(n, "parsing: ")
     upper, cols = _check_word(x, n, m, False)
     return (BottMatrix if upper else GeneralBottMatrix)._trusted(n, _lanes(x, n, m), cols)
 

@@ -3,7 +3,8 @@
 element's bits are ints, the bits non-negative.  2.0 and True compare
 equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
-its one owner in `realbott.matrix`.  `multiply` also refuses an element
+its one owner in `realbott.matrix`.  A sweep's `cap` and sample `seed`
+must be ints too, the seed of any sign.  `multiply` also refuses an element
 with variables beyond the matrix's own, and `SWProfile` a total class with
 them, a general matrix, a matrix above the ring's cap or anything else
 as its matrix."""
@@ -17,6 +18,7 @@ from realbott import (
     DimensionTooLarge,
     GeneralBottMatrix,
     IndexOutOfRange,
+    NonBinary,
     NonSquare,
     Permutation,
     RingElement,
@@ -26,10 +28,12 @@ from realbott import (
     delete_leading,
     enumerate_all,
     matrix_from_index,
+    matrix_from_json,
     monomial_str,
     multiply,
     orientable_not_spin_family,
     pair_terms,
+    parse_matrix,
     reduce_power_product,
     reduce_square,
     row_pair_matrix,
@@ -55,6 +59,18 @@ REFUSALS = [
     ("sweep-bool-count", lambda: sweep(3, "sample", count=True, seed=1), BottError,
      "requires a positive count"),
     ("sweep-float-jobs", lambda: sweep(3, jobs=2.0), BottError, "jobs must be an int, got 2.0"),
+    ("sweep-str-cap", lambda: sweep(3, cap="7"), BottError, "cap must be an int, got '7'"),
+    ("sweep-bool-cap", lambda: sweep(3, cap=True), BottError, "cap must be an int, got True"),
+    ("enumerate_all-str-cap", lambda: next(enumerate_all(3, cap="9")), BottError,
+     "cap must be an int, got '9'"),
+    ("sweep-list-seed", lambda: sweep(3, "sample", count=5, seed=[1]), BottError,
+     "seed must be an int, got [1]"),
+    ("sweep-str-seed", lambda: sweep(3, "sample", count=5, seed="x"), BottError,
+     "seed must be an int, got 'x'"),
+    ("sweep-float-seed", lambda: sweep(3, "sample", count=5, seed=1.5), BottError,
+     "seed must be an int, got 1.5"),
+    ("sweep-bool-seed", lambda: sweep(3, "sample", count=5, seed=True), BottError,
+     "seed must be an int, got True"),
     ("enumerate_all-float-n", lambda: next(enumerate_all(2.0)), NonSquare, "got 2.0"),
     ("zero-float-n", lambda: BottMatrix.zero(2.0), NonSquare, "dimension must be an int"),
     ("identity-float-n", lambda: Permutation.identity(2.0), NonSquare, "must be an int"),
@@ -167,6 +183,11 @@ OWNED_MESSAGES = [
      "decoding: n=21 exceeds the cap 20"),
     ("sampling-cap", lambda: sweep(21, "sample", count=2, seed=1),
      lambda: _check_dimension(21, "sampling: "), "sampling: n=21 exceeds the cap 20"),
+    # both readers refuse in the one builder they end in
+    ("parsing-cap-text", lambda: parse_matrix(Z21.to_text()),
+     lambda: _check_dimension(21, "parsing: "), "parsing: n=21 exceeds the cap 20"),
+    ("parsing-cap-json", lambda: matrix_from_json(Z21.to_json_dict()),
+     lambda: _check_dimension(21, "parsing: "), "parsing: n=21 exceeds the cap 20"),
     # the ring's four entry points share one check
     ("ring-cap", lambda: total_sw_class(Z21), *RING_CAP),
     ("ring-cap-multiply", lambda: multiply(Z21, RingElement(1), RingElement(1)), *RING_CAP),
@@ -185,3 +206,19 @@ def test_int_argument_messages_come_from_their_owner(call, owner, message):
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
     assert errors[0][1] == message
+
+
+@pytest.mark.parametrize("grid, error", [
+    ([[0] * 20 + [2]] + [[0] * 21] * 20, NonBinary),
+    ([[0] * 21] * 20 + [[0] * 20], NonSquare),
+    ([[0] * 22] * 21, NonSquare),
+    ([[int(i == j == 0) for j in range(21)] for i in range(21)], DimensionTooLarge),
+    ([[int(j == (i + 1) % 21) for j in range(21)] for i in range(21)], DimensionTooLarge),
+], ids=["bad-entry", "ragged", "not-square", "diagonal", "cycle"])
+def test_parse_cap_comes_after_the_grid_before_the_matrix(grid, error):
+    # at n = 21 each reader reports a bad entry and the grid's shape before
+    # the cap, and the cap before the diagonal or a cycle
+    text = "\n".join(" ".join(map(str, row)) for row in grid)
+    for read in (lambda: parse_matrix(text), lambda: matrix_from_json({"rows": grid})):
+        with pytest.raises(error):
+            read()

@@ -155,6 +155,21 @@ class TestSw:
         assert "all_sw_numbers_zero=true" in out
         assert "sw_number[w5] = 0" in out
 
+    def test_classes_flag(self, capsys):
+        path = fixture_file("reps_n3_1")
+        outs = []
+        for flags in ([], ["--classes"], ["--numbers", "--classes"], ["--numbers"]):
+            assert main(["sw", *flags, path]) == 0
+            outs.append(capsys.readouterr().out.splitlines())
+        plain, classes, both, numbers = outs
+        # --classes prints what the default prints; with --numbers the
+        # classes w0..w3 come first, then the flags line, then the numbers
+        assert classes == plain
+        assert [line.split(" = ")[0] for line in plain[:4]] == ["w0", "w1", "w2", "w3"]
+        assert plain[4] == numbers[0] == "orientable=true spin=true"
+        assert both == plain + numbers[1:] and numbers[1].startswith("sw_number[")
+        assert not any(line.startswith("w0 =") for line in numbers)
+
     def test_json_schema(self, capsys):
         assert main(["sw", "--format", "json", "--numbers", "--matrix", "01;00"]) == 0
         d = json.loads(capsys.readouterr().out)

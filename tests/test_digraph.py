@@ -124,7 +124,8 @@ class TestDigraphSpin:
 class TestDot:
     def test_edgeless_two_vertices(self):
         D = build_digraph(BottMatrix.zero(2))
-        assert export_dot(D) == "digraph {\n  u1;\n  u2;\n}\n"
+        assert export_dot(D) == ('digraph {\n  label="orientable=true spin=true";\n'
+                                 '  u1;\n  u2;\n}\n')
 
     def test_spin_example_edge_count(self):
         D = build_digraph(load_fixture("digraph_a"))
@@ -136,7 +137,7 @@ class TestDot:
     def test_verdict_label_and_annotation(self):
         m = load_fixture("digraph_c")
         D = build_digraph(m)
-        dot = export_dot(D, digraph_spin(D))
+        dot = export_dot(D)
         assert 'label="orientable=true spin=false";' in dot
         # failing pair (1,2) is not an edge: annotated as an extra line
         assert "u1 -> u2 [color=red, style=dashed, dir=none, constraint=false];" in dot
@@ -158,11 +159,9 @@ class TestDot:
         assert not v.spin
         w = v.witness
         assert isinstance(w, PairWitness) and (w.j, w.k) == (1, 2)
-        dot = export_dot(D, v)
+        dot = export_dot(D)
         assert "u1 -> u2 [color=red, style=dashed];" in dot
 
     def test_byte_stable(self):
         m = load_fixture("digraph_d")
-        D = build_digraph(m)
-        v = digraph_spin(D)
-        assert export_dot(D, v) == export_dot(D, v)
+        assert export_dot(build_digraph(m)) == export_dot(build_digraph(m))

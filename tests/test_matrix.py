@@ -45,7 +45,7 @@ from realbott.fixtures import load_fixture, orientable_not_spin_family
 from conftest import random_bott
 
 
-def _reference_parse(text, max_n):
+def _reference_parse(text):
     """The per-character parser that parse_matrix replaced, kept as the
     reference for its results and error messages."""
     grid = []
@@ -71,8 +71,8 @@ def _reference_parse(text, max_n):
             raise NonSquare(f"row {i} has {len(row)} entries, expected {n}")
     if len(grid) != n:
         raise NonSquare(f"{len(grid)} rows of width {n}: matrix is not square")
-    if max_n is not None and n > max_n:
-        raise DimensionTooLarge(f"n={n} exceeds the configured cap {max_n}")
+    if n > MAX_SINGLE_N:
+        raise DimensionTooLarge(f"parsing: n={n} exceeds the cap {MAX_SINGLE_N}")
     rows = tuple(sum(v << j for j, v in enumerate(row)) for row in grid)
     if all(rows[i] & ((2 << i) - 1) == 0 for i in range(n)):
         return BottMatrix(n, rows)
@@ -112,9 +112,9 @@ def _reference_construct(n, rows, cls=None):
     return cls, n, tuple(rows), _in_masks(n, rows)
 
 
-def _outcome(parse, text, max_n):
+def _outcome(parse, text):
     try:
-        M = parse(text, max_n)
+        M = parse(text)
     except BottError as exc:
         return type(exc), str(exc)
     return type(M), M.n, M.rows
@@ -165,12 +165,13 @@ _BREAKS = ["\n", "\r\n", "\r", "\v", "\x1c", "\u2028", "\x0c", "\x1d", "\x1e", "
 
 
 def _seeded_text(rng):
-    """Half free draws of `_PIECES`, half square grids of n <= 4 with a zero
-    diagonal, spaced, broken and commented at random, one in four with a
-    random piece inserted, so every check of the reader is reached."""
+    """Half free draws of `_PIECES`, half square grids with a zero diagonal,
+    of n <= 4 or, one in ten, of n = 21..24 above the cap, spaced, broken
+    and commented at random, one in four with a random piece inserted, so
+    every check of the reader is reached."""
     if rng.random() < 0.5:
         return "".join(rng.choices(_PIECES, k=rng.randrange(24)))
-    n = rng.randint(1, 4)
+    n = rng.randint(21, 24) if rng.random() < 0.1 else rng.randint(1, 4)
     lines = []
     for i in range(n):
         row = ["0" if i == j else rng.choice("01") for j in range(n)]
@@ -249,9 +250,8 @@ class TestParse:
     def test_dimension_cap(self):
         n = 25
         grid = "\n".join(" ".join("0" for _ in range(n)) for _ in range(n))
-        with pytest.raises(DimensionTooLarge):
+        with pytest.raises(DimensionTooLarge, match=r"^parsing: n=25 exceeds the cap 20$"):
             parse_matrix(grid)
-        assert parse_matrix(grid, max_n=None).n == n
 
     def test_round_trip_text(self, rng):
         for M in _random_matrices(rng):
@@ -263,23 +263,20 @@ class TestParse:
             assert matrix_from_json(json.dumps(M.to_json_dict())) == M
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(
-        text=st.one_of(_ANY_TEXT, _GRID_TEXT, _SQUARE_TEXT),
-        max_n=st.sampled_from([None, 1, 3, 20]),
-    )
-    def test_matches_per_character_reference(self, text, max_n):
-        assert _outcome(parse_matrix, text, max_n) == _outcome(_reference_parse, text, max_n)
+    @given(text=st.one_of(_ANY_TEXT, _GRID_TEXT, _SQUARE_TEXT))
+    def test_matches_per_character_reference(self, text):
+        assert _outcome(parse_matrix, text) == _outcome(_reference_parse, text)
 
     def test_seeded_texts_match_line_reference(self):
         # the same class, rows and columns, or the same error and message
         rng = random.Random(2121)
         outcomes = set()
         for _ in range(4000):
-            text, max_n = _seeded_text(rng), rng.choice([None, 2, 20])
-            got = _outcome(parse_matrix, text, max_n)
-            assert got == _outcome(_reference_parse, text, max_n), (text, max_n)
+            text = _seeded_text(rng)
+            got = _outcome(parse_matrix, text)
+            assert got == _outcome(_reference_parse, text), text
             if len(got) == 3:
-                assert parse_matrix(text, max_n).columns() == _in_masks(got[1], got[2])
+                assert parse_matrix(text).columns() == _in_masks(got[1], got[2])
             outcomes.add(got[0])
         assert outcomes == {BottMatrix, GeneralBottMatrix, NonBinary, NonSquare,
                             DiagonalNonzero, CyclicDigraph, DimensionTooLarge}
@@ -328,8 +325,8 @@ class TestParse:
         ("# \xe9\n0 1\n0 0", (BottMatrix, 2, (2, 0))),
     ])
     def test_whole_text_passes(self, text, outcome):
-        assert _outcome(parse_matrix, text, 20) == outcome
-        assert _outcome(_reference_parse, text, 20) == outcome
+        assert _outcome(parse_matrix, text) == outcome
+        assert _outcome(_reference_parse, text) == outcome
 
     def test_json_bad_shape(self):
         with pytest.raises(NonSquare):
@@ -350,7 +347,8 @@ class TestParse:
 
     @pytest.mark.parametrize("build", [
         BottMatrix.from_lists, lambda g: matrix_from_json({"rows": g}),
-        lambda g: matrix_from_json({"rows": g}, max_n=1),
+        # 21 rows, the first as wide as the grid
+        lambda g: matrix_from_json({"rows": [g[0] + [0] * 19] + [g[1]] * 20}),
     ], ids=["from_lists", "json", "json-over-cap"])
     def test_bad_entry_named_with_its_row(self, build):
         # reported before a later row's width and before the size cap
@@ -423,10 +421,16 @@ class TestPackedWord:
         M = random_bott(rng, n)
         if conjugated:
             M = conjugate(M, Permutation(tuple(rng.sample(range(1, n + 1), n))))
-        max_n = None if n > MAX_SINGLE_N else MAX_SINGLE_N
         expected = _reference_construct(n, M.rows)
-        assert _packed(parse_matrix, M.to_text(), max_n) == expected
-        assert _packed(matrix_from_json, M.to_json_dict(), max_n) == expected
+        if n > MAX_SINGLE_N:
+            # the readers refuse it; the constructor still fills 32- and 64-bit lanes
+            refused = (DimensionTooLarge, f"parsing: n={n} exceeds the cap {MAX_SINGLE_N}")
+            assert _packed(parse_matrix, M.to_text()) == refused
+            assert _packed(matrix_from_json, M.to_json_dict()) == refused
+            assert _packed(expected[0], n, M.rows) == expected
+            return
+        assert _packed(parse_matrix, M.to_text()) == expected
+        assert _packed(matrix_from_json, M.to_json_dict()) == expected
 
     @staticmethod
     def _grid_outcomes(n, rows):
