@@ -27,7 +27,7 @@ _EXPORTS = {
     "digraph": ("BottDigraph", "build_digraph", "common_out", "digraph_spin", "export_dot"),
     "enumeration": (
         "SweepReport", "VerificationReport", "enumerate_all", "evaluate_matrix",
-        "sweep", "verify_fixture_suite", "verify_representatives",
+        "sweep", "verify_fixture_suite",
     ),
     "errors": (
         "BadPartition", "BottError", "CyclicDigraph", "DiagonalNonzero",

@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -34,8 +34,7 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import (AnyBottMatrix, BottMatrix, _check_dimension, index_space, matrix_from_index,
-                     matrix_index)
+from .matrix import BottMatrix, _check_dimension, index_space, matrix_from_index, matrix_index
 
 DEFAULT_EXHAUSTIVE_CAP = 7
 
@@ -279,9 +278,9 @@ def sweep(
     )
 
 
-def _spin_set_ok(listed: Sequence[AnyBottMatrix], spin: int) -> bool:
+def _spin_set_ok(listed: Sequence[BottMatrix], spin: int) -> bool:
     """Whether `listed` is the whole spin set of an n=4 sweep that counted `spin`."""
-    return all(isinstance(M, BottMatrix) and M.n == 4 and is_spin(M).spin for M in listed) and (
+    return all(M.n == 4 and is_spin(M).spin for M in listed) and (
         len({matrix_index(M) for M in listed}) == len(listed) == spin)
 
 
@@ -290,9 +289,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
 @dataclass
@@ -311,16 +307,16 @@ class VerificationReport:
         self.checks.append(CheckResult(name, ok, detail))
 
     def to_json_dict(self) -> dict:
-        return {
-            "all_ok": self.all_ok,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+        return {"all_ok": self.all_ok, "checks": [asdict(c) for c in self.checks]}
 
 
-def verify_representatives(directory: Path | str | None = None) -> VerificationReport:
-    """Check the packaged orientable representatives (dimensions 1..5)
-    against their known spin pattern, re-derive the spin-class counts
-    1,1,2,3,4, and run the orientable-not-spin family for n=5..10."""
+def verify_fixture_suite(directory: Path | str | None = None) -> VerificationReport:
+    """Check the packaged fixtures, or those in `directory`, each by
+    `evaluate_matrix` and against its known verdict: the orientable
+    representatives of dimensions 1..5 and their spin-class counts
+    1,1,2,3,4, the orientable-not-spin family for n=5..10, the full
+    dimension-4 spin list (incl. set equality against the exhaustive
+    sweep), and the digraph examples with their expected neighbour data."""
     report = VerificationReport()
     for n, names in sorted(REPRESENTATIVES.items()):
         pattern = REPRESENTATIVE_SPIN[n]
@@ -354,14 +350,6 @@ def verify_representatives(directory: Path | str | None = None) -> VerificationR
         )
         detail = f"orientable={verdict.orientable} spin={verdict.spin} witness={w}"
         report.add(f"orientable-not-spin family n={n}", ok, detail)
-    return report
-
-
-def verify_fixture_suite(directory: Path | str | None = None) -> VerificationReport:
-    """Everything `verify_representatives` covers, plus the full dimension-4
-    spin list (incl. set equality against the exhaustive sweep) and the
-    digraph examples with their expected neighbour data."""
-    report = verify_representatives(directory)
 
     listed = [load_fixture(name, directory) for name in DIM4_SPIN_LIST]
     for name, matrix in zip(DIM4_SPIN_LIST, listed):
@@ -383,15 +371,14 @@ def verify_fixture_suite(directory: Path | str | None = None) -> VerificationRep
         problems: list[str] = []
         if matrix.n != fx.n:
             problems.append(f"n={matrix.n} expected {fx.n}")
+        _, spin, mismatch = evaluate_matrix(matrix)
+        if mismatch is not None:
+            problems.append(f"routes disagree: {', '.join(mismatch['disagree'])}")
+        if spin != fx.spin:
+            problems.append(f"spin={spin} expected {fx.spin}")
         D = build_digraph(matrix)
-        verdict = digraph_spin(D)
-        closed = is_spin(matrix)
-        if (verdict.orientable, verdict.spin) != (closed.orientable, closed.spin):
-            problems.append("digraph and closed-form verdicts disagree")
-        if verdict.spin != fx.spin:
-            problems.append(f"spin={verdict.spin} expected {fx.spin}")
         if fx.witness_pair is not None:
-            w = verdict.witness
+            w = digraph_spin(D).witness
             if not isinstance(w, PairWitness) or (w.j, w.k) != fx.witness_pair:
                 problems.append(f"witness={w} expected pair {fx.witness_pair}")
         for i in range(1, matrix.n + 1):

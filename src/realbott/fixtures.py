@@ -13,22 +13,25 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BottError, IndexOutOfRange
-from .matrix import AnyBottMatrix, BottMatrix, load_matrix
+from .matrix import BottMatrix, _require_triangular, load_matrix
 
 
 def default_fixture_dir() -> Path:
     return Path(str(resources.files("realbott").joinpath("data")))
 
 
-def load_fixture(name: str, directory: Path | str | None = None) -> AnyBottMatrix:
+def load_fixture(name: str, directory: Path | str | None = None) -> BottMatrix:
     """Parse the named fixture (no .txt suffix) from the given directory,
-    defaulting to the packaged data; an error names the file once."""
+    defaulting to the packaged data.  A fixture is a triangular matrix, as
+    the ring oracle needs; an error names the file once."""
     base = Path(directory) if directory is not None else default_fixture_dir()
     path = base / f"{name}.txt"
     if not path.is_file():
         raise BottError(f"fixture file missing: {path}")
     try:
-        return load_matrix(path)
+        matrix = load_matrix(path)
+        _require_triangular(matrix, "a fixture needs")
+        return matrix
     except BottError as exc:  # `load_matrix` names the file of a non-UTF-8 one
         raise type(exc)(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from exc
 

@@ -7,7 +7,13 @@ its one owner in `realbott.matrix`.  A sweep's `cap` and sample `seed`
 must be ints too, the seed of any sign.  `multiply` also refuses an element
 with variables beyond the matrix's own, and `SWProfile` a total class with
 them, a general matrix, a matrix above the ring's cap or anything else
-as its matrix."""
+as its matrix.  `conjugate` refuses a permutation of another size, the
+JSON reader anything but an object with rows, and the CLI both an input
+file and --matrix, and a BOTT_MAX_N that is not an integer."""
+
+import io
+import os
+from unittest import mock
 
 import pytest
 
@@ -25,6 +31,7 @@ from realbott import (
     SWProfile,
     build_digraph,
     common_out,
+    conjugate,
     delete_leading,
     enumerate_all,
     matrix_from_index,
@@ -43,12 +50,22 @@ from realbott import (
     total_sw_class,
     wk_recursive,
 )
+from realbott.cli import build_parser
 from realbott.cohomology import _ring_tables
 from realbott.matrix import _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
 D = build_digraph(C)
 Z21 = BottMatrix.zero(21)
+
+
+def command(*argv, stdin="", **env):
+    """Run a CLI command with `stdin` and `env` but without `main`, so that
+    a refusal raises its error."""
+    args = build_parser().parse_args(argv)
+    with mock.patch.dict(os.environ, env), mock.patch("sys.stdin", io.StringIO(stdin)):
+        return args.func(args)
+
 
 #: (id, call, error class, message fragment): each call is refused.
 REFUSALS = [
@@ -138,6 +155,18 @@ REFUSALS = [
      "monomial y4 uses variables beyond y3"),
     ("profile-total-far-beyond", lambda: SWProfile(C, 1 << 200), DimensionMismatch,
      "monomial y4*y7*y8 uses variables beyond y3"),
+    # a permutation of another size, a JSON matrix that is no object with rows
+    ("conjugate-other-size", lambda: conjugate(BottMatrix.zero(3), Permutation((2, 1))),
+     IndexOutOfRange, "permutation on 1..2 vs matrix n=3"),
+    ("json-list", lambda: matrix_from_json("[1]"), NonSquare,
+     'JSON matrix needs an object with "n" and "rows"'),
+    # the CLI's own refusals, each raised by its command before `main` makes it exit 2
+    ("cli-file-and-matrix", lambda: command("check", "m.txt", "--matrix", "01;00"), BottError,
+     "give either an input file or --matrix, not both"),
+    ("cli-max-n-not-int", lambda: command("enumerate", "-n", "3", BOTT_MAX_N="x"), BottError,
+     "BOTT_MAX_N must be an integer, got 'x'"),
+    ("cli-json-without-rows", lambda: command("check", "-", stdin='{"n": 2}'), NonSquare,
+     'JSON matrix needs an object with "n" and "rows"'),
 ]
 
 

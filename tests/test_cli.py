@@ -328,6 +328,33 @@ class TestVerifyPaper:
         out = capsys.readouterr().out
         assert "FAIL reps_n4_1" in out
 
+    def test_digraph_fixture_with_another_matrix_exit_1(self, tmp_path, capsys):
+        # digraph_c's file holds digraph_a's matrix: every digraph datum is named
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        shutil.copyfile(fixtures / "digraph_a.txt", fixtures / "digraph_c.txt")
+        assert main(["verify-paper", "--fixtures", str(fixtures)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL digraph_c: ")
+        assert failed[0].removeprefix("FAIL digraph_c: ").split("; ") == [
+            "n=6 expected 5", "spin=True expected False", "witness=None expected pair (1, 2)",
+            "out(1)=()", "out(2)=(5, 6)", "out(3)=(5, 6)", "out(4)=(5, 6)",
+            "common(1,2)=0", "common(1,3)=0", "common(2,3)=2", "common(2,4)=2",
+            "common(3,4)=2"]
+        assert lines[-1] == "39 checks, 1 failures"
+
+    def test_general_fixture_named_exit_2(self, tmp_path, capsys):
+        # a conjugate of a Bott matrix parses, but the ring oracle needs the triangular form
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        (fixtures / "digraph_c.txt").write_text("0 0 0\n1 0 1\n0 0 0\n")
+        assert main(["verify-paper", "--fixtures", str(fixtures)]) == 2
+        path = fixtures / "digraph_c.txt"
+        assert capsys.readouterr().err == (
+            f"error: {path}: a fixture needs a strictly upper triangular matrix; "
+            "normalize the general one first\n")
+
     def test_non_utf8_fixture_exit_2(self, tmp_path, capsys):
         fixtures = tmp_path / "data"
         shutil.copytree(default_fixture_dir(), fixtures)

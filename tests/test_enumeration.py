@@ -26,7 +26,6 @@ from realbott import (
     normalize,
     sweep,
     verify_fixture_suite,
-    verify_representatives,
 )
 import realbott
 from realbott import enumeration, matrix
@@ -442,7 +441,7 @@ class TestSweep:
 
 class TestVerification:
     def test_representatives_all_ok(self):
-        report = verify_representatives()
+        report = verify_fixture_suite()
         assert report.all_ok
         names = [c.name for c in report.checks]
         assert "spin class count n=5" in names
@@ -472,6 +471,14 @@ class TestVerification:
             load_fixture("reps_n1_0", tmp_path)
 
     def test_json_shape(self):
-        d = verify_representatives().to_json_dict()
+        d = verify_fixture_suite().to_json_dict()
         assert d["all_ok"] is True
         assert {"name", "ok", "detail"} == set(d["checks"][0])
+
+    def test_disagreeing_route_is_named(self, monkeypatch):
+        # a pairwise route that is always wrong: every digraph fixture names it
+        pairs = enumeration.spin_by_pairs
+        monkeypatch.setattr(enumeration, "spin_by_pairs", lambda C: not pairs(C))
+        failures = {c.name: c.detail for c in verify_fixture_suite().failures}
+        for fixture in ("digraph_a", "digraph_b", "digraph_c", "digraph_d"):
+            assert failures[fixture] == "routes disagree: pairwise"
