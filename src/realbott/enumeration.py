@@ -73,11 +73,11 @@ def _index_batches(n, mode, count, seed, cap) -> Iterator[Sequence[int]]:
             raise DimensionTooLarge(
                 f"exhaustive enumeration capped at n={limit}, got n={n}"
             )
-        space = index_space(n)
-        if space > sys.maxsize:  # no sweep that long ends
-            raise DimensionTooLarge(f"exhaustive enumeration: n={n} has {space} "
+        bits = n * (n - 1) // 2  # no sweep that long ends; 2^bits is not built
+        if bits >= sys.maxsize.bit_length():
+            raise DimensionTooLarge(f"exhaustive enumeration: n={n} has 2^{bits} "
                                     f"matrices, more than {sys.maxsize}")
-        total = space
+        total = index_space(n)
     elif mode == "sample":
         if seed is None:
             raise BottError("sample mode requires a seed")
@@ -342,7 +342,8 @@ def verify_fixture_suite(directory: Path | str | None = None) -> VerificationRep
         verdict = is_spin(C)
         w = verdict.witness
         ok = (
-            verdict.orientable
+            evaluate_matrix(C)[2] is None
+            and verdict.orientable
             and not verdict.spin
             and isinstance(w, PairWitness)
             and (w.j, w.k) == (1, n - 2)

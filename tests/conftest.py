@@ -128,3 +128,13 @@ def wu_flags(C: BottMatrix) -> tuple[bool, bool]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Four cores, and a process pool that fails the test if it starts."""
+    def refuse(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers started")
+
+    monkeypatch.setattr("realbott.enumeration.ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)

@@ -55,6 +55,121 @@ REFUSALS = [
 ]
 
 
+def ones(n: int) -> str:
+    """The --matrix rows of the n x n matrix with every entry above the diagonal 1."""
+    return ";".join("0" * (i + 1) + "1" * (n - 1 - i) for i in range(n))
+
+
+#: The cycle 1 -> 2 -> ... -> 20 -> 1, and the path 20 -> 19 -> ... -> 1 in general form.
+CYCLE_20 = ";".join("".join(str(int(j == (i + 1) % 20)) for j in range(20)) for i in range(20))
+REVERSAL_20 = ";".join("".join(str(int(j == i - 1)) for j in range(20)) for i in range(20))
+GENERAL_17 = (
+    "00100001000101000;10000101011100011;00000000000000000;00100000000001000;"
+    "00100010000000000;00000000000000000;00000000001000001;00100000101001110;"
+    "00010000000001000;10000000101100000;00100100000100001;00000000000000000;"
+    "00100001001000100;00000000000000000;00000000000000000;00100100000101000;"
+    "00100000000001000"
+)
+NORMALIZED_17 = (
+    "00011010010111100;00100000000000010;00000000010000100;00001001010001000;"
+    "00000010000001011;00000010011000010;00000001011100011;00000000100000001;"
+    "00000000000000011;00000000000011110;00000000000000000;00000000000011011;"
+    "00000000000000000;00000000000000000;00000000000000011;00000000000000000;"
+    "00000000000000000"
+)
+#: A direct sum of spin blocks, riffled by a permutation that keeps it
+#: triangular, with zero rows 1 and 9 among its nonzero ones, which the
+#: scans pass over; a second permutation makes it general.
+RIFFLED = (
+    "000000000000000000;000000000110000000;000100000000010000;000000000000011000;"
+    "000000001000000001;000000100001000000;000000000001100000;000000001000000001;"
+    "000000000000000000;000000000010000100;000000000000000000;000000000000000000;"
+    "000000000000000000;000000000000000000;000000000000000000;000000000000000000;"
+    "000000000000000000;000000000000000000"
+)
+RIFFLED_GENERAL = (
+    "000000000000000000;001000001000000000;000000000000000000;000000000000000000;"
+    "100000000000000010;000100000001000000;000000000000000000;000000100000100000;"
+    "000000000000000000;000000010000100000;100010000000000000;000000000000000000;"
+    "000000000000000000;000000000000000000;000001000001000000;000000000000000000;"
+    "000000000000000000;001000001000000000"
+)
+#: A conjugate of a density-0.5 n = 20 matrix, orientable and not spin,
+#: whose first failing pair (1,5) takes its Q = 1 from the edge 5 -> 1, and
+#: its normalized form.
+DENSE_GENERAL = (
+    "00000100000000000100;10000100000000000000;00011100101100000101;10001000001000000100;"
+    "10000101111000010100;00000000000000000000;11000100001000010100;01000100000100000100;"
+    "11000010011000010000;00000110000100000100;11000000000000010100;00000000000000000000;"
+    "10010101011100000100;00000100110010100100;00000100001010000100;11000100000000000100;"
+    "10010101110010010101;00000000000000000000;01001100101011000001;10000100000110000000"
+)
+DENSE_NORMALIZED = (
+    "00000101101001100011;00000111011100010111;00010110101001001010;00001010001100000011;"
+    "00000010000001000011;00000010000000100110;00000001010101100111;00000000100001000101;"
+    "00000000011101010111;00000000000000101011;00000000000111011100;00000000000010100011;"
+    "00000000000001011111;00000000000000011101;00000000000000000000;00000000000000001111;"
+    "00000000000000000110;00000000000000000011;00000000000000000000;00000000000000000000"
+)
+
+SAMPLE = ["enumerate", "--mode", "sample"]
+
+#: (name, argv, stdin, environment) of each other command: inline and stdin
+#: input, long matrices, small sweeps in every format and the caps.  Each
+#: sweep is one run of at most BATCH indices, so none starts a pool.
+CASES = [
+    ("check-inline", ["check", "--matrix", "0110;0011;0000;0000"], None, {}),
+    ("check-general", ["check", "--matrix", "00;10"], None, {}),
+    ("check-cycle", ["check", "--matrix", "01;10"], None, {}),
+    ("check-json-stdin", ["check", "-"], '{"n":2,"rows":[[0,1],[0,0]]}', {}),
+    ("check-ragged-stdin", ["check", "-"], "0 1 1\n0 0\n", {}),
+    ("check-utf8-comment", ["check", "-"],
+     "# caf\u00e9 \u2014 \u03bb\n0 1 1 0\n0 0 1 1\n0 0 0 0\n0 0 0 0\n", {}),
+    ("check-cycle-20", ["check", "--matrix", CYCLE_20], None, {}),
+    ("check-reversal-20", ["check", "--matrix", REVERSAL_20], None, {}),
+    ("check-general-17", ["check", "--matrix", GENERAL_17], None, {}),
+    ("check-normalized-17", ["check", "--matrix", NORMALIZED_17], None, {}),
+    ("check-dense-general-20", ["check", "--matrix", DENSE_GENERAL], None, {}),
+    ("check-dense-normalized-20", ["check", "--matrix", DENSE_NORMALIZED], None, {}),
+    ("check-riffled", ["check", "--matrix", RIFFLED], None, {}),
+    ("check-riffled-general", ["check", "--matrix", RIFFLED_GENERAL], None, {}),
+    ("sw-zero-3", ["sw", "--matrix", "000;000;000"], None, {}),
+    ("sw-klein", ["sw", "--matrix", "01;00"], None, {}),
+    ("sw-general", ["sw", "--matrix", "00;10"], None, {}),
+    ("sw-json-klein", ["sw", "--format", "json", "--matrix", "01;00"], None, {}),
+    ("sw-json-numbers-klein", ["sw", "--format", "json", "--numbers", "--matrix", "01;00"],
+     None, {}),
+    # 135 partitions, the longest prefix chains of any n <= 14
+    ("sw-numbers-ones-14", ["sw", "--numbers", "--matrix", ones(14)], None, {}),
+    ("digraph-edgeless", ["digraph", "--matrix", "00;00"], None, {}),
+    ("enumerate-n2-csv", ["enumerate", "-n", "2", "--threads", "1", "--format", "csv"], None, {}),
+    ("enumerate-n3-json", ["enumerate", "-n", "3", "--threads", "1", "--format", "json"],
+     None, {}),
+    ("enumerate-n30", ["enumerate", "-n", "30"], None, {}),
+    ("threads-minus-four", ["enumerate", "-n", "3", "--threads", "-4"], None, {}),
+    ("sample-n3-json", [*SAMPLE, "-n", "3", "--count", "7", "--seed", "5", "--threads", "1",
+                        "--format", "json"], None, {}),
+    ("sample-n5-text", [*SAMPLE, "-n", "5", "--count", "40", "--seed", "11", "--threads", "1"],
+     None, {}),
+    ("sample-n5-json", [*SAMPLE, "-n", "5", "--count", "40", "--seed", "11", "--threads", "1",
+                        "--format", "json"], None, {}),
+    ("sample-n5-count-300-json", [*SAMPLE, "-n", "5", "--count", "300", "--seed", "9",
+                                  "--threads", "1", "--format", "json"], None, {}),
+    ("sample-count-zero", [*SAMPLE, "-n", "4", "--count", "0", "--seed", "1"], None, {}),
+    # BOTT_MAX_N moves the exhaustive cap alone; the index space and the
+    # sampling cap still refuse
+    ("max-n-3", ["enumerate", "-n", "4", "--threads", "1"], None, {"BOTT_MAX_N": "3"}),
+    ("max-n-5-sample-n6", [*SAMPLE, "-n", "6", "--count", "3", "--threads", "1"], None,
+     {"BOTT_MAX_N": "5"}),
+    ("max-n-8-sample-n8", [*SAMPLE, "-n", "8", "--count", "5", "--seed", "1", "--threads", "1"],
+     None, {"BOTT_MAX_N": "8"}),
+    ("max-n-12", ["enumerate", "-n", "12", "--threads", "1"], None, {"BOTT_MAX_N": "12"}),
+    ("max-n-200000", ["enumerate", "-n", "200000"], None, {"BOTT_MAX_N": "200000"}),
+    ("max-n-21-sample-n21", [*SAMPLE, "-n", "21", "--count", "1", "--threads", "1"], None,
+     {"BOTT_MAX_N": "21"}),
+]
+
+
 def commands() -> list[tuple[str, list[str], str | None, dict[str, str]]]:
     """(name, argv, stdin, environment) of every golden command; its golden
     is tests/golden/<name>.txt."""
@@ -65,6 +180,7 @@ def commands() -> list[tuple[str, list[str], str | None, dict[str, str]]]:
               for n in (4, 5) for fmt in ("text", "json", "csv")]
     cases += [(f"verify-paper/{fmt}", ["verify-paper", "--format", fmt], None, {})
               for fmt in ("text", "json")]
+    cases += [(f"cases/{name}", *case) for name, *case in CASES]
     return cases + [(f"refusals/{name}", *case) for name, *case in REFUSALS]
 
 

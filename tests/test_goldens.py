@@ -7,6 +7,8 @@ import pytest
 from make_goldens import GOLDEN, commands, run
 
 COMMANDS = commands()
+# four cores and no pool: a golden sweep of more than one run of BATCH fails on any host
+pytestmark = pytest.mark.usefixtures("no_pool")
 
 
 @pytest.mark.parametrize("name, argv, stdin, env", COMMANDS,
