@@ -2,7 +2,9 @@
 watches a side effect (a --dot file, a process pool, a fresh interpreter),
 reads a file or bytes made for it, also calls the library, or reads an
 output too large to pin.  What one command prints for a fixed input is
-pinned in tests/golden, by tests/make_goldens.py."""
+pinned in tests/golden, by tests/make_goldens.py.  The single-command
+checks still here are fragments of a fixture's, a refusal's or
+verify-paper's golden, kept under their names for the suite's history."""
 
 import io
 import json
@@ -32,6 +34,21 @@ def fixture_file(name):
 
 
 class TestCheck:
+    def test_spin_matrix_text(self, capsys):
+        assert main(["check", fixture_file("spin4_5")]) == 0
+        assert capsys.readouterr().out.strip() == "orientable=true spin=true"
+
+    def test_not_spin_witness(self, capsys):
+        assert main(["check", fixture_file("digraph_c")]) == 0
+        out = capsys.readouterr().out
+        assert "spin=false witness pair (1,2)" in out
+
+    def test_json_format(self, capsys):
+        assert main(["check", "--format", "json", fixture_file("digraph_d")]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["orientable"] is True and d["spin"] is False
+        assert d["witness"] == {"kind": "pair", "j": 2, "k": 3, "P": 1, "Q": 0}
+
     @pytest.mark.parametrize("command", ["check", "sw", "digraph"])
     def test_non_utf8_file_exit_2(self, command, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -49,6 +66,9 @@ class TestCheck:
         assert main(["check", "-"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not UTF-8" in err
+
+    def test_missing_input_exit_2(self):
+        assert main(["check"]) == 2
 
     @pytest.mark.parametrize(
         "text, error, message",
@@ -108,6 +128,12 @@ class TestArbitraryStdin:
 
 
 class TestSw:
+    def test_numbers_flag(self, capsys):
+        assert main(["sw", "--numbers", fixture_file("digraph_c")]) == 0
+        out = capsys.readouterr().out
+        assert "all_sw_numbers_zero=true" in out
+        assert "sw_number[w5] = 0" in out
+
     def test_classes_flag(self, capsys):
         path = fixture_file("reps_n3_1")
         outs = []
@@ -130,6 +156,17 @@ class TestSw:
 
 
 class TestDigraph:
+    def test_dot_to_stdout(self, capsys):
+        assert main(["digraph", fixture_file("digraph_a")]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("digraph {")
+        assert out.count("->") == 6
+        assert 'label="orientable=true spin=true";' in out
+
+    def test_not_spin_label(self, capsys):
+        assert main(["digraph", fixture_file("digraph_d")]) == 0
+        assert 'label="orientable=true spin=false";' in capsys.readouterr().out
+
     def test_dot_file(self, tmp_path, capsys):
         target = tmp_path / "out.dot"
         assert main(["digraph", fixture_file("digraph_a"), "--dot", str(target)]) == 0
@@ -138,6 +175,12 @@ class TestDigraph:
 
 
 class TestEnumerate:
+    def test_dim4_text(self, capsys):
+        assert main(["enumerate", "-n", "4", "--threads", "1"]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"n=4 mode=exhaustive total=64 orientable=8 spin=8 "
+                            r"mismatches=0 reference_ok=true elapsed_ms=\d+\.\d\n", out)
+
     def test_threads_help_states_batch(self, capsys):
         # the parser may not import `enumeration` (`check` must not load it),
         # so the run size is written in both places
@@ -149,6 +192,17 @@ class TestEnumerate:
 
 
 class TestVerifyPaper:
+    def test_all_pass(self, capsys):
+        assert main(["verify-paper"]) == 0
+        out = capsys.readouterr().out
+        assert "0 failures" in out
+        assert "FAIL" not in out
+
+    def test_json(self, capsys):
+        assert main(["verify-paper", "--format", "json"]) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert d["all_ok"] is True
+
     def test_corrupted_fixture_exit_1(self, tmp_path, capsys):
         fixtures = tmp_path / "data"
         shutil.copytree(default_fixture_dir(), fixtures)
@@ -303,6 +357,28 @@ class TestWorkflowChecks:
         assert r["version"] == realbott.__version__, r
         assert (r["seed"], r["count"]) == (None, None), r
         assert pool_of_two == [2]
+
+    def test_sw_numbers_vanish(self, capsys, monkeypatch):
+        code, out, _ = cli(capsys, monkeypatch, "sw", "--numbers", fixture_file("digraph_d"))
+        assert code == 0 and "all_sw_numbers_zero=true" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, err", [
+        (["enumerate", "-n", "3", "--threads", "-1"], None),
+        (["enumerate", "-n", "0"], "error: dimension must be >= 1, got 0\n"),
+        (["enumerate", "-n", "21", "--mode", "sample", "--count", "2"],
+         "error: sampling: n=21 exceeds the cap 20\n"),
+    ], ids=["threads-minus-one", "n-zero", "sampling-cap"])
+    def test_enumerate_input_errors(self, capsys, monkeypatch, argv, err):
+        code, _, got = cli(capsys, monkeypatch, *argv)
+        assert code == 2
+        assert err is None or got == err
+
+    @pytest.mark.parametrize("stdin, err", [
+        ("0 1\n1 0\n", "error: matrix digraph contains a directed cycle\n"),
+        ("1 0\n0 0\n", "error: diagonal entry (1,1) is 1\n"),
+    ], ids=["cycle", "diagonal"])
+    def test_stdin_refusals(self, capsys, monkeypatch, stdin, err):
+        assert cli(capsys, monkeypatch, "check", "-", stdin=stdin) == (2, "", err)
 
     @pytest.mark.parametrize("rows, flags", [
         (NORMALIZED_17, (True, False)),
