@@ -24,7 +24,8 @@ _EXPORTS = {
         "fibre_chain_verdicts", "is_orientable", "is_spin", "is_spin_general",
         "pair_terms", "spin_by_pairs",
     ),
-    "digraph": ("BottDigraph", "build_digraph", "common_out", "digraph_spin", "export_dot"),
+    "digraph": ("build_digraph", "common_out", "digraph_spin", "export_dot",
+                "out_degree", "out_neighbours"),
     "enumeration": (
         "SweepReport", "VerificationReport", "enumerate_all", "evaluate_matrix",
         "sweep", "verify_fixture_suite",

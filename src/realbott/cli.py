@@ -90,8 +90,8 @@ def cmd_sw(args) -> int:
 
 
 def cmd_digraph(args) -> int:
-    from .digraph import build_digraph, export_dot
-    dot = export_dot(build_digraph(_read_matrix(args)))
+    from .digraph import export_dot
+    dot = export_dot(_read_matrix(args))
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
     else:

@@ -43,11 +43,11 @@ lexicographically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadPartition, DimensionMismatch, IndexOutOfRange
+from .errors import BadPartition, BottError, DimensionMismatch, IndexOutOfRange
 from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _check_int,
                      _iterate, _require_triangular)
 
@@ -271,7 +271,7 @@ def reduce_power_product(
     kept separate from the dense path so the two can check each other.
     """
     if order not in ("highest", "lowest"):
-        raise ValueError(f"order must be 'highest' or 'lowest', got {order!r}")
+        raise BottError(f"order must be 'highest' or 'lowest', got {order!r}")
     indices = tuple(_iterate(indices, IndexOutOfRange, "indices"))
     for i in indices:
         _check_index(i, C.n)
@@ -301,23 +301,24 @@ class SWProfile:
     """All Stiefel-Whitney data of one matrix: the total class as one dense
     element, and derived from it the graded classes w_0..w_n and the
     orientable/spin flags.  The SW numbers (on demand) are `sw_number`'s,
-    which reads the matrix's own classes, not `total`.
+    which reads the matrix's own classes.
 
-    The generated constructor checks that the matrix is triangular and within
-    the ring's cap, and `total` a non-negative int with no monomial beyond
-    y_n, not that it is the matrix's class; `total_sw_class` skips the checks.
-    Both store the flags by `_flags`: orientable (w_1 = 0) and spin (w_2 = 0
-    when orientable, None otherwise)."""
+    The matrix is the one input: the constructor checks that it is
+    triangular and within the ring's cap, then computes `total` and stores
+    the flags: orientable (w_1 = 0) and spin (w_2 = 0 when orientable, None
+    otherwise)."""
 
     matrix: BottMatrix
-    total: int
+    total: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _ring_columns(self.matrix)  # before any table of that n is built
-        _check_int(self.total, "total class")
-        _check_element(self.matrix, self.total)
-        d, n = self.__dict__, self.matrix.n
-        d["orientable"], d["spin"] = _flags(n, self.total, _ring_tables(n)[1])
+        cols = _ring_columns(self.matrix)  # before any table of that n is built
+        n = self.matrix.n
+        lanes, degrees = _ring_tables(n)
+        d = self.__dict__
+        d["total"] = total = _times(1, cols, -1, cols, lanes)
+        d["orientable"] = orientable = not total & degrees[1]
+        d["spin"] = (n < 2 or not total & degrees[2]) if orientable else None
 
     @cached_property
     def classes(self) -> tuple[RingElement, ...]:
@@ -345,24 +346,10 @@ class SWProfile:
         }
 
 
-def _flags(n: int, total: int, degrees: Sequence[int]) -> tuple[bool, bool | None]:
-    """(orientable, spin) of a total class: w_1 = 0, then w_2 = 0 or None."""
-    orientable = not total & degrees[1]
-    return orientable, (n < 2 or not total & degrees[2]) if orientable else None
-
-
 def total_sw_class(C: BottMatrix) -> SWProfile:
     """Expand the total class as the product of (1 + column sum) over the
     columns of C; the profile splits it by degree."""
-    if not isinstance(C, BottMatrix) or C.n > MAX_SINGLE_N:
-        _ring_columns(C)  # only to raise, as in SWProfile.__post_init__
-    cols = C.columns()
-    lanes, degrees = _ring_tables(C.n)
-    profile = object.__new__(SWProfile)  # C and its class pass SWProfile's checks
-    d = profile.__dict__
-    d["matrix"], d["total"] = C, _times(1, cols, -1, cols, lanes)
-    d["orientable"], d["spin"] = _flags(C.n, d["total"], degrees)
-    return profile
+    return SWProfile(C)
 
 
 def w1_formula(C: BottMatrix) -> RingElement:

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from . import __version__
 from .cohomology import total_sw_class
 from .criteria import PairWitness, is_spin, spin_by_pairs
-from .digraph import build_digraph, common_out, digraph_spin
+from .digraph import common_out, digraph_spin, out_neighbours
 from .errors import BottError, DimensionTooLarge
 from .fixtures import (
     DIGRAPH_FIXTURES,
@@ -106,7 +106,7 @@ def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
     only their witnesses differ, else the routes that differ from the ring.
     """
     v = is_spin(C)
-    d = digraph_spin(build_digraph(C))
+    d = digraph_spin(C)
     p = spin_by_pairs(C)
     profile = total_sw_class(C)
     ring = [profile.orientable, profile.spin is True]
@@ -377,19 +377,18 @@ def verify_fixture_suite(directory: Path | str | None = None) -> VerificationRep
             problems.append(f"routes disagree: {', '.join(mismatch['disagree'])}")
         if spin != fx.spin:
             problems.append(f"spin={spin} expected {fx.spin}")
-        D = build_digraph(matrix)
         if fx.witness_pair is not None:
-            w = digraph_spin(D).witness
+            w = digraph_spin(matrix).witness
             if not isinstance(w, PairWitness) or (w.j, w.k) != fx.witness_pair:
                 problems.append(f"witness={w} expected pair {fx.witness_pair}")
         for i in range(1, matrix.n + 1):
             expected_out = fx.out_sets.get(i, ())
-            if D.out_neighbours(i) != tuple(expected_out):
-                problems.append(f"out({i})={D.out_neighbours(i)}")
+            if out_neighbours(matrix, i) != tuple(expected_out):
+                problems.append(f"out({i})={out_neighbours(matrix, i)}")
         for j in range(1, matrix.n + 1):
             for k in range(j + 1, matrix.n + 1):
                 expected_m = fx.common_counts.get((j, k), 0)
-                if common_out(D, j, k) != expected_m:
-                    problems.append(f"common({j},{k})={common_out(D, j, k)}")
+                if common_out(matrix, j, k) != expected_m:
+                    problems.append(f"common({j},{k})={common_out(matrix, j, k)}")
         report.add(fx.name, not problems, "; ".join(problems) or "all digraph data match")
     return report

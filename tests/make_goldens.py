@@ -142,6 +142,9 @@ CASES = [
     # 135 partitions, the longest prefix chains of any n <= 14
     ("sw-numbers-ones-14", ["sw", "--numbers", "--matrix", ones(14)], None, {}),
     ("digraph-edgeless", ["digraph", "--matrix", "00;00"], None, {}),
+    # pairs (1,2) and (1,3) both fail; only the witness pair (1,2) is drawn red
+    ("digraph-witness-pair", ["digraph", "--matrix", "010010;001100;000110;000000;000000;000000"],
+     None, {}),
     ("enumerate-n2-csv", ["enumerate", "-n", "2", "--threads", "1", "--format", "csv"], None, {}),
     ("enumerate-n3-json", ["enumerate", "-n", "3", "--threads", "1", "--format", "json"],
      None, {}),

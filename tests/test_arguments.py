@@ -5,9 +5,8 @@ equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
 its one owner in `realbott.matrix`.  A sweep's `cap` and sample `seed`
 must be ints too, the seed of any sign.  `multiply` also refuses an element
-with variables beyond the matrix's own, and `SWProfile` a total class with
-them, a general matrix, a matrix above the ring's cap or anything else
-as its matrix.  `conjugate` refuses a permutation of another size, the
+with variables beyond the matrix's own, and `SWProfile` a general matrix, a
+matrix above the ring's cap or anything else as its matrix.  `conjugate` refuses a permutation of another size, the
 JSON reader anything but an object with rows, and the CLI both an input
 file and --matrix, and a BOTT_MAX_N that is not an integer."""
 
@@ -29,7 +28,6 @@ from realbott import (
     Permutation,
     RingElement,
     SWProfile,
-    build_digraph,
     common_out,
     conjugate,
     delete_leading,
@@ -39,6 +37,8 @@ from realbott import (
     monomial_str,
     multiply,
     orientable_not_spin_family,
+    out_degree,
+    out_neighbours,
     pair_terms,
     parse_matrix,
     reduce_power_product,
@@ -55,7 +55,6 @@ from realbott.cohomology import _ring_tables
 from realbott.matrix import _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
-D = build_digraph(C)
 Z21 = BottMatrix.zero(21)
 
 
@@ -105,7 +104,9 @@ REFUSALS = [
      "index 2.0"),
     ("power_product-not-iterable", lambda: reduce_power_product(C, 5), IndexOutOfRange,
      "indices must be iterable, got 5"),
-    ("out_degree-float", lambda: D.out_degree(1.0), IndexOutOfRange, "vertex 1.0 outside 1..3"),
+    ("out_degree-float", lambda: out_degree(C, 1.0), IndexOutOfRange, "vertex 1.0 outside 1..3"),
+    ("out_neighbours-bool", lambda: out_neighbours(C, True), IndexOutOfRange,
+     "vertex True outside 1..3"),
     ("wk_recursive-float", lambda: wk_recursive(C, 1.0), IndexOutOfRange,
      "degree 1.0 outside 1..3"),
     ("variable-float", lambda: RingElement.variable(2.0), IndexOutOfRange,
@@ -116,8 +117,8 @@ REFUSALS = [
     ("row_pair-bool", lambda: row_pair_matrix(C, True, 2), IndexOutOfRange,
      "need 1 <= j < k <= 3, got (True,2)"),
     ("row_pair-float", lambda: row_pair_matrix(C, 1.0, 2), IndexOutOfRange, "got (1.0,2)"),
-    ("common_out-bool", lambda: common_out(D, True, 2), IndexOutOfRange, "got (True,2)"),
-    ("common_out-float", lambda: common_out(D, 1, 2.0), IndexOutOfRange, "got (1,2.0)"),
+    ("common_out-bool", lambda: common_out(C, True, 2), IndexOutOfRange, "got (True,2)"),
+    ("common_out-float", lambda: common_out(C, 1, 2.0), IndexOutOfRange, "got (1,2.0)"),
     ("pair_terms-float", lambda: pair_terms(C, 1.5, 2), IndexOutOfRange, "got (1.5,2)"),
     ("family-float", lambda: orientable_not_spin_family(5.0), IndexOutOfRange,
      "family needs n >= 5, got 5.0"),
@@ -137,24 +138,13 @@ REFUSALS = [
      DimensionMismatch, "monomial y4 uses variables beyond y3"),
     ("multiply-second-element-beyond", lambda: multiply(C, RingElement(1), RingElement(1 << 9)),
      DimensionMismatch, "monomial y1*y4 uses variables beyond y3"),
-    # a profile holds a triangular matrix within the ring's cap and a class
-    # of its own ring's size
-    ("profile-general", lambda: SWProfile(GeneralBottMatrix(2, (0, 1)), 1), BottError,
+    # a profile holds a triangular matrix within the ring's cap
+    ("profile-general", lambda: SWProfile(GeneralBottMatrix(2, (0, 1))), BottError,
      "classes need a strictly upper triangular matrix; normalize the general one first"),
-    ("profile-not-a-matrix", lambda: SWProfile([[0, 1], [0, 0]], 1), BottError,
+    ("profile-not-a-matrix", lambda: SWProfile([[0, 1], [0, 0]]), BottError,
      "classes need a strictly upper triangular matrix"),
-    ("profile-above-cap", lambda: SWProfile(Z21, 1), DimensionTooLarge,
+    ("profile-above-cap", lambda: SWProfile(Z21), DimensionTooLarge,
      "ring elements take 2^n bits; n=21 exceeds the cap 20"),
-    ("profile-float-total", lambda: SWProfile(C, 1.0), IndexOutOfRange,
-     "total class must be an int, got 1.0"),
-    ("profile-bool-total", lambda: SWProfile(C, True), IndexOutOfRange,
-     "total class must be an int, got True"),
-    ("profile-negative-total", lambda: SWProfile(C, -1), IndexOutOfRange,
-     "total class -1 is negative"),
-    ("profile-total-beyond", lambda: SWProfile(C, 1 << 8), DimensionMismatch,
-     "monomial y4 uses variables beyond y3"),
-    ("profile-total-far-beyond", lambda: SWProfile(C, 1 << 200), DimensionMismatch,
-     "monomial y4*y7*y8 uses variables beyond y3"),
     # a permutation of another size, a JSON matrix that is no object with rows
     ("conjugate-other-size", lambda: conjugate(BottMatrix.zero(3), Permutation((2, 1))),
      IndexOutOfRange, "permutation on 1..2 vs matrix n=3"),
@@ -183,7 +173,7 @@ def test_profile_above_cap_builds_no_table():
     before = _ring_tables.cache_info()
     for n in (21, 30):
         with pytest.raises(DimensionTooLarge, match=f"2\\^n bits; n={n} exceeds the cap 20$"):
-            SWProfile(BottMatrix.zero(n), 1)
+            SWProfile(BottMatrix.zero(n))
     after = _ring_tables.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
 
@@ -200,7 +190,7 @@ RING_CAP = (lambda: _check_dimension(21, "ring elements take 2^n bits; "),
 OWNED_MESSAGES = [
     ("index", lambda: C.entry(1, 4), lambda: _check_index(4, 3, "index"),
      "index 4 outside 1..3"),
-    ("vertex", lambda: D.out_degree(4), lambda: _check_index(4, 3, "vertex"),
+    ("vertex", lambda: out_degree(C, 4), lambda: _check_index(4, 3, "vertex"),
      "vertex 4 outside 1..3"),
     ("degree", lambda: wk_recursive(C, 4), lambda: _check_index(4, 3, "degree"),
      "degree 4 outside 1..3"),
@@ -221,7 +211,7 @@ OWNED_MESSAGES = [
     ("ring-cap", lambda: total_sw_class(Z21), *RING_CAP),
     ("ring-cap-multiply", lambda: multiply(Z21, RingElement(1), RingElement(1)), *RING_CAP),
     ("ring-cap-wk_recursive", lambda: wk_recursive(Z21, 1), *RING_CAP),
-    ("ring-cap-sw_number", lambda: sw_number(SWProfile(Z21, 1), (0,) * 20 + (1,)), *RING_CAP),
+    ("ring-cap-sw_number", lambda: sw_number(SWProfile(Z21), (0,) * 20 + (1,)), *RING_CAP),
 ]
 
 

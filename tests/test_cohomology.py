@@ -235,7 +235,7 @@ class TestReductionOrders:
             assert hi == lo
 
     def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BottError, match="^order must be 'highest' or 'lowest', got 'middle'$"):
             reduce_power_product(BottMatrix.zero(2), [1], order="middle")
 
     def test_square_free_input_is_fixed(self, rng):
@@ -542,7 +542,7 @@ class TestTriangularPrecondition:
         lambda G: multiply(G, RingElement.variable(1), RingElement.variable(2)),
         lambda G: wk_recursive(G, 2),
         # the single class of degree n: the exponent vector (0, ..., 0, 1)
-        lambda G: sw_number(SWProfile(G, 1), (0,) * (G.n - 1) + (1,)),
+        lambda G: sw_number(SWProfile(G), (0,) * (G.n - 1) + (1,)),
         w_top_minus_one,
         evaluate_matrix,
         fibre_chain_verdicts,

@@ -28,9 +28,8 @@ from realbott import (
     verify_fixture_suite,
 )
 import realbott
-from realbott import enumeration, matrix
+from realbott import cohomology, enumeration, matrix
 from realbott.cli import main
-from realbott.cohomology import SWProfile
 from realbott.criteria import _scan, _verdict
 from realbott.enumeration import index_space
 from realbott.fixtures import DIM4_SPIN_LIST, default_fixture_dir, load_fixture
@@ -394,7 +393,7 @@ class TestSweep:
         # witness moves, so the records must be compared
         def mutant(D):
             q = [((N + 1) * N // 2) & 1 for N in range(D.n)]
-            return _verdict(*_scan(D.out_masks, D.in_masks, q))
+            return _verdict(*_scan(D.rows, D.columns(), q))
 
         monkeypatch.setattr(enumeration, "digraph_spin", mutant)
         r = sweep(5)
@@ -410,13 +409,12 @@ class TestSweep:
     def test_ring_fault_is_named(self, monkeypatch):
         # flipping y1 in w1 turns every orientable matrix non-orientable in
         # the ring alone; the three other routes agree, so the ring is named
-        real = enumeration.total_sw_class
+        real = cohomology._times
 
-        def flipped(C):
-            profile = real(C)
-            return SWProfile(profile.matrix, profile.total ^ 1 << 1)  # bit 1: y1
+        def flipped(E, factors, keep, cols, lanes):
+            return real(E, factors, keep, cols, lanes) ^ 1 << 1  # bit 1: y1
 
-        monkeypatch.setattr(enumeration, "total_sw_class", flipped)
+        monkeypatch.setattr(cohomology, "_times", flipped)
         r = sweep(4)
         flagged = {mm["index"] for mm in r.mismatches}
         assert {i for i in range(64) if is_spin(matrix_from_index(4, i)).orientable} <= flagged

@@ -1,20 +1,20 @@
 """Value semantics of the records against plain frozen-dataclass
 declarations of the same fields: construction, ==, hash, repr,
 immutability, fields(), replace() and pickling must not tell them apart.
-Every record has its generated constructor; `build_digraph` and
-`total_sw_class`, which build one per matrix, skip it and store each field
-into the instance __dict__, and what they build must be indistinguishable
-from what the constructor builds."""
+Every record has one construction path, its generated constructor;
+`SWProfile` takes the matrix alone and derives its total class and flags
+from it, so `total_sw_class(C)` and `replace(profile, matrix=C)` build the
+same profile."""
 
 import dataclasses
 import itertools
 import pickle
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import pytest
 
-from realbott import BottMatrix, build_digraph, enumerate_all, matrix_from_index, total_sw_class
-from realbott import cohomology, criteria, digraph
+from realbott import BottMatrix, enumerate_all, matrix_from_index, total_sw_class, wk_recursive
+from realbott import cohomology, criteria
 
 
 # The reference declarations carry the records' own names, so that the
@@ -40,16 +40,17 @@ class SpinVerdict:
 
 
 @dataclass(frozen=True)
-class BottDigraph:
-    n: int
-    out_masks: tuple
-    in_masks: tuple
-
-
-@dataclass(frozen=True)
 class SWProfile:
     matrix: BottMatrix
-    total: int
+    total: int = field(init=False)
+
+    def __post_init__(self):
+        # w_0 = 1 and w_k by the recursion over leading blocks: the degrees
+        # are disjoint, so their sum is an OR
+        total = 1
+        for k in range(1, self.matrix.n + 1):
+            total |= wk_recursive(self.matrix, k).bits
+        object.__setattr__(self, "total", total)
 
 
 _M3 = matrix_from_index(3, 5)
@@ -67,15 +68,15 @@ CASES = [
             (True, True, ()),
         ],
     ),
-    (digraph.BottDigraph, BottDigraph, [(3, (6, 4, 0), (0, 1, 3)), (2, (2, 0), (0, 1))]),
-    (cohomology.SWProfile, SWProfile, [(_M3, 5), (_M3, 7), (BottMatrix.zero(2), 1)]),
+    (cohomology.SWProfile, SWProfile,
+     [(_M3,), (matrix_from_index(3, 7),), (BottMatrix.zero(2),), (_M3,)]),
 ]
 IDS = [new.__name__ for new, _, _ in CASES]
 
 
 @pytest.mark.parametrize("new, ref, values", CASES, ids=IDS)
 def test_construction_and_value_semantics(new, ref, values):
-    names = [f.name for f in dataclasses.fields(ref)]
+    names = [f.name for f in dataclasses.fields(ref) if f.init]
     for args in values:
         a = new(*args)
         b = new(**dict(zip(names, args)))
@@ -128,37 +129,30 @@ def test_profile_classes_cached():
     assert profile.__dict__["classes"] is classes
     # the cache sits outside the fields
     assert (repr(profile), hash(profile)) == before
-    assert profile == cohomology.SWProfile(profile.matrix, profile.total)
+    assert profile == cohomology.SWProfile(profile.matrix)
 
 
 def test_profile_flags_derived_once():
-    # both construction paths store the flags beside the fields when the
-    # profile is built, by the one rule of `_flags`
+    # the constructor stores the flags beside the fields when the profile
+    # is built: orientable iff w_1 = 0, then spin iff w_2 = 0
     for n in range(1, 6):
         for C in enumerate_all(n):
             profile = total_sw_class(C)
             assert {"orientable", "spin"} <= profile.__dict__.keys()
-            built = cohomology.SWProfile(C, profile.total)
-            assert {"orientable", "spin"} <= built.__dict__.keys()
-            assert (built.orientable, built.spin) == (profile.orientable, profile.spin)
-            assert built.__dict__["spin"] is built.spin
-            assert built == profile and repr(built) == repr(profile)
+            w = profile.classes
+            assert profile.orientable is w[1].is_zero()
+            assert profile.spin is ((n < 2 or w[2].is_zero()) if profile.orientable else None)
 
 
-def assert_alike(fast, built):
-    """`fast` from a per-matrix builder, `built` by the constructor: the same
-    state, flags included, under ==, hash, repr, pickling and replace()."""
-    assert type(fast) is type(built) and vars(fast) == vars(built)
-    assert fast == built and (repr(fast), hash(fast)) == (repr(built), hash(built))
-    for a, b in [(pickle.loads(pickle.dumps(fast)), built),
-                 (dataclasses.replace(fast), dataclasses.replace(built))]:
-        assert type(a) is type(b) and vars(a) == vars(b)
-        assert a == b and (repr(a), hash(a)) == (repr(b), hash(b))
-
-
-def test_builders_match_constructors():
+def test_replace_derives_from_the_new_matrix():
+    # replace() runs the one constructor on the new matrix, so no total of
+    # the old one survives into the flags or the classes
     for n in range(1, 5):
+        p = total_sw_class(matrix_from_index(n, 0))
+        stale = []
         for M in enumerate_all(n):
-            assert_alike(build_digraph(M), digraph.BottDigraph(M.n, M.rows, M.columns()))
-            profile = total_sw_class(M)
-            assert_alike(profile, cohomology.SWProfile(M, profile.total))
+            moved, fresh = dataclasses.replace(p, matrix=M), total_sw_class(M)
+            if (moved.orientable, moved.spin, moved.classes) != (
+                    fresh.orientable, fresh.spin, fresh.classes):
+                stale.append(M)
+        assert stale == []
