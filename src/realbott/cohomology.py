@@ -300,8 +300,8 @@ def reduce_power_product(
 class SWProfile:
     """All Stiefel-Whitney data of one matrix: the total class as one dense
     element, and derived from it the graded classes w_0..w_n and the
-    orientable/spin flags.  The SW numbers (on demand) are `sw_number`'s,
-    which reads the matrix's own classes.
+    orientable/spin flags.  The SW numbers (on demand) come from one walk
+    of the partition tree.
 
     The matrix is the one input: the constructor checks that it is
     triangular and within the ring's cap, then computes `total` and stores
@@ -329,8 +329,17 @@ class SWProfile:
     @cached_property
     def sw_numbers(self) -> dict[tuple[int, ...], int]:
         """Every pairing of a top-degree class product against the
-        fundamental class, keyed by exponent vector."""
-        return {r: sw_number(self, r) for r in sw_partitions(self.matrix.n)}
+        fundamental class, keyed by exponent vector in `sw_partitions` order:
+        one `_walk` whose nodes hold a * w for the product a of their parts,
+        so the child of part p at degree d is a * w_p = (a * w) & degrees[d + p]."""
+        cols = _ring_columns(self.matrix)
+        n = self.matrix.n
+        lanes, degrees = _ring_tables(n)
+
+        def step(aw: int, d: int, p: int) -> int:
+            a = aw & degrees[d + p]
+            return a if d + p == n else _times(a, cols, -1, cols, lanes)
+        return {r: a >> ((1 << n) - 1) for r, a in _walk(n, step, self.total)}
 
     @property
     def sw_numbers_all_zero(self) -> bool:
@@ -387,42 +396,32 @@ def wk_recursive(C: BottMatrix, k: int) -> RingElement:
     return RingElement(acc)
 
 
+def _walk(n: int, step, value) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(exponent vector, value) for each partition of n, depth first over the
+    descending part lists; part p added at degree d maps value to step(value, d, p)."""
+    def below(d: int, largest: int, value, r: tuple[int, ...]):
+        if d == n:
+            yield r, value
+        for p in range(min(n - d, largest), 0, -1):
+            yield from below(d + p, p, step(value, d, p), r[:p - 1] + (r[p - 1] + 1,) + r[p:])
+    return below(0, n, value, (0,) * n)
+
+
 def sw_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors (r_1..r_n) with sum i*r_i = n."""
+    """All exponent vectors (r_1..r_n) with sum i*r_i = n, in `_walk` order."""
     _check_dimension(n)
-
-    def parts(total: int, largest: int) -> Iterator[list[int]]:
-        if total == 0:
-            yield []
-            return
-        for p in range(min(total, largest), 0, -1):
-            for rest in parts(total - p, p):
-                yield [p] + rest
-
-    return (tuple(map(partition.count, range(1, n + 1))) for partition in parts(n, n))
+    return (r for r, _ in _walk(n, lambda value, d, p: value, None))
 
 
 def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
-    """Coefficient of y_1*...*y_n in the product of the classes raised to
-    the exponents in `partition` (the fundamental-class pairing).  Each
-    factor is a * w_i = (a * w) & degrees[d + i] for the product a so far, of
-    degree d: the ring is graded and w = w_0 + ... + w_n (splitting principle)."""
-    C = profile.matrix
-    n = C.n
+    """Coefficient of y_1*...*y_n in the product of the classes raised to the
+    exponents in `partition` (the fundamental-class pairing): a lookup in
+    `profile.sw_numbers`, which the first call fills with one walk."""
+    n = profile.matrix.n
     r = tuple(_iterate(partition, BadPartition, "a partition"))
     # 2.0 and False compare equal to 2 and 0 but are not exponents
     if len(r) != n or any(type(x) is not int or x < 0 for x in r):
         raise BadPartition(f"need {n} nonnegative int exponents, got {r}")
     if sum(i * ri for i, ri in enumerate(r, 1)) != n:
         raise BadPartition(f"weighted degree of {r} is not {n}")
-    cols = _ring_columns(C)
-    lanes, degrees = _ring_tables(n)
-    acc, deg = 1, 0
-    for i, ri in enumerate(r, 1):
-        for _ in range(ri):
-            deg += i
-            acc = _times(acc, cols, -1, cols, lanes) & degrees[deg]
-            if not acc:
-                return 0
-    return (acc >> ((1 << n) - 1)) & 1
-
+    return profile.sw_numbers[r]

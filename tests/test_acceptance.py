@@ -174,7 +174,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_sw_numbers_vanish():
     start = time.perf_counter()
     ok = True
-    for n in range(1, 5):
+    for n in range(1, 6):
         for m in enumerate_all(n):
             profile = total_sw_class(m)
             ok &= all(v == 0 for v in profile.sw_numbers.values())
@@ -183,7 +183,7 @@ def test_criterion_7_sw_numbers_vanish():
         m = random_bott(rng, rng.randint(1, 7))
         profile = total_sw_class(m)
         ok &= all(v == 0 for v in profile.sw_numbers.values())
-    report(7, "all SW numbers vanish: exhaustive n<=4 + 1000 random n<=7", ok,
+    report(7, "all SW numbers vanish: exhaustive n<=5 + 1000 random n<=7", ok,
            time.perf_counter() - start, 60.0)
 
 

@@ -422,9 +422,11 @@ class TestSWNumbers:
 
     def test_masked_chain_matches_product_chain(self, monkeypatch):
         # Every SW number is 0, so equal numbers prove nothing: compare the
-        # partial products instead.  sw_number passes each of them, in order,
-        # to _times to multiply by w; the last one has degree n, so its top
-        # coefficient, the returned number, is the whole element.
+        # partial products instead.  The walk passes each internal node's
+        # product of parts to _times to multiply by w, once and depth first,
+        # so that sequence is each partition's proper prefix products, built
+        # here from its descending part list, in first-seen order when the
+        # lists run in reverse lexicographic order (largest first part first).
         rng = random.Random(13)
         cases = [_all_ones(10)]
         for n in range(1, 9):
@@ -434,30 +436,61 @@ class TestSWNumbers:
                             for i in range(n)]
                     cases.append(BottMatrix(n, tuple(rows)))
         profiles = [total_sw_class(C) for C in cases]
-        fed = []
-
-        def recording(E, factors, keep, cols, lanes):
-            fed.append(E)
-            return _times(E, factors, keep, cols, lanes)
-
-        monkeypatch.setattr(cohomology, "_times", recording)
         chains = 0
         for profile in profiles:
             n = profile.matrix.n
             cols = profile.matrix.columns()
-            for r in sw_partitions(n):
-                prefixes = [1]
-                for i, ri in enumerate(r, 1):
-                    for _ in range(ri):
-                        prefixes.append(_product(cols, prefixes[-1], profile.classes[i].bits))
-                # sw_number stops at the first zero product
-                stop = next((k for k, a in enumerate(prefixes) if not a), len(prefixes))
-                fed.clear()
-                value = sw_number(profile, r)
-                assert fed == prefixes[:min(stop, len(prefixes) - 1)], (profile.matrix, r)
-                assert prefixes[-1] == value << ((1 << n) - 1)
+            walk = sorted(([i for i in range(n, 0, -1) for _ in range(r[i - 1])]
+                           for r in sw_partitions(n)), reverse=True)
+            expected, numbers = {}, []
+            for parts in walk:
+                prefix = 1
+                for k, part in enumerate(parts, 1):
+                    prefix = _product(cols, prefix, profile.classes[part].bits)
+                    if k < len(parts):
+                        expected.setdefault(tuple(parts[:k]), prefix)
+                top = prefix >> ((1 << n) - 1)
+                assert prefix == top << ((1 << n) - 1), (profile.matrix, parts)
+                numbers.append((tuple(map(parts.count, range(1, n + 1))), top))
                 chains += 1
+            with monkeypatch.context() as patch:
+                fed = _record_times(patch)
+                assert list(profile.sw_numbers.items()) == numbers, profile.matrix
+            assert fed == list(expected.values()), profile.matrix
         assert chains == 42 + 18 * sum(1 for n in range(1, 9) for _ in sw_partitions(n))
+
+    def test_bad_partitions_refused_before_any_product(self, monkeypatch):
+        # the cases of the two tests above, each on a profile with no walk yet
+        cases = [(3, (1, 1, 1)), (3, (3,)), (2, None), (2, 3), (2, (2.0, 0)),
+                 (2, (False, True)), (2, (0, 1.0))]
+        profiles = [total_sw_class(BottMatrix.zero(n)) for n, _ in cases]
+        fed = _record_times(monkeypatch)
+        for profile, (_, partition) in zip(profiles, cases):
+            with pytest.raises(BadPartition):
+                sw_number(profile, partition)
+        assert fed == []
+
+    def test_one_walk_serves_every_partition(self, monkeypatch):
+        profile = total_sw_class(_all_ones(8))
+        fed = _record_times(monkeypatch)
+        first, *others = sw_partitions(8)
+        assert sw_number(profile, first) == 0
+        walked = len(fed)
+        assert walked > 0
+        assert all(sw_number(profile, r) == 0 for r in others)
+        assert len(fed) == walked
+
+
+def _record_times(monkeypatch):
+    """Patch cohomology._times to record each element it multiplies."""
+    fed = []
+
+    def recording(E, factors, keep, cols, lanes):
+        fed.append(E)
+        return _times(E, factors, keep, cols, lanes)
+
+    monkeypatch.setattr(cohomology, "_times", recording)
+    return fed
 
 
 class TestWuFormula:
@@ -557,3 +590,19 @@ class TestTriangularPrecondition:
             with pytest.raises(BottError, match=self.MESSAGE):
                 call(G)
             call(normalize(G)[1])  # the triangular form is accepted
+
+
+def sw_numbers_vanish(n: int) -> int:
+    """Every SW number of every n x n matrix must be 0: each real Bott
+    manifold bounds.  Returns the number of matrices checked; acceptance
+    criterion 7 runs n <= 5, and `python tests/test_cohomology.py` runs
+    every matrix at n = 6."""
+    checked = 0
+    for C in enumerate_all(n):
+        assert total_sw_class(C).sw_numbers_all_zero, C
+        checked += 1
+    return checked
+
+
+if __name__ == "__main__":
+    print(f"SW numbers n = 6: {sw_numbers_vanish(6)} matrices, all zero")

@@ -98,6 +98,8 @@ UNCALLED_IN_SRC = {
     "reduce_power_product": ("criterion", "criterion 10: both rewrite orders agree"),
     "reduce_square": ("test reference", "reduce_power_product's squares are checked against it"),
     "row_pair_matrix": ("criterion", "criterion 12: spin iff every two-row extraction is"),
+    "sw_number": ("bench", "the sw-numbers trace calls it once per partition"),
+    "sw_partitions": ("bench", "the sw-numbers trace lists the partitions it asks for"),
     "to_text": ("bench", "check-batch writes its input texts with it"),
     "variable": ("constructor", "the generator y_i"),
     "w1_formula": ("criterion", "criterion 12: the w_1 formula equals the ring's w_1"),
