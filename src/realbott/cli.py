@@ -67,8 +67,8 @@ def _partition_label(r) -> str:
 
 
 def cmd_sw(args) -> int:
-    from .cohomology import total_sw_class
-    profile = total_sw_class(_read_matrix(args))
+    from .cohomology import SWProfile
+    profile = SWProfile(_read_matrix(args))
     if args.format == "json":
         d = profile.to_json_dict()
         if args.numbers:

@@ -49,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BadPartition, BottError, DimensionMismatch, IndexOutOfRange
 from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _check_int,
-                     _iterate, _require_triangular)
+                     _iterate, _require_triangular, _shown)
 
 
 def monomial_str(mask: int) -> str:
@@ -117,20 +117,16 @@ def _ring_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @dataclass(frozen=True)
 class RingElement:
     """GF(2) sum of square-free monomials, kept in normal form as a dense
-    bitset: bit m is set iff the monomial with mask m is present."""
+    bitset: bit m is set iff the monomial with mask m is present.  The repr
+    prints the bits in hex, which has no digit limit, unlike decimal."""
 
     bits: int
 
     def __post_init__(self) -> None:
         _check_int(self.bits, "ring element bitset")
 
-    @classmethod
-    def zero(cls) -> "RingElement":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "RingElement":
-        return cls(1)
+    def __repr__(self) -> str:
+        return f"RingElement(bits={self.bits:#x})"
 
     @classmethod
     def variable(cls, i: int) -> "RingElement":
@@ -141,11 +137,10 @@ class RingElement:
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "RingElement":
         bits = 0  # XOR-fold: repeated masks cancel
-        for m in masks:
+        for m in _iterate(masks, IndexOutOfRange, "masks"):
             if type(m) is not int or not 0 <= m < 1 << MAX_SINGLE_N:
-                raise IndexOutOfRange(
-                    f"monomial mask {m!r} is not a product of y1..y{MAX_SINGLE_N}"
-                )
+                raise IndexOutOfRange(f"monomial mask {_shown(m)} is not a product of "
+                                      f"y1..y{MAX_SINGLE_N}")
             bits ^= 1 << m
         return cls(bits)
 
@@ -153,9 +148,6 @@ class RingElement:
         return RingElement(self.bits ^ other.bits)
 
     __add__ = __xor__
-
-    def __bool__(self) -> bool:
-        return bool(self.bits)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -309,7 +301,7 @@ class SWProfile:
     otherwise)."""
 
     matrix: BottMatrix
-    total: int = field(init=False)
+    total: int = field(init=False, repr=False)  # 2^n bits: too long for a decimal repr
 
     def __post_init__(self) -> None:
         cols = _ring_columns(self.matrix)  # before any table of that n is built
@@ -332,7 +324,7 @@ class SWProfile:
         fundamental class, keyed by exponent vector in `sw_partitions` order:
         one `_walk` whose nodes hold a * w for the product a of their parts,
         so the child of part p at degree d is a * w_p = (a * w) & degrees[d + p]."""
-        cols = _ring_columns(self.matrix)
+        cols = self.matrix.columns()  # checked by the constructor
         n = self.matrix.n
         lanes, degrees = _ring_tables(n)
 
@@ -355,10 +347,9 @@ class SWProfile:
         }
 
 
-def total_sw_class(C: BottMatrix) -> SWProfile:
-    """Expand the total class as the product of (1 + column sum) over the
-    columns of C; the profile splits it by degree."""
-    return SWProfile(C)
+#: Kept for callers that name the total class; identical to `SWProfile`,
+#: which expands it as the product of (1 + column sum) over C's columns.
+total_sw_class = SWProfile
 
 
 def w1_formula(C: BottMatrix) -> RingElement:
@@ -377,7 +368,7 @@ def w_top_minus_one(C: BottMatrix) -> RingElement:
         raise IndexOutOfRange("needs n >= 2")
     for i in range(C.n - 1):
         if not (C.rows[i] >> (i + 1)) & 1:
-            return RingElement.zero()
+            return RingElement(0)
     return RingElement.from_masks(((1 << (C.n - 1)) - 1,))
 
 
@@ -421,7 +412,7 @@ def sw_number(profile: SWProfile, partition: Sequence[int]) -> int:
     r = tuple(_iterate(partition, BadPartition, "a partition"))
     # 2.0 and False compare equal to 2 and 0 but are not exponents
     if len(r) != n or any(type(x) is not int or x < 0 for x in r):
-        raise BadPartition(f"need {n} nonnegative int exponents, got {r}")
+        raise BadPartition(f"need {n} nonnegative int exponents, got {_shown(r)}")
     if sum(i * ri for i, ri in enumerate(r, 1)) != n:
-        raise BadPartition(f"weighted degree of {r} is not {n}")
+        raise BadPartition(f"weighted degree of {_shown(r)} is not {n}")
     return profile.sw_numbers[r]

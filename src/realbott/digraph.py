@@ -67,22 +67,18 @@ def export_dot(D: AnyBottMatrix) -> str:
     witness pair, when there is one, is drawn dashed red (as an extra
     non-constraint line when the pair is not an edge)."""
     verdict = digraph_spin(D)
-    witness = {(w.j, w.k) for w in verdict.witnesses if isinstance(w, PairWitness)}
+    # `_verdict` gives at most one pair witness
+    pair = next(((w.j, w.k) for w in verdict.witnesses if isinstance(w, PairWitness)), None)
     lines = ["digraph {", f'  label="orientable={str(verdict.orientable).lower()} '
              f'spin={str(verdict.spin).lower()}";']
     for i in range(1, D.n + 1):
         lines.append(f"  u{i};")
-    annotated = set()
     for i in range(1, D.n + 1):
         for j in _vertices(D.rows[i - 1]):
-            if (i, j) in witness:
-                lines.append(f"  u{i} -> u{j} [color=red, style=dashed];")
-                annotated.add((i, j))
-            else:
-                lines.append(f"  u{i} -> u{j};")
-    for j, k in sorted(witness - annotated):
-        lines.append(
-            f"  u{j} -> u{k} [color=red, style=dashed, dir=none, constraint=false];"
-        )
+            style = " [color=red, style=dashed]" if (i, j) == pair else ""
+            lines.append(f"  u{i} -> u{j}{style};")
+    if pair and not (D.rows[pair[0] - 1] >> (pair[1] - 1)) & 1:
+        lines.append(f"  u{pair[0]} -> u{pair[1]} "
+                     "[color=red, style=dashed, dir=none, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"

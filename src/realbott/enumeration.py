@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import __version__
-from .cohomology import total_sw_class
+from .cohomology import SWProfile
 from .criteria import PairWitness, is_spin, spin_by_pairs
 from .digraph import common_out, digraph_spin, out_neighbours
 from .errors import BottError, DimensionTooLarge
@@ -34,7 +34,8 @@ from .fixtures import (
     load_fixture,
     orientable_not_spin_family,
 )
-from .matrix import BottMatrix, _check_dimension, index_space, matrix_from_index, matrix_index
+from .matrix import (BottMatrix, _check_dimension, _shown, index_space, matrix_from_index,
+                     matrix_index)
 
 DEFAULT_EXHAUSTIVE_CAP = 7
 
@@ -70,12 +71,11 @@ def _index_batches(n, mode, count, seed, cap) -> Iterator[Sequence[int]]:
     if mode == "exhaustive":
         limit = DEFAULT_EXHAUSTIVE_CAP if cap is None else cap
         if n > limit:
-            raise DimensionTooLarge(
-                f"exhaustive enumeration capped at n={limit}, got n={n}"
-            )
+            raise DimensionTooLarge(f"exhaustive enumeration capped at n={_shown(limit)}, "
+                                    f"got n={_shown(n)}")
         bits = n * (n - 1) // 2  # no sweep that long ends; 2^bits is not built
         if bits >= sys.maxsize.bit_length():
-            raise DimensionTooLarge(f"exhaustive enumeration: n={n} has 2^{bits} "
+            raise DimensionTooLarge(f"exhaustive enumeration: n={_shown(n)} has 2^{_shown(bits)} "
                                     f"matrices, more than {sys.maxsize}")
         total = index_space(n)
     elif mode == "sample":
@@ -108,7 +108,7 @@ def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
     v = is_spin(C)
     d = digraph_spin(C)
     p = spin_by_pairs(C)
-    profile = total_sw_class(C)
+    profile = SWProfile(C)
     ring = [profile.orientable, profile.spin is True]
     # both records come from the `_verdict` cache: equal ones are almost always one object
     if (v is d or v == d) and v.orientable == ring[0] and v.spin == p == ring[1]:

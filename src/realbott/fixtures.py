@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BottError, IndexOutOfRange
-from .matrix import BottMatrix, _require_triangular, load_matrix
+from .matrix import BottMatrix, _require_triangular, _shown, load_matrix
 
 
 def default_fixture_dir() -> Path:
@@ -120,7 +120,7 @@ def orientable_not_spin_family(n: int) -> BottMatrix:
     ones at (1,2), (1,n-2), (n-2,n-1) and (n-2,n).  Rows 1 and n-2 have even
     sums, and the pair (1, n-2) violates the spin identity with P=0, Q=1."""
     if type(n) is not int or n < 5:
-        raise IndexOutOfRange(f"family needs n >= 5, got {n!r}")
+        raise IndexOutOfRange(f"family needs n >= 5, got {_shown(n)}")
     rows = [0] * n
     rows[0] = (1 << 1) | (1 << (n - 3))
     rows[n - 3] = (1 << (n - 2)) | (1 << (n - 1))

@@ -59,7 +59,7 @@ class _BinaryMatrix:
         n, rows = self.n, tuple(_iterate(self.rows, NonSquare, "rows"))
         _check_dimension(n)
         if len(rows) != n:
-            raise NonSquare(f"expected {n} rows, got {len(rows)}")
+            raise NonSquare(f"expected {_shown(n)} rows, got {len(rows)}")
         full = (1 << n) - 1
         for i, row in enumerate(rows):
             # 2.0 and True compare equal to 2 and 1 but are not masks
@@ -146,7 +146,7 @@ class Permutation:
         # 2.0 and True compare equal to 2 and 1 but cannot index a row
         ints = all(type(v) is int for v in self.sigma)
         if not ints or sorted(self.sigma) != list(range(1, n + 1)):
-            raise BottError(f"not a bijection on 1..{n}: {self.sigma}")
+            raise BottError(f"not a bijection on 1..{n}: {_shown(self.sigma)}")
 
     @property
     def n(self) -> int:
@@ -168,12 +168,23 @@ class Permutation:
         return cls(tuple(range(1, n + 1)))
 
 
+def _shown(x) -> str:
+    """repr(x) for a refusal message; an int too long for str() (see
+    sys.get_int_max_str_digits()), alone or in a tuple, shows its bit length."""
+    try:
+        return repr(x)
+    except ValueError:
+        if isinstance(x, tuple):
+            return f"({', '.join(map(_shown, x))})"
+        return f"<{'negative ' * (x < 0)}int of {x.bit_length()} bits>"
+
+
 def _iterate(items, error: type[BottError], what: str):
     """iter(items), a non-iterable refused as `error`, not a bare TypeError."""
     try:
         return iter(items)
     except TypeError:
-        raise error(f"{what} must be iterable, got {items!r}") from None
+        raise error(f"{what} must be iterable, got {_shown(items)}") from None
 
 
 def _check_dimension(n: int, capped: str | None = None) -> None:
@@ -184,9 +195,9 @@ def _check_dimension(n: int, capped: str | None = None) -> None:
     if type(n) is not int:
         raise NonSquare(f"dimension must be an int, got {n!r}")
     if n < 1:
-        raise NonSquare(f"dimension must be >= 1, got {n}")
+        raise NonSquare(f"dimension must be >= 1, got {_shown(n)}")
     if capped is not None and n > MAX_SINGLE_N:
-        raise DimensionTooLarge(f"{capped}n={n} exceeds the cap {MAX_SINGLE_N}")
+        raise DimensionTooLarge(f"{capped}n={_shown(n)} exceeds the cap {MAX_SINGLE_N}")
 
 
 def _check_int(x: int, what: str) -> None:
@@ -194,17 +205,17 @@ def _check_int(x: int, what: str) -> None:
     if type(x) is not int:
         raise IndexOutOfRange(f"{what} must be an int, got {x!r}")
     if x < 0:
-        raise IndexOutOfRange(f"{what} {x} is negative")
+        raise IndexOutOfRange(f"{what} {_shown(x)} is negative")
 
 
 def _check_index(i: int, n: int, what: str = "index") -> None:
     if type(i) is not int or not 1 <= i <= n:
-        raise IndexOutOfRange(f"{what} {i!r} outside 1..{n}")
+        raise IndexOutOfRange(f"{what} {_shown(i)} outside 1..{n}")
 
 
 def _check_pair(j: int, k: int, n: int) -> None:
     if type(j) is not int or type(k) is not int or not 1 <= j < k <= n:
-        raise IndexOutOfRange(f"need 1 <= j < k <= {n}, got ({j!r},{k!r})")
+        raise IndexOutOfRange(f"need 1 <= j < k <= {n}, got ({_shown(j)},{_shown(k)})")
 
 
 def _require_triangular(C, needs: str) -> None:
@@ -227,7 +238,7 @@ def _grid_masks(grid: Iterable[Iterable[int]]) -> tuple[int, ...]:
         for j, v in enumerate(row):
             # 1.0 and True compare equal to 1 but are not entries
             if type(v) is not int or v not in (0, 1):
-                raise NonBinary(f"row {i}: entry {v!r} is not 0/1")
+                raise NonBinary(f"row {i}: entry {_shown(v)} is not 0/1")
             mask |= v << j
         masks.append(mask)
     return tuple(masks)
@@ -343,7 +354,7 @@ def matrix_from_json(data: Union[str, dict]) -> AnyBottMatrix:
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or a too-long int
             raise NonSquare(f"bad JSON matrix: {exc}") from exc
     if not isinstance(data, dict) or "rows" not in data:
         raise NonSquare('JSON matrix needs an object with "n" and "rows"')
@@ -355,7 +366,7 @@ def matrix_from_json(data: Union[str, dict]) -> AnyBottMatrix:
     if type(n) is not int:
         raise NonSquare(f'"n" must be an integer, got {n!r}')
     if n != len(rows):
-        raise NonSquare(f'"n" is {n} but {len(rows)} rows given')
+        raise NonSquare(f'"n" is {_shown(n)} but {len(rows)} rows given')
     _check_dimension(n)
     masks = _grid_masks(rows)
     m = 1 << (n - 1).bit_length()
@@ -477,12 +488,12 @@ def matrix_from_index(n: int, index: int) -> BottMatrix:
     `_check_dimension` is called only to raise; 8-bit lanes are read inline."""
     # 2.0 and True compare equal to 2 and 1 but are not a dimension or an index
     if type(n) is not int or type(index) is not int:
-        raise NonSquare(f"dimension and index must be ints, got {n!r} and {index!r}")
+        raise NonSquare(f"dimension and index must be ints, got {_shown(n)} and {_shown(index)}")
     if not 1 <= n <= MAX_SINGLE_N:
         _check_dimension(n, "decoding: ")
     free = n * (n - 1) // 2
     if index < 0 or index >> free:
-        raise IndexOutOfRange(f"index {index} outside 0..2^{free}-1")
+        raise IndexOutOfRange(f"index {_shown(index)} outside 0..2^{free}-1")
     m, tables = _decode_tables(n)
     x = 0
     for table, byte in zip(tables, index.to_bytes(len(tables), "little")):
@@ -548,6 +559,6 @@ def row_pair_matrix(C: AnyBottMatrix, j: int, k: int) -> AnyBottMatrix:
 def delete_leading(C: AnyBottMatrix, k: int) -> AnyBottMatrix:
     """Trailing principal submatrix: drop the first k rows and columns."""
     if type(k) is not int or not 0 <= k < C.n:
-        raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {k!r}")
+        raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {_shown(k)}")
     m = C.n - k
     return type(C)(m, tuple(C.rows[i + k] >> k for i in range(m)))

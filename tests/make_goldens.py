@@ -145,6 +145,11 @@ CASES = [
     # pairs (1,2) and (1,3) both fail; only the witness pair (1,2) is drawn red
     ("digraph-witness-pair", ["digraph", "--matrix", "010010;001100;000110;000000;000000;000000"],
      None, {}),
+    # digraph_d with vertices 2 and 3 swapped: its witness pair (2,3) is
+    # joined only by the edge u3 -> u2, so a dashed u2 -> u3 line is added
+    ("digraph-reversed-witness-edge",
+     ["digraph", "--matrix", "0000000;0001111;0101110;0000000;0000011;0000000;0000000"],
+     None, {}),
     ("enumerate-n2-csv", ["enumerate", "-n", "2", "--threads", "1", "--format", "csv"], None, {}),
     ("enumerate-n3-json", ["enumerate", "-n", "3", "--threads", "1", "--format", "json"],
      None, {}),

@@ -17,6 +17,7 @@ from unittest import mock
 import pytest
 
 from realbott import (
+    BadPartition,
     BottError,
     BottMatrix,
     DimensionMismatch,
@@ -56,6 +57,9 @@ from realbott.matrix import _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
 Z21 = BottMatrix.zero(21)
+#: An int with more digits than str() writes by default (4300), and how a
+#: refusal shows it and its negative.
+HUGE, SHOWN, NEGATIVE = 1 << 20000, "<int of 20001 bits>", "<negative int of 20001 bits>"
 
 
 def command(*argv, stdin="", **env):
@@ -157,6 +161,45 @@ REFUSALS = [
      "BOTT_MAX_N must be an integer, got 'x'"),
     ("cli-json-without-rows", lambda: command("check", "-", stdin='{"n": 2}'), NonSquare,
      'JSON matrix needs an object with "n" and "rows"'),
+    ("from_masks-not-iterable", lambda: RingElement.from_masks(5), IndexOutOfRange,
+     "masks must be iterable, got 5"),
+    # an int too long for str(): a JSON number past the limit is bad JSON, and
+    # every refusal message shows the int by its bit length
+    ("json-huge-number", lambda: matrix_from_json('{"n": 1' + "0" * 5000 + ', "rows": [[0]]}'),
+     NonSquare, "bad JSON matrix: "),
+    ("from_index-huge-index", lambda: matrix_from_index(3, HUGE), IndexOutOfRange,
+     f"index {SHOWN} outside 0..2^3-1"),
+    ("from_index-float-n-huge-index", lambda: matrix_from_index(3.0, HUGE), NonSquare,
+     f"must be ints, got 3.0 and {SHOWN}"),
+    ("from_index-huge-n", lambda: matrix_from_index(HUGE, 0), DimensionTooLarge,
+     f"decoding: n={SHOWN} exceeds the cap 20"),
+    ("entry-huge", lambda: C.entry(HUGE, 1), IndexOutOfRange, f"index {SHOWN} outside 1..3"),
+    ("row_pair-huge", lambda: row_pair_matrix(C, 1, HUGE), IndexOutOfRange,
+     f"need 1 <= j < k <= 3, got (1,{SHOWN})"),
+    ("ring-element-huge-negative", lambda: RingElement(-HUGE), IndexOutOfRange,
+     f"ring element bitset {NEGATIVE} is negative"),
+    ("permutation-huge", lambda: Permutation((HUGE, 1)), BottError,
+     f"not a bijection on 1..2: ({SHOWN}, 1)"),
+    ("sweep-huge-negative-cap", lambda: sweep(3, cap=-HUGE), DimensionTooLarge,
+     f"capped at n={NEGATIVE}, got n=3"),
+    ("sweep-huge-n", lambda: sweep(HUGE), DimensionTooLarge, f"capped at n=7, got n={SHOWN}"),
+    ("sweep-huge-n-and-cap", lambda: sweep(HUGE, cap=HUGE), DimensionTooLarge,
+     f"n={SHOWN} has 2^<int of 39999 bits> matrices"),
+    ("sweep-huge-negative-n", lambda: sweep(-HUGE), NonSquare,
+     f"dimension must be >= 1, got {NEGATIVE}"),
+    ("matrix-huge-n", lambda: BottMatrix(HUGE, ()), NonSquare, f"expected {SHOWN} rows, got 0"),
+    ("from_lists-huge-entry", lambda: BottMatrix.from_lists([[0, HUGE], [0, 0]]), NonBinary,
+     f"row 1: entry {SHOWN} is not 0/1"),
+    ("json-dict-huge-n", lambda: matrix_from_json({"n": HUGE, "rows": [[0]]}), NonSquare,
+     f'"n" is {SHOWN} but 1 rows given'),
+    ("delete_leading-huge", lambda: delete_leading(C, HUGE), IndexOutOfRange,
+     f"need 0 <= k < 3, got {SHOWN}"),
+    ("from_masks-huge", lambda: RingElement.from_masks([HUGE]), IndexOutOfRange,
+     f"monomial mask {SHOWN} is not a product of y1..y20"),
+    ("sw_number-huge", lambda: sw_number(SWProfile(C), (HUGE, 0, 0)), BadPartition,
+     f"weighted degree of ({SHOWN}, 0, 0) is not 3"),
+    ("family-huge-negative", lambda: orientable_not_spin_family(-HUGE), IndexOutOfRange,
+     f"family needs n >= 5, got {NEGATIVE}"),
 ]
 
 

@@ -191,6 +191,11 @@ class TestEnumerate:
             enumeration.BATCH)
 
 
+#: A JSON matrix whose "n" has more digits than `int()` reads from a string
+#: by default (4300): `json.loads` refuses it with a plain ValueError.
+HUGE_NUMBER_JSON = '{"n": 1' + "0" * 5000 + ', "rows": [[0]]}'
+
+
 class TestVerifyPaper:
     def test_all_pass(self, capsys):
         assert main(["verify-paper"]) == 0
@@ -272,6 +277,30 @@ class TestVerifyPaper:
 
     def test_missing_dir_exit_2(self, tmp_path):
         assert main(["verify-paper", "--fixtures", str(tmp_path / "gone")]) == 2
+
+    def test_huge_json_number_fixture_named_exit_2(self, tmp_path, capsys):
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        (fixtures / "reps_n3_1.txt").write_text(HUGE_NUMBER_JSON)
+        assert main(["verify-paper", "--fixtures", str(fixtures)]) == 2
+        path = fixtures / "reps_n3_1.txt"
+        assert capsys.readouterr().err.startswith(f"error: {path}: bad JSON matrix: ")
+
+
+class TestHugeJsonNumber:
+    # the message after the prefix is Python's own and differs by version
+    def test_file_exit_2(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(HUGE_NUMBER_JSON)
+        code, out, err = cli_process("check", str(path))
+        assert (code, out) == (2, b"")
+        assert err.startswith(b"error: bad JSON matrix: ") and b"Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "sw"])
+    def test_stdin_exit_2(self, command, capsys, monkeypatch):
+        code, out, err = cli(capsys, monkeypatch, command, "-", stdin=HUGE_NUMBER_JSON)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad JSON matrix: ") and "Traceback" not in err
 
 
 def cli(capsys, monkeypatch, *argv, stdin=None):

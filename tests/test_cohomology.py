@@ -52,8 +52,8 @@ def masks(element):
 
 class TestRingElement:
     def test_serialization(self):
-        assert str(RingElement.zero()) == "0"
-        assert str(RingElement.one()) == "1"
+        assert str(RingElement(0)) == "0"
+        assert str(RingElement(1)) == "1"
         e = RingElement.variable(1) + RingElement.variable(3)
         assert str(e) == "y1+y3"
         assert monomial_str(0b100101) == "y1*y3*y6"
@@ -85,6 +85,21 @@ class TestRingElement:
         b = RingElement.from_masks({0b10, 0b100})
         assert masks(a + b) == {0b01, 0b100}
         assert (a + a).is_zero()
+
+    def test_truth_is_having_a_term(self):
+        assert bool(RingElement(0)) is False
+        assert bool(RingElement.variable(1)) is True
+
+    def test_repr_of_large_elements(self, rng):
+        # decimal reprs of 2^n-bit ints passed Python's default digit limit
+        # (4300) from n = 15; the hex repr has none and evaluates back
+        profiles = [SWProfile(_all_ones(20))]
+        profiles += [SWProfile(random_bott(rng, n)) for n in range(15, 21) for _ in range(30)]
+        for profile in profiles:
+            assert repr(profile) == f"SWProfile(matrix={profile.matrix!r})"
+            for w in profile.classes:
+                assert repr(w) == f"RingElement(bits={hex(w.bits)})"
+                assert eval(repr(w), {"RingElement": RingElement}) == w
 
 
 class TestReduceSquare:
@@ -132,7 +147,7 @@ class TestReduceSquare:
 
 class TestMultiply:
     def test_one_is_identity(self, rng):
-        one = RingElement.one()
+        one = RingElement(1)
         for _ in range(20):
             m = random_bott(rng, 5)
             e = RingElement.from_masks(rng.sample(range(32), rng.randint(0, 6)))
@@ -152,7 +167,7 @@ class TestMultiply:
     def test_dimension_mismatch(self):
         z = BottMatrix.zero(2)
         with pytest.raises(DimensionMismatch):
-            multiply(z, RingElement.variable(5), RingElement.one())
+            multiply(z, RingElement.variable(5), RingElement(1))
 
     def test_matches_plain_reduction(self, rng):
         for _ in range(200):
@@ -248,6 +263,9 @@ class TestReductionOrders:
 
 
 class TestTotalClass:
+    def test_alias_is_the_profile_class(self):
+        assert total_sw_class is SWProfile
+
     def test_zero_matrix(self):
         profile = total_sw_class(BottMatrix.zero(5))
         assert all(w.is_zero() for w in profile.classes[1:])

@@ -92,7 +92,6 @@ UNCALLED_IN_SRC = {
     "is_zero": ("criterion", "criterion 11 reads w_1, w_2 and w_3 = 0 with it"),
     "multiply": ("test reference", "the dense product; it and reduce_power_product check each other"),
     "normalize": ("criterion", "criterion 9 round-trips conjugates through it"),
-    "one": ("constructor", "the ring's unit"),
     "out_degree": ("criterion", "criterion 8 reads N_k as an out-degree"),
     "pair_terms": ("criterion", "criterion 8 checks Q against C(N_k, 2)"),
     "reduce_power_product": ("criterion", "criterion 10: both rewrite orders agree"),
@@ -105,6 +104,7 @@ UNCALLED_IN_SRC = {
     "w1_formula": ("criterion", "criterion 12: the w_1 formula equals the ring's w_1"),
     "w_top_minus_one": ("criterion", "criterion 6 checks it against the ring's w_{n-1}"),
     "wk_recursive": ("criterion", "criterion 6 checks it against the ring's w_k"),
+    "zero": ("constructor", "BottMatrix.zero: the zero matrix of size n"),
 }
 
 

@@ -42,7 +42,7 @@ class SpinVerdict:
 @dataclass(frozen=True)
 class SWProfile:
     matrix: BottMatrix
-    total: int = field(init=False)
+    total: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # w_0 = 1 and w_k by the recursion over leading blocks: the degrees
