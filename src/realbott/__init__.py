@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 #: access (PEP 562), so `import realbott` loads no submodule.
 _EXPORTS = {
     "cohomology": (
-        "RingElement", "SWProfile", "monomial_str", "multiply",
+        "RingElement", "SWProfile", "multiply",
         "reduce_power_product", "reduce_square", "sw_number", "sw_partitions",
         "total_sw_class", "w1_formula", "w_top_minus_one", "wk_recursive",
     ),

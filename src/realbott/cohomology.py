@@ -49,18 +49,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BadPartition, BottError, DimensionMismatch, IndexOutOfRange
 from .matrix import (MAX_SINGLE_N, BottMatrix, _check_dimension, _check_index, _check_int,
-                     _iterate, _require_triangular, _shown)
-
-
-def monomial_str(mask: int) -> str:
-    """"y1*y3" style rendering; the empty monomial renders as "1"."""
-    _check_int(mask, "monomial mask")
-    return _monomial_strs([mask])[0]
+                     _check_size, _iterate, _require_triangular, _shown)
 
 
 def _monomial_strs(masks: list[int]) -> list[str]:
-    """monomial_str of each non-negative mask, ten variables at a time: one
-    name-table lookup per 10-bit chunk, no loop over the set bits."""
+    """Each non-negative mask as a monomial, "y1*y3" style, the empty one as
+    "1", ten variables at a time: one name-table lookup per 10-bit chunk, no
+    loop over the set bits."""
     out = [""] * len(masks)
     top = max(masks, default=0)
     offset = 0
@@ -227,8 +222,8 @@ def _ring_columns(C: BottMatrix) -> tuple[int, ...]:
 
 def _check_element(C: BottMatrix, bits: int) -> None:
     if bits >> (1 << C.n):
-        m = bits.bit_length() - 1
-        raise DimensionMismatch(f"monomial {monomial_str(m)} uses variables beyond y{C.n}")
+        [top] = _monomial_strs([bits.bit_length() - 1])
+        raise DimensionMismatch(f"monomial {top} uses variables beyond y{C.n}")
 
 
 def reduce_square(C: BottMatrix, i: int) -> RingElement:
@@ -400,7 +395,7 @@ def _walk(n: int, step, value) -> Iterator[tuple[tuple[int, ...], object]]:
 
 def sw_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """All exponent vectors (r_1..r_n) with sum i*r_i = n, in `_walk` order."""
-    _check_dimension(n)
+    _check_size(n)
     return (r for r, _ in _walk(n, lambda value, d, p: value, None))
 
 

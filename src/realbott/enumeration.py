@@ -40,16 +40,10 @@ from .matrix import (BottMatrix, _check_dimension, _shown, index_space, matrix_f
 DEFAULT_EXHAUSTIVE_CAP = 7
 
 
-def enumerate_all(
-    n: int,
-    mode: str = "exhaustive",
-    count: int | None = None,
-    seed: int | None = None,
-    cap: int | None = None,
-) -> Iterator[BottMatrix]:
-    """Yield matrices of dimension n: each one exactly once in packed-index
-    order (exhaustive, n <= `cap`), or `count` seeded draws (sample, n <= 20)."""
-    for index in itertools.chain.from_iterable(_index_batches(n, mode, count, seed, cap)):
+def enumerate_all(n: int) -> Iterator[BottMatrix]:
+    """Yield every matrix of dimension n <= DEFAULT_EXHAUSTIVE_CAP exactly
+    once, in packed-index order; `sweep(mode="sample")` draws seeded ones."""
+    for index in itertools.chain.from_iterable(_index_batches(n, "exhaustive", None, None, None)):
         yield matrix_from_index(n, index)
 
 
@@ -77,23 +71,19 @@ def _index_batches(n, mode, count, seed, cap) -> Iterator[Sequence[int]]:
         if bits >= sys.maxsize.bit_length():
             raise DimensionTooLarge(f"exhaustive enumeration: n={_shown(n)} has 2^{_shown(bits)} "
                                     f"matrices, more than {sys.maxsize}")
-        total = index_space(n)
-    elif mode == "sample":
-        if seed is None:
-            raise BottError("sample mode requires a seed")
-        if type(seed) is not int:
-            raise BottError(f"seed must be an int, got {seed!r}")
-        if type(count) is not int or count < 1:
-            raise BottError("sample mode requires a positive count")
-        total = count
-    else:
+        return (range(lo, min(lo + BATCH, 1 << bits)) for lo in range(0, 1 << bits, BATCH))
+    if mode != "sample":
         raise BottError(f"unknown mode {mode!r}")
-    starts = range(0, total, BATCH)
-    if mode == "exhaustive":
-        return (range(lo, min(lo + BATCH, total)) for lo in starts)
+    if seed is None:
+        raise BottError("sample mode requires a seed")
+    if type(seed) is not int:
+        raise BottError(f"seed must be an int, got {seed!r}")
+    if type(count) is not int or count < 1:
+        raise BottError("sample mode requires a positive count")
     rng = random.Random(seed)
     space = index_space(n)
-    return ([rng.randrange(space) for _ in range(min(BATCH, total - lo))] for lo in starts)
+    return ([rng.randrange(space) for _ in range(min(BATCH, count - lo))]
+            for lo in range(0, count, BATCH))
 
 
 def evaluate_matrix(C: BottMatrix) -> tuple[bool, bool, dict | None]:
@@ -249,9 +239,11 @@ def sweep(
     start = time.perf_counter()
     if type(jobs) is not int:
         raise BottError(f"jobs must be an int, got {jobs!r}")
+    if jobs < 1:
+        raise BottError(f"jobs must be >= 1, got {_shown(jobs)}")
     # More workers than cores only adds start-up cost, and fork starts them
     # all at once
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    jobs = min(jobs, os.cpu_count() or 1)
     batches = _index_batches(n, mode, count, seed, cap)
     total = orientable = spin = 0
     mismatches: list[dict] = []

@@ -44,6 +44,8 @@ from .errors import (
 #: Guard for parsed input.  Single-matrix checks stay cheap well beyond
 #: this, but monomial masks and pair scans are tuned for small n.
 MAX_SINGLE_N = 20
+#: Most rows a build makes: `_word_tables` grows as n^2 (0.2 s at n = 1024).
+MAX_BUILD_N = 1024
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class _BinaryMatrix:
         _check_dimension(n)
         if len(rows) != n:
             raise NonSquare(f"expected {_shown(n)} rows, got {len(rows)}")
+        if n > MAX_BUILD_N:
+            _check_size(n)
         full = (1 << n) - 1
         for i, row in enumerate(rows):
             # 2.0 and True compare equal to 2 and 1 but are not masks
@@ -121,7 +125,7 @@ class BottMatrix(_BinaryMatrix):
 
     @classmethod
     def zero(cls, n: int) -> "BottMatrix":
-        _check_dimension(n)
+        _check_size(n)
         return cls(n, (0,) * n)
 
 
@@ -164,7 +168,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        _check_dimension(n)
+        _check_size(n)
         return cls(tuple(range(1, n + 1)))
 
 
@@ -190,7 +194,7 @@ def _iterate(items, error: type[BottError], what: str):
 def _check_dimension(n: int, capped: str | None = None) -> None:
     """Refuse n unless it is an int >= 1 and, when `capped` prefixes the
     reason the size is bounded, at most MAX_SINGLE_N.  This check and the
-    three below refuse every argument that is not an int."""
+    four below refuse every argument that is not an int."""
     # 2.0 and True compare equal to 2 and 1 but are not dimensions or indices
     if type(n) is not int:
         raise NonSquare(f"dimension must be an int, got {n!r}")
@@ -198,6 +202,13 @@ def _check_dimension(n: int, capped: str | None = None) -> None:
         raise NonSquare(f"dimension must be >= 1, got {_shown(n)}")
     if capped is not None and n > MAX_SINGLE_N:
         raise DimensionTooLarge(f"{capped}n={_shown(n)} exceeds the cap {MAX_SINGLE_N}")
+
+
+def _check_size(n: int) -> None:
+    """`_check_dimension(n)`, then refuse n above MAX_BUILD_N before n rows are built."""
+    _check_dimension(n)
+    if n > MAX_BUILD_N:
+        raise DimensionTooLarge(f"building: n={_shown(n)} exceeds the cap {MAX_BUILD_N}")
 
 
 def _check_int(x: int, what: str) -> None:
@@ -478,7 +489,7 @@ def _decode_tables(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def index_space(n: int) -> int:
-    _check_dimension(n)
+    _check_size(n)
     return 1 << (n * (n - 1) // 2)
 
 

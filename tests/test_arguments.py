@@ -3,12 +3,14 @@
 element's bits are ints, the bits non-negative.  2.0 and True compare
 equal to 2 and 1 but are refused, each with a package error rather than a
 bare TypeError, and every refusal for an int argument keeps the message of
-its one owner in `realbott.matrix`.  A sweep's `cap` and sample `seed`
-must be ints too, the seed of any sign.  `multiply` also refuses an element
-with variables beyond the matrix's own, and `SWProfile` a general matrix, a
-matrix above the ring's cap or anything else as its matrix.  `conjugate` refuses a permutation of another size, the
-JSON reader anything but an object with rows, and the CLI both an input
-file and --matrix, and a BOTT_MAX_N that is not an integer."""
+its one owner in `realbott.matrix`.  A build of n rows refuses n above
+`MAX_BUILD_N` before it allocates.  A sweep's `cap` and sample `seed` must
+be ints too, the seed of any sign, and its `jobs` an int >= 1.  `multiply`
+also refuses an element with variables beyond the matrix's own, and
+`SWProfile` a general matrix, a matrix above the ring's cap or anything
+else as its matrix.  `conjugate` refuses a permutation of another size,
+the JSON reader anything but an object with rows, and the CLI both an
+input file and --matrix, and a BOTT_MAX_N that is not an integer."""
 
 import io
 import os
@@ -35,7 +37,6 @@ from realbott import (
     enumerate_all,
     matrix_from_index,
     matrix_from_json,
-    monomial_str,
     multiply,
     orientable_not_spin_family,
     out_degree,
@@ -53,13 +54,15 @@ from realbott import (
 )
 from realbott.cli import build_parser
 from realbott.cohomology import _ring_tables
-from realbott.matrix import _check_dimension, _check_index, index_space
+from realbott.matrix import MAX_BUILD_N, _check_dimension, _check_index, index_space
 
 C = BottMatrix.from_lists([[0, 1, 1], [0, 0, 1], [0, 0, 0]])
 Z21 = BottMatrix.zero(21)
 #: An int with more digits than str() writes by default (4300), and how a
 #: refusal shows it and its negative.
 HUGE, SHOWN, NEGATIVE = 1 << 20000, "<int of 20001 bits>", "<negative int of 20001 bits>"
+#: The first n above the build bound, and the end of each builder's refusal.
+ABOVE, BOUND = MAX_BUILD_N + 1, f" exceeds the cap {MAX_BUILD_N}"
 
 
 def command(*argv, stdin="", **env):
@@ -81,8 +84,6 @@ REFUSALS = [
     ("sweep-float-jobs", lambda: sweep(3, jobs=2.0), BottError, "jobs must be an int, got 2.0"),
     ("sweep-str-cap", lambda: sweep(3, cap="7"), BottError, "cap must be an int, got '7'"),
     ("sweep-bool-cap", lambda: sweep(3, cap=True), BottError, "cap must be an int, got True"),
-    ("enumerate_all-str-cap", lambda: next(enumerate_all(3, cap="9")), BottError,
-     "cap must be an int, got '9'"),
     ("sweep-list-seed", lambda: sweep(3, "sample", count=5, seed=[1]), BottError,
      "seed must be an int, got [1]"),
     ("sweep-str-seed", lambda: sweep(3, "sample", count=5, seed="x"), BottError,
@@ -126,8 +127,6 @@ REFUSALS = [
     ("pair_terms-float", lambda: pair_terms(C, 1.5, 2), IndexOutOfRange, "got (1.5,2)"),
     ("family-float", lambda: orientable_not_spin_family(5.0), IndexOutOfRange,
      "family needs n >= 5, got 5.0"),
-    ("monomial_str-float", lambda: monomial_str(1.0), IndexOutOfRange,
-     "monomial mask must be an int, got 1.0"),
     ("from_masks-float", lambda: RingElement.from_masks([1.0]), IndexOutOfRange,
      "monomial mask 1.0 is not a product"),
     ("ring-element-float", lambda: RingElement(1.5), IndexOutOfRange,
@@ -200,6 +199,32 @@ REFUSALS = [
      f"weighted degree of ({SHOWN}, 0, 0) is not 3"),
     ("family-huge-negative", lambda: orientable_not_spin_family(-HUGE), IndexOutOfRange,
      f"family needs n >= 5, got {NEGATIVE}"),
+    # every build of n rows is bounded before it allocates anything of size n
+    ("zero-huge-n", lambda: BottMatrix.zero(HUGE), DimensionTooLarge, f"n={SHOWN}{BOUND}"),
+    ("zero-above-bound", lambda: BottMatrix.zero(ABOVE), DimensionTooLarge, f"n={ABOVE}{BOUND}"),
+    ("identity-huge-n", lambda: Permutation.identity(HUGE), DimensionTooLarge,
+     f"n={SHOWN}{BOUND}"),
+    ("identity-above-bound", lambda: Permutation.identity(ABOVE), DimensionTooLarge,
+     f"n={ABOVE}{BOUND}"),
+    ("index_space-huge-n", lambda: index_space(HUGE), DimensionTooLarge, f"n={SHOWN}{BOUND}"),
+    ("index_space-above-bound", lambda: index_space(ABOVE), DimensionTooLarge,
+     f"n={ABOVE}{BOUND}"),
+    ("sw_partitions-huge-n", lambda: next(sw_partitions(HUGE)), DimensionTooLarge,
+     f"n={SHOWN}{BOUND}"),
+    ("sw_partitions-above-bound", lambda: next(sw_partitions(ABOVE)), DimensionTooLarge,
+     f"n={ABOVE}{BOUND}"),
+    ("family-huge-n", lambda: orientable_not_spin_family(HUGE), DimensionTooLarge,
+     f"n={SHOWN}{BOUND}"),
+    ("family-above-bound", lambda: orientable_not_spin_family(ABOVE), DimensionTooLarge,
+     f"n={ABOVE}{BOUND}"),
+    # the constructors count the rows first: `matrix-huge-n` above keeps its NonSquare
+    ("matrix-above-bound", lambda: BottMatrix(ABOVE, (0,) * ABOVE), DimensionTooLarge,
+     f"n={ABOVE}{BOUND}"),
+    ("general-matrix-above-bound", lambda: GeneralBottMatrix(ABOVE, (0,) * ABOVE),
+     DimensionTooLarge, f"n={ABOVE}{BOUND}"),
+    # a sweep runs in at least one process
+    ("sweep-zero-jobs", lambda: sweep(3, jobs=0), BottError, "jobs must be >= 1, got 0"),
+    ("sweep-negative-jobs", lambda: sweep(3, jobs=-3), BottError, "jobs must be >= 1, got -3"),
 ]
 
 
@@ -219,6 +244,11 @@ def test_profile_above_cap_builds_no_table():
             SWProfile(BottMatrix.zero(n))
     after = _ring_tables.cache_info()
     assert (after.currsize, after.misses) == (before.currsize, before.misses)
+
+
+def test_build_bound_admits_its_own_n():
+    assert index_space(MAX_BUILD_N).bit_length() == MAX_BUILD_N * (MAX_BUILD_N - 1) // 2 + 1
+    assert Permutation.identity(MAX_BUILD_N).n == MAX_BUILD_N
 
 
 def test_power_product_reads_a_generator_once():

@@ -18,7 +18,6 @@ from realbott import (
     fibre_chain_verdicts,
     is_spin,
     matrix_index,
-    monomial_str,
     multiply,
     normalize,
     parse_matrix,
@@ -56,7 +55,7 @@ class TestRingElement:
         assert str(RingElement(1)) == "1"
         e = RingElement.variable(1) + RingElement.variable(3)
         assert str(e) == "y1+y3"
-        assert monomial_str(0b100101) == "y1*y3*y6"
+        assert str(RingElement(1 << 0b100101)) == "y1*y3*y6"
         assert str(RingElement.from_masks({0b11, 0b1})) == "y1+y1*y2"
         assert str(RingElement.from_masks({0b11, 0b100, 0})) == "1+y3+y1*y2"
 
@@ -76,9 +75,7 @@ class TestRingElement:
         # masks past the 20 variables of the ring, and widths not a multiple of 10
         for _ in range(500):
             m = rng.getrandbits(rng.randint(0, 45))
-            assert monomial_str(m) == reference([m])
-        with pytest.raises(IndexOutOfRange):
-            monomial_str(-1)
+            assert cohomology._monomial_strs([m]) == [reference([m])]
 
     def test_addition_is_symmetric_difference(self):
         a = RingElement.from_masks({0b01, 0b10})

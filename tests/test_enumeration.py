@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -38,6 +39,11 @@ from realbott.matrix import MAX_SINGLE_N
 from conftest import decode_rows
 
 
+def sampled(n, count, seed, cap=None):
+    """The indices a sample sweep draws, read from its sampler."""
+    return [i for run in enumeration._index_batches(n, "sample", count, seed, cap) for i in run]
+
+
 class TestEnumerate:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 8), (4, 64), (5, 1024)])
     def test_exhaustive_counts(self, n, count):
@@ -55,7 +61,7 @@ class TestEnumerate:
     def test_index_round_trip(self):
         for n in range(1, 7):
             positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            for idx, m in enumerate(enumerate_all(n, cap=6)):
+            for idx, m in enumerate(enumerate_all(n)):
                 assert matrix_index(m) == idx
                 # bit t of the index is the t-th free entry, row-major
                 assert m.rows == tuple(
@@ -76,13 +82,14 @@ class TestEnumerate:
         assert matrix_index(normalize(G)[1]) == 5
 
     def test_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            list(enumerate_all(8))
-        assert sum(1 for _ in enumerate_all(8, cap=8, mode="sample", seed=1, count=3)) == 3
+        # next(): were the cap lost, list() would build all 2^28 matrices
+        with pytest.raises(DimensionTooLarge, match="capped at n=7, got n=8"):
+            next(enumerate_all(8))
+        assert len(sampled(8, count=3, seed=1, cap=8)) == 3
         # the cap governs exhaustive mode only; sampling stops at n = 20
-        assert sum(1 for _ in enumerate_all(6, mode="sample", cap=5, seed=1, count=3)) == 3
+        assert len(sampled(6, count=3, seed=1, cap=5)) == 3
         with pytest.raises(DimensionTooLarge, match="exceeds the cap 20"):
-            list(enumerate_all(21, mode="sample", cap=30, seed=1, count=1))
+            sampled(21, count=1, seed=1, cap=30)
 
     def test_index_space_beyond_a_range(self):
         # refused before any matrix is built or any worker started
@@ -90,24 +97,23 @@ class TestEnumerate:
         with pytest.raises(DimensionTooLarge, match=message):
             sweep(12, cap=12)
         with pytest.raises(DimensionTooLarge, match=message):
-            next(enumerate_all(12, cap=12))
+            enumeration._index_batches(12, "exhaustive", None, None, 12)
         # 2^55 indices still fit
-        assert next(enumerate_all(11, cap=11)).rows == (0,) * 11
+        runs = enumeration._index_batches(11, "exhaustive", None, None, 11)
+        assert next(runs) == range(enumeration.BATCH)
 
     def test_sample_reproducible(self):
-        a = [m.rows for m in enumerate_all(6, mode="sample", count=50, seed=9)]
-        b = [m.rows for m in enumerate_all(6, mode="sample", count=50, seed=9)]
-        c = [m.rows for m in enumerate_all(6, mode="sample", count=50, seed=10)]
-        assert a == b
-        assert a != c
+        a = sampled(6, count=50, seed=9)
+        assert a == sampled(6, count=50, seed=9)
+        assert a != sampled(6, count=50, seed=10)
 
     def test_sample_needs_seed_and_count(self):
-        with pytest.raises(BottError):
-            list(enumerate_all(4, mode="sample", count=5))
-        with pytest.raises(BottError):
-            list(enumerate_all(4, mode="sample", seed=1))
-        with pytest.raises(BottError):
-            list(enumerate_all(4, mode="nope"))
+        with pytest.raises(BottError, match="requires a seed"):
+            sampled(4, count=5, seed=None)
+        with pytest.raises(BottError, match="requires a positive count"):
+            sampled(4, count=None, seed=1)
+        with pytest.raises(BottError, match="unknown mode 'nope'"):
+            sweep(4, mode="nope")
 
 
 class TestDecoder:
@@ -193,13 +199,14 @@ class TestSampleBatches:
     count costs no memory up front and every seed keeps its indices."""
 
     def test_enumerate_draws_as_it_goes(self, monkeypatch):
-        first = [m.rows for m in enumerate_all(6, mode="sample", count=12, seed=1)]
+        first = sampled(6, count=12, seed=1)
         monkeypatch.setattr(enumeration, "BATCH", 5)
         monkeypatch.setattr(enumeration.random, "Random", _CountingRandom)
         monkeypatch.setattr(_CountingRandom, "draws", 0)
         monkeypatch.setattr(_CountingRandom, "limit", 15)
-        gen = enumerate_all(6, mode="sample", count=10**12, seed=1)
-        assert [next(gen).rows for _ in range(12)] == first
+        runs = enumeration._index_batches(6, "sample", 10**12, 1, None)
+        gen = itertools.chain.from_iterable(runs)
+        assert [next(gen) for _ in range(12)] == first
         assert _CountingRandom.draws == 15  # three batches of five
 
     @pytest.mark.parametrize("mode, count", [("sample", 100), ("exhaustive", None)])
@@ -349,13 +356,15 @@ class TestSweep:
         assert started == []
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # runs of 16 give n=4 four runs, so the real pool starts
+        # runs of 16 give n=4 four runs and 100 draws seven runs, so the real
+        # pool starts; sample runs reach the workers as lists, not ranges
         monkeypatch.setattr(enumeration, "BATCH", 16)
-        serial = sweep(4, jobs=1).to_json_dict()
-        parallel = sweep(4, jobs=3).to_json_dict()
-        serial.pop("elapsed_ms")
-        parallel.pop("elapsed_ms")
-        assert serial == parallel
+        for args in [(4,), (5, "sample", 100, 7)]:
+            serial = sweep(*args, jobs=1).to_json_dict()
+            parallel = sweep(*args, jobs=3).to_json_dict()
+            serial.pop("elapsed_ms")
+            parallel.pop("elapsed_ms")
+            assert serial == parallel
 
     def test_deterministic_reports(self):
         a = sweep(5, mode="sample", count=100, seed=7).to_json_dict()

@@ -781,7 +781,7 @@ class TestTopologicalOrder:
         # with one path edge k -> k+1 reversed (still acyclic: it is the only
         # path from k to k+1) and with its longest edge 1 -> n reversed (a
         # cycle through every vertex), each relabelled: the walk goes n deep,
-        # and the constructors have no cap on n
+        # and the constructors take n up to MAX_BUILD_N, far past the parse cap
         rng = random.Random(n)
         full = tuple(((1 << n) - 1) ^ ((2 << i) - 1) for i in range(n))
 
