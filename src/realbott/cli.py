@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on successful evaluation (whatever the verdict), 1 when a
-verification or cross-criteria sweep fails, 2 on usage or input errors.
+verification or cross-criteria sweep fails, 2 on usage or input errors and
+when a standard stream is closed or cannot be written.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ def _read_matrix(args) -> AnyBottMatrix:
     if path is None:
         raise BottError("no input: pass a matrix file (or '-') or --matrix")
     if path == "-":
+        if sys.stdin is None:
+            raise BottError("no input: stdin is closed")
         return _read_stream(sys.stdin, "stdin")
     return load_matrix(path)
 
@@ -95,7 +98,7 @@ def cmd_digraph(args) -> int:
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
     else:
-        sys.stdout.write(dot)
+        print(dot, end="")
     return 0
 
 
@@ -195,13 +198,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(stream, text: str) -> None:
+    """Write and flush text on a standard stream; if that fails, point its
+    descriptor at os.devnull so the exit-time flush cannot fail again (the
+    Python docs' note on SIGPIPE).  A stream found closed at startup is None."""
+    if stream is None:
+        return
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        print(end="", flush=True)  # a failed write to stdout fails here, not at exit
+        return code
     except (BottError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"error: {exc}\n")
+        _emit(sys.stdout, "")
         return 2
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .matrix import AnyBottMatrix, BottMatrix, _check_pair, _require_triangular, delete_leading
+from .matrix import (MAX_BUILD_N, AnyBottMatrix, BottMatrix, _check_pair, _require_triangular,
+                     delete_leading)
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,6 @@ def _scan(
     return odd, None
 
 
-@lru_cache(maxsize=64)
-def _pair_bit_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """`_scan`'s pair_bit for n rows by each route's formula for C(N, 2) mod 2:
-    bit 1 of N (`is_spin`), the exact N(N-1)/2 reduced (`digraph_spin`)."""
-    return tuple(N >> 1 & 1 for N in range(n)), tuple(N * (N - 1) // 2 & 1 for N in range(n))
-
-
 @lru_cache(maxsize=1024)
 def _verdict(odd: int, pair: tuple[int, int, int, int] | None) -> SpinVerdict:
     """The verdict of one `_scan` outcome: spin needs both an even matrix
@@ -181,6 +175,11 @@ def _verdict(odd: int, pair: tuple[int, int, int, int] | None) -> SpinVerdict:
     if pair is not None:
         witnesses += (PairWitness(*pair),)
     return SpinVerdict(not odd, not odd and pair is None, witnesses)
+
+
+#: `is_spin`'s pair_bit for `_scan`: C(N, 2) mod 2 as bit 1 of N, for every
+#: row sum N a buildable matrix can have.
+_PAIR_BIT = tuple(N >> 1 & 1 for N in range(MAX_BUILD_N))
 
 
 def is_spin(C: AnyBottMatrix) -> SpinVerdict:
@@ -195,7 +194,7 @@ def is_spin(C: AnyBottMatrix) -> SpinVerdict:
     becomes under conjugation.  The verdict is shared with every matrix
     of the same outcome (see the module docstring).
     """
-    return _verdict(*_scan(C.rows, C.columns(), _pair_bit_tables(C.n)[0]))
+    return _verdict(*_scan(C.rows, C.columns(), _PAIR_BIT))
 
 
 #: Kept for callers that name the general case; identical to `is_spin`.

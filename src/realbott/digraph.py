@@ -12,8 +12,11 @@ row-arithmetic one.
 
 from __future__ import annotations
 
-from .criteria import PairWitness, SpinVerdict, _pair_bit_tables, _scan, _verdict
-from .matrix import AnyBottMatrix, _check_index, _check_pair
+from .criteria import PairWitness, SpinVerdict, _scan, _verdict
+from .matrix import MAX_BUILD_N, AnyBottMatrix, _check_index, _check_pair
+
+#: `digraph_spin`'s `_scan` pair_bit: exact C(N, 2) mod 2 for each out-degree N < MAX_BUILD_N.
+_PAIR_BIT = tuple(N * (N - 1) // 2 & 1 for N in range(MAX_BUILD_N))
 
 
 def _vertices(mask: int) -> tuple[int, ...]:
@@ -58,7 +61,7 @@ def digraph_spin(D: AnyBottMatrix) -> SpinVerdict:
     out-degree, reduced afterwards, and counts at the head of whichever edge
     joins the pair (for a triangular matrix only j -> k can exist).  The
     verdict record is the one `is_spin` shares for the same outcome."""
-    return _verdict(*_scan(D.rows, D.columns(), _pair_bit_tables(D.n)[1]))
+    return _verdict(*_scan(D.rows, D.columns(), _PAIR_BIT))
 
 
 def export_dot(D: AnyBottMatrix) -> str:

@@ -28,7 +28,6 @@ from .errors import BottError, DimensionTooLarge
 from .fixtures import (
     DIGRAPH_FIXTURES,
     DIM4_SPIN_LIST,
-    REPRESENTATIVE_SPIN,
     REPRESENTATIVES,
     SPIN_CLASS_COUNTS,
     load_fixture,
@@ -162,11 +161,8 @@ class SweepReport:
     CSV_HEADER = "n,total,orientable,spin,mismatches,elapsed_ms"
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.n},{self.total},{self.orientable_count},"
-            f"{self.spin_count},{len(self.mismatches)},"
-            f"{round(self.elapsed * 1000.0, 3)}"
-        )
+        d = {**self.to_json_dict(), "mismatches": len(self.mismatches)}
+        return ",".join(str(d[column]) for column in self.CSV_HEADER.split(","))
 
     def to_text_line(self) -> str:
         ref = self.reference_ok
@@ -310,10 +306,9 @@ def verify_fixture_suite(directory: Path | str | None = None) -> VerificationRep
     dimension-4 spin list (incl. set equality against the exhaustive
     sweep), and the digraph examples with their expected neighbour data."""
     report = VerificationReport()
-    for n, names in sorted(REPRESENTATIVES.items()):
-        pattern = REPRESENTATIVE_SPIN[n]
+    for n, expected_spin in sorted(REPRESENTATIVES.items()):
         computed: list[bool] = []
-        for name, expected in zip(names, pattern):
+        for name, expected in expected_spin.items():
             matrix = load_fixture(name, directory)
             orientable, spin, mismatch = evaluate_matrix(matrix)
             computed.append(spin)

@@ -36,23 +36,15 @@ def load_fixture(name: str, directory: Path | str | None = None) -> BottMatrix:
         raise type(exc)(f"{path}: {str(exc).removeprefix(f'{path}: ')}") from exc
 
 
-#: Orientable representatives per dimension and which of them are spin.
-#: Every matrix in these dimensions is equivalent to exactly one entry, so
-#: counting the spin ones reproduces the distinct-class counts below.
-REPRESENTATIVES: dict[int, tuple[str, ...]] = {
-    1: ("reps_n1_0",),
-    2: ("reps_n2_0",),
-    3: ("reps_n3_0", "reps_n3_1"),
-    4: ("reps_n4_0", "reps_n4_1", "reps_n4_2"),
-    5: tuple(f"reps_n5_{i}" for i in range(8)),
-}
-
-REPRESENTATIVE_SPIN: dict[int, tuple[bool, ...]] = {
-    1: (True,),
-    2: (True,),
-    3: (True, True),
-    4: (True, True, True),
-    5: (True, True, True, True, False, False, False, False),
+#: Orientable representatives per dimension, each mapped to whether it is
+#: spin.  Every matrix in these dimensions is equivalent to exactly one
+#: entry, so counting the spin ones reproduces the class counts below.
+REPRESENTATIVES: dict[int, dict[str, bool]] = {
+    1: {"reps_n1_0": True},
+    2: {"reps_n2_0": True},
+    3: {"reps_n3_0": True, "reps_n3_1": True},
+    4: {"reps_n4_0": True, "reps_n4_1": True, "reps_n4_2": True},
+    5: {f"reps_n5_{i}": i < 4 for i in range(8)},
 }
 
 #: Known counts of spin classes per dimension (up to diffeomorphism).

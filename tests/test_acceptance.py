@@ -36,7 +36,6 @@ from realbott.criteria import PairWitness
 from realbott.fixtures import (
     DIGRAPH_FIXTURES,
     DIM4_SPIN_LIST,
-    REPRESENTATIVE_SPIN,
     REPRESENTATIVES,
     load_fixture,
     orientable_not_spin_family,
@@ -80,7 +79,7 @@ def test_criterion_2_dim2_dim3_exhaustive():
     spin3 = {matrix_index(m) for m in enumerate_all(3) if is_spin(m).spin}
     expected3 = {matrix_index(load_fixture(n)) for n in REPRESENTATIVES[3]}
     spin2 = {matrix_index(m) for m in enumerate_all(2) if is_spin(m).spin}
-    expected2 = {matrix_index(load_fixture(REPRESENTATIVES[2][0]))}
+    expected2 = {matrix_index(load_fixture(n)) for n in REPRESENTATIVES[2]}
     ok = (
         (r2.orientable_count, r2.spin_count) == (1, 1)
         and (r3.orientable_count, r3.spin_count) == (2, 2)
@@ -97,7 +96,8 @@ def test_criterion_3_representative_patterns():
     start = time.perf_counter()
     dim4 = [is_spin(load_fixture(n)).spin for n in REPRESENTATIVES[4]]
     dim5 = [is_spin(load_fixture(n)).spin for n in REPRESENTATIVES[5]]
-    ok = dim4 == [True] * 3 and dim5 == list(REPRESENTATIVE_SPIN[5])
+    ok = dim4 == [True] * 3 and dim5 == [True] * 4 + [False] * 4
+    ok &= dim5 == list(REPRESENTATIVES[5].values())
     report(3, "dim-4 reps 3/3 spin; dim-5 reps pattern TTTTFFFF", ok,
            time.perf_counter() - start, 1.0)
 

@@ -322,6 +322,58 @@ def cli_process(*argv, stdin=b""):
     return done.returncode, done.stdout, done.stderr
 
 
+def buffered_child(argv, redirect=""):
+    """A fresh `python -m realbott argv` started by `sh` under the shell
+    redirection `redirect`, its stdout and stderr piped here.  Its stdout is
+    buffered, as in a user's shell or a CI runner: PYTHONUNBUFFERED would
+    make a failed write fail inside the command, not at the final flush."""
+    src = str(Path(realbott.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m",
+                             "realbott", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": src})
+
+
+class TestFailingStreams:
+    """A standard stream that is closed or cannot be written gives exit 2,
+    and at most one `error:` line: no traceback, and no `Exception ignored`
+    from the interpreter's exit-time flush."""
+
+    @staticmethod
+    def run(argv, redirect):
+        with buffered_child(argv, redirect) as child:
+            out, err = child.communicate()
+        return child.returncode, out, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["check", "--matrix", "0110;0011;0000;0000"], ["verify-paper"],
+    ], ids=["check", "verify-paper"])
+    def test_full_disk_stdout(self, argv):
+        code, _, err = self.run(argv, ">/dev/full")
+        assert (code, err) == (2, b"error: [Errno 28] No space left on device\n")
+
+    def test_stdout_pipe_closed_early(self):
+        # sw's 400 kB of classes for the all-ones n = 16 matrix outgrow the pipe
+        with buffered_child(["sw", "--matrix", ones(16)]) as child:
+            assert len(child.stdout.read(100)) == 100
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    def test_closed_stdin(self):
+        assert self.run(["check", "-"], "<&-") == (2, b"", b"error: no input: stdin is closed\n")
+
+    def test_closed_stdout(self):
+        # the interpreter leaves sys.stdout None, and print drops what each command writes
+        assert self.run(["digraph", "--matrix", "0110;0011;0000;0000"], ">&-") == (0, b"", b"")
+
+    # a closed fd 2 leaves sys.stderr None; a read-only one fails every write
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    def test_unwritable_stderr(self, redirect):
+        assert self.run(["check", "--matrix", "0x"], redirect) == (2, b"", b"")
+
+
 class TestWorkflowChecks:
     """The end-to-end CLI checks, in process, with the commands, output and
     exit codes of the workflow lines they replace."""

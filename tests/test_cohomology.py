@@ -599,7 +599,7 @@ class TestTriangularPrecondition:
             "evaluate_matrix", "fibre_chain_verdicts", "matrix_index"])
     def test_general_matrix_refused(self, call):
         # reversed conjugates of the n = 4 spin list and n = 5 representatives
-        for name in DIM4_SPIN_LIST + REPRESENTATIVES[5]:
+        for name in (*DIM4_SPIN_LIST, *REPRESENTATIVES[5]):
             C = load_fixture(name)
             G = conjugate(C, Permutation(tuple(range(C.n, 0, -1))))
             with pytest.raises(BottError, match=self.MESSAGE):

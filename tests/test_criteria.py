@@ -34,7 +34,6 @@ from realbott.criteria import _closed_form_terms, _scan
 from realbott.enumeration import enumerate_all, evaluate_matrix
 from realbott.fixtures import (
     DIM4_SPIN_LIST,
-    REPRESENTATIVE_SPIN,
     REPRESENTATIVES,
     load_fixture,
     orientable_not_spin_family,
@@ -99,8 +98,8 @@ class TestIsSpin:
             assert (w.P + w.Q) % 2 == 1
 
     def test_representative_patterns(self):
-        for n, names in REPRESENTATIVES.items():
-            for name, expected in zip(names, REPRESENTATIVE_SPIN[n]):
+        for expected_spin in REPRESENTATIVES.values():
+            for name, expected in expected_spin.items():
                 assert is_spin(load_fixture(name)).spin == expected, name
 
     def test_klein_row_witness(self):
