@@ -2,7 +2,7 @@
 
 Exit codes: 0 on successful evaluation (whatever the verdict), 1 when a
 verification or cross-criteria sweep fails, 2 on usage or input errors and
-when a standard stream is closed or cannot be written.
+when a standard stream that the run uses is closed or cannot be written.
 """
 
 from __future__ import annotations
@@ -12,18 +12,19 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 # `check` runs on these alone; each other command imports its own modules
 from .criteria import PairWitness, RowWitness, is_spin
 from .errors import BottError
-from .matrix import AnyBottMatrix, _read_stream, load_matrix, parse_matrix
+from .matrix import GeneralBottMatrix, _read_stream, load_matrix, parse_matrix
 
 
 def _bool(v) -> str:
     return "true" if v else "false"
 
 
-def _read_matrix(args) -> AnyBottMatrix:
+def _read_matrix(args) -> GeneralBottMatrix:
     inline = getattr(args, "matrix", None)
     path = getattr(args, "input", None)
     if inline is not None and path is not None:
@@ -49,60 +50,51 @@ def _verdict_line(v) -> str:
     return " ".join(parts)
 
 
-def cmd_check(args) -> int:
-    m = _read_matrix(args)
-    v = is_spin(m)
-    if args.format == "json":
-        print(json.dumps(v.to_json_dict()))
-    else:
-        print(_verdict_line(v))
-    return 0
+def cmd_check(args) -> tuple[int, Iterable[str]]:
+    v = is_spin(_read_matrix(args))
+    return 0, [json.dumps(v.to_json_dict()) if args.format == "json" else _verdict_line(v)]
 
 
 def _partition_label(r) -> str:
-    parts = []
-    for i, ri in enumerate(r, 1):
-        if ri == 1:
-            parts.append(f"w{i}")
-        elif ri > 1:
-            parts.append(f"w{i}^{ri}")
-    return "*".join(parts)
+    """w1^2*w3 for the exponents (2, 0, 1)."""
+    return "*".join(f"w{i}" + (f"^{ri}" if ri > 1 else "") for i, ri in enumerate(r, 1) if ri)
 
 
-def cmd_sw(args) -> int:
+def cmd_sw(args) -> tuple[int, Iterable[str]]:
     from .cohomology import SWProfile
     profile = SWProfile(_read_matrix(args))
     if args.format == "json":
         d = profile.to_json_dict()
         if args.numbers:
             d["sw_numbers_all_zero"] = profile.sw_numbers_all_zero
-        print(json.dumps(d))
-        return 0
-    show_classes = args.classes or not args.numbers
-    if show_classes:
+        return 0, [json.dumps(d)]
+    return 0, _sw_lines(profile, args.classes or not args.numbers, args.numbers)
+
+
+def _sw_lines(profile, classes: bool, numbers: bool) -> Iterable[str]:
+    """sw's text lines as they come: a class of a dense n = 20 matrix is megabytes."""
+    if classes:
         for k, w in enumerate(profile.classes):
-            print(f"w{k} = {w}")
+            yield f"w{k} = {w}"
     spin = profile.spin
-    print(f"orientable={_bool(profile.orientable)} "
-          f"spin={'null' if spin is None else _bool(spin)}")
-    if args.numbers:
+    yield (f"orientable={_bool(profile.orientable)} "
+           f"spin={'null' if spin is None else _bool(spin)}")
+    if numbers:
         for r, value in profile.sw_numbers.items():
-            print(f"sw_number[{_partition_label(r)}] = {value}")
-        print(f"all_sw_numbers_zero={_bool(profile.sw_numbers_all_zero)}")
-    return 0
+            yield f"sw_number[{_partition_label(r)}] = {value}"
+        yield f"all_sw_numbers_zero={_bool(profile.sw_numbers_all_zero)}"
 
 
-def cmd_digraph(args) -> int:
+def cmd_digraph(args) -> tuple[int, Iterable[str]]:
     from .digraph import export_dot
     dot = export_dot(_read_matrix(args))
     if args.dot:
         Path(args.dot).write_text(dot, encoding="utf-8")
-    else:
-        print(dot, end="")
-    return 0
+        return 0, []
+    return 0, dot.splitlines()
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     from .enumeration import sweep
     if args.threads < 0:
         raise BottError(f"--threads must be >= 0, got {args.threads}")
@@ -123,16 +115,15 @@ def cmd_enumerate(args) -> int:
         cap=cap,
     )
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
+        lines = [json.dumps(report.to_json_dict())]
     elif args.format == "csv":
-        print(report.CSV_HEADER)
-        print(report.to_csv_row())
+        lines = [report.CSV_HEADER, report.to_csv_row()]
     else:
-        print(report.to_text_line())
-    return 0 if report.ok else 1
+        lines = [report.to_text_line()]
+    return (0 if report.ok else 1), lines
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> tuple[int, Iterable[str]]:
     from .enumeration import verify_fixture_suite
     directory = args.fixtures
     if directory is not None:
@@ -141,14 +132,11 @@ def cmd_verify_paper(args) -> int:
             raise BottError(f"fixture directory missing or empty: {d}")
     report = verify_fixture_suite(directory)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        for check in report.checks:
-            mark = "ok  " if check.ok else "FAIL"
-            print(f"{mark} {check.name}: {check.detail}")
-        failures = report.failures
-        print(f"{len(report.checks)} checks, {len(failures)} failures")
-    return 0 if report.all_ok else 1
+        return (0 if report.all_ok else 1), [json.dumps(report.to_json_dict())]
+    lines = [f"{'ok  ' if check.ok else 'FAIL'} {check.name}: {check.detail}"
+             for check in report.checks]
+    lines.append(f"{len(report.checks)} checks, {len(report.failures)} failures")
+    return (0 if report.all_ok else 1), lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,11 +200,23 @@ def _emit(stream, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and write its lines, the CLI's one writer of stdout.
+    argparse's help and usage errors return their exit code; a line that
+    cannot be written or a stream that fails to flush gives exit 2."""
     try:
-        code = args.func(args)
-        print(end="", flush=True)  # a failed write to stdout fails here, not at exit
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error argparse has written
+            code, lines = exc.code, ()
+        else:
+            code, lines = args.func(args)
+        for line in lines:
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
+            sys.stdout.write(line + "\n")
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()  # a failed write fails here, not at exit
         return code
     except (BottError, OSError) as exc:
         _emit(sys.stderr, f"error: {exc}\n")

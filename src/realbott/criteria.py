@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .matrix import (MAX_BUILD_N, AnyBottMatrix, BottMatrix, _check_pair, _require_triangular,
-                     delete_leading)
+from .matrix import (MAX_BUILD_N, BottMatrix, GeneralBottMatrix, _check_pair,
+                     _require_triangular, delete_leading)
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class SpinVerdict:
         }
 
 
-def is_orientable(M: AnyBottMatrix) -> bool:
+def is_orientable(M: GeneralBottMatrix) -> bool:
     """Every row sum even."""
     return all(row.bit_count() % 2 == 0 for row in M.rows)
 
@@ -182,7 +182,7 @@ def _verdict(odd: int, pair: tuple[int, int, int, int] | None) -> SpinVerdict:
 _PAIR_BIT = tuple(N >> 1 & 1 for N in range(MAX_BUILD_N))
 
 
-def is_spin(C: AnyBottMatrix) -> SpinVerdict:
+def is_spin(C: GeneralBottMatrix) -> SpinVerdict:
     """Full verdict for a Bott matrix, triangular or general.
 
     Scans the closed-form terms a row at a time over the column masks,

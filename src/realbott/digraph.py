@@ -13,7 +13,7 @@ row-arithmetic one.
 from __future__ import annotations
 
 from .criteria import PairWitness, SpinVerdict, _scan, _verdict
-from .matrix import MAX_BUILD_N, AnyBottMatrix, _check_index, _check_pair
+from .matrix import MAX_BUILD_N, GeneralBottMatrix, _check_index, _check_pair
 
 #: `digraph_spin`'s `_scan` pair_bit: exact C(N, 2) mod 2 for each out-degree N < MAX_BUILD_N.
 _PAIR_BIT = tuple(N * (N - 1) // 2 & 1 for N in range(MAX_BUILD_N))
@@ -28,30 +28,30 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_digraph(M: AnyBottMatrix) -> AnyBottMatrix:
+def build_digraph(M: GeneralBottMatrix) -> GeneralBottMatrix:
     """The digraph whose adjacency matrix is M (already validated acyclic):
     M itself."""
     return M
 
 
-def out_neighbours(D: AnyBottMatrix, i: int) -> tuple[int, ...]:
+def out_neighbours(D: GeneralBottMatrix, i: int) -> tuple[int, ...]:
     """1-based vertices reachable by one edge from u_i."""
     _check_index(i, D.n, "vertex")
     return _vertices(D.rows[i - 1])
 
 
-def out_degree(D: AnyBottMatrix, i: int) -> int:
+def out_degree(D: GeneralBottMatrix, i: int) -> int:
     _check_index(i, D.n, "vertex")
     return D.rows[i - 1].bit_count()
 
 
-def common_out(D: AnyBottMatrix, j: int, k: int) -> int:
+def common_out(D: GeneralBottMatrix, j: int, k: int) -> int:
     """Number of common out-neighbours of u_j and u_k, 1 <= j < k <= n."""
     _check_pair(j, k, D.n)
     return (D.rows[j - 1] & D.rows[k - 1]).bit_count()
 
 
-def digraph_spin(D: AnyBottMatrix) -> SpinVerdict:
+def digraph_spin(D: GeneralBottMatrix) -> SpinVerdict:
     """Spin verdict from the digraph alone: all out-degrees even, and for
     every pair j < k the common-neighbour count M_jk has the parity of the
     adjacency bit times C(N_k, 2).
@@ -64,7 +64,7 @@ def digraph_spin(D: AnyBottMatrix) -> SpinVerdict:
     return _verdict(*_scan(D.rows, D.columns(), _PAIR_BIT))
 
 
-def export_dot(D: AnyBottMatrix) -> str:
+def export_dot(D: GeneralBottMatrix) -> str:
     """Graphviz DOT text, byte-stable: vertices u1..un, edges in row-major
     order.  The graph label states the flags of `digraph_spin(D)` and the
     witness pair, when there is one, is drawn dashed red (as an extra

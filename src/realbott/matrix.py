@@ -49,11 +49,12 @@ MAX_BUILD_N = 1024
 
 
 @dataclass(frozen=True)
-class _BinaryMatrix:
-    """Square binary matrix, rows as bitmasks: the fields and methods both
-    matrix classes share.  A subclass's `_triangular` says whether it
-    refuses entries below the diagonal or only a cycle."""
+class GeneralBottMatrix:
+    """Binary matrix with zero diagonal whose digraph is acyclic, rows as
+    bitmasks.  `_triangular` says whether the class refuses every entry
+    below the diagonal or only a cycle."""
 
+    _triangular = False
     n: int
     rows: tuple[int, ...]
 
@@ -118,8 +119,9 @@ class _BinaryMatrix:
         return {"n": self.n, "rows": self.to_lists()}
 
 
-class BottMatrix(_BinaryMatrix):
-    """Strictly upper triangular binary matrix, rows as bitmasks."""
+class BottMatrix(GeneralBottMatrix):
+    """Strictly upper triangular binary matrix: a general one, whose digraph
+    is acyclic and whose diagonal is zero, by construction."""
 
     _triangular = True
 
@@ -127,15 +129,6 @@ class BottMatrix(_BinaryMatrix):
     def zero(cls, n: int) -> "BottMatrix":
         _check_size(n)
         return cls(n, (0,) * n)
-
-
-class GeneralBottMatrix(_BinaryMatrix):
-    """Binary matrix with zero diagonal whose digraph is acyclic."""
-
-    _triangular = False
-
-
-AnyBottMatrix = Union[BottMatrix, GeneralBottMatrix]
 
 
 @dataclass(frozen=True)
@@ -318,7 +311,7 @@ _ASCII_SPACE = {**_DROP_INLINE_SPACE, 0x85: "\n", 0x2028: "\n", 0x2029: "\n"}
 _INLINE_BYTES, _BREAKS = b"\t\x1f ", bytes.maketrans(b"\x1c\x1d\x1e", b"\n\n\n")
 
 
-def parse_matrix(text: str) -> AnyBottMatrix:
+def parse_matrix(text: str) -> GeneralBottMatrix:
     """Parse a 0/1 grid into a BottMatrix, or a GeneralBottMatrix when the
     grid is not upper triangular but still has zero diagonal and an acyclic
     digraph.
@@ -360,7 +353,7 @@ def parse_matrix(text: str) -> AnyBottMatrix:
     return _matrix_from_word(int(word[::-1], 2), n, m)
 
 
-def matrix_from_json(data: Union[str, dict]) -> AnyBottMatrix:
+def matrix_from_json(data: Union[str, dict]) -> GeneralBottMatrix:
     """Build a matrix from ``{"n": int, "rows": [[0,1,...], ...]}``, n <= MAX_SINGLE_N."""
     if isinstance(data, str):
         try:
@@ -384,13 +377,13 @@ def matrix_from_json(data: Union[str, dict]) -> AnyBottMatrix:
     return _matrix_from_word(sum(row << i * m for i, row in enumerate(masks)), n, m)
 
 
-def load_matrix(path) -> AnyBottMatrix:
+def load_matrix(path) -> GeneralBottMatrix:
     """Read a matrix file, JSON or text grid (auto-detected)."""
     with open(path, "r", encoding="utf-8") as fh:
         return _read_stream(fh, path)
 
 
-def _read_stream(fh: TextIO, name) -> AnyBottMatrix:
+def _read_stream(fh: TextIO, name) -> GeneralBottMatrix:
     """Read a text stream to the end and parse it as JSON when it starts
     with '{', else as a text grid; a decoding error becomes NonBinary."""
     try:
@@ -461,7 +454,7 @@ def _check_word(x: int, n: int, m: int, triangular: bool) -> tuple[bool, tuple[i
     return not low, cols
 
 
-def _matrix_from_word(x: int, n: int, m: int) -> AnyBottMatrix:
+def _matrix_from_word(x: int, n: int, m: int) -> GeneralBottMatrix:
     """The matrix whose entry (i, j) is bit i*m + j of `x`, each of the n
     rows an m-bit lane with nothing beyond column n; both readers end here,
     so it refuses n > MAX_SINGLE_N (`_check_dimension` is called only to raise)."""
@@ -523,7 +516,7 @@ def matrix_index(C: BottMatrix) -> int:
     return index
 
 
-def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:
+def normalize(B: GeneralBottMatrix) -> tuple[Permutation, BottMatrix]:
     """Return (sigma, C) with ``b_{sigma(i),sigma(j)} = c_{i,j}`` and C
     strictly upper triangular.
 
@@ -535,7 +528,7 @@ def normalize(B: AnyBottMatrix) -> tuple[Permutation, BottMatrix]:
     return sigma, BottMatrix(B.n, _relabel(B.rows, [i - 1 for i in sigma.inverse().sigma]))
 
 
-def conjugate(C: AnyBottMatrix, sigma: Permutation) -> GeneralBottMatrix:
+def conjugate(C: GeneralBottMatrix, sigma: Permutation) -> GeneralBottMatrix:
     """Conjugate by sigma: entry (sigma(i), sigma(j)) of the result equals
     entry (i, j) of C."""
     if sigma.n != C.n:
@@ -557,7 +550,7 @@ def _relabel(rows: tuple[int, ...], new: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def row_pair_matrix(C: AnyBottMatrix, j: int, k: int) -> AnyBottMatrix:
+def row_pair_matrix(C: GeneralBottMatrix, j: int, k: int) -> GeneralBottMatrix:
     """Matrix with rows j and k copied from C, all other rows zero.  This
     and the submatrix helper below return a matrix of C's class."""
     _check_pair(j, k, C.n)
@@ -567,7 +560,7 @@ def row_pair_matrix(C: AnyBottMatrix, j: int, k: int) -> AnyBottMatrix:
     return type(C)(C.n, tuple(rows))
 
 
-def delete_leading(C: AnyBottMatrix, k: int) -> AnyBottMatrix:
+def delete_leading(C: GeneralBottMatrix, k: int) -> GeneralBottMatrix:
     """Trailing principal submatrix: drop the first k rows and columns."""
     if type(k) is not int or not 0 <= k < C.n:
         raise IndexOutOfRange(f"need 0 <= k < {C.n}, got {_shown(k)}")

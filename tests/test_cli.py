@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import realbott
-from realbott import NonBinary, NonSquare, enumeration, load_matrix, matrix_from_json
+from realbott import (NonBinary, NonSquare, enumeration, export_dot, load_matrix,
+                      matrix_from_json, parse_matrix)
 from realbott.cli import main
 from realbott.fixtures import default_fixture_dir
 
@@ -184,8 +185,7 @@ class TestEnumerate:
     def test_threads_help_states_batch(self, capsys):
         # the parser may not import `enumeration` (`check` must not load it),
         # so the run size is written in both places
-        with pytest.raises(SystemExit):
-            main(["enumerate", "--help"])
+        assert main(["enumerate", "--help"]) == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert re.search(r"one per run of (\d+) indices at most", help_text)[1] == str(
             enumeration.BATCH)
@@ -335,9 +335,9 @@ def buffered_child(argv, redirect=""):
 
 
 class TestFailingStreams:
-    """A standard stream that is closed or cannot be written gives exit 2,
-    and at most one `error:` line: no traceback, and no `Exception ignored`
-    from the interpreter's exit-time flush."""
+    """A standard stream that the run uses and that is closed or cannot be
+    written gives exit 2, and at most one `error:` line: no traceback, and
+    no `Exception ignored` from the interpreter's exit-time flush."""
 
     @staticmethod
     def run(argv, redirect):
@@ -346,9 +346,10 @@ class TestFailingStreams:
         return child.returncode, out, err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    # argparse writes the help before any command runs; main's flush still fails
     @pytest.mark.parametrize("argv", [
-        ["check", "--matrix", "0110;0011;0000;0000"], ["verify-paper"],
-    ], ids=["check", "verify-paper"])
+        ["check", "--matrix", "0110;0011;0000;0000"], ["verify-paper"], ["--help"],
+    ], ids=["check", "verify-paper", "help"])
     def test_full_disk_stdout(self, argv):
         code, _, err = self.run(argv, ">/dev/full")
         assert (code, err) == (2, b"error: [Errno 28] No space left on device\n")
@@ -365,8 +366,24 @@ class TestFailingStreams:
         assert self.run(["check", "-"], "<&-") == (2, b"", b"error: no input: stdin is closed\n")
 
     def test_closed_stdout(self):
-        # the interpreter leaves sys.stdout None, and print drops what each command writes
-        assert self.run(["digraph", "--matrix", "0110;0011;0000;0000"], ">&-") == (0, b"", b"")
+        # the interpreter leaves sys.stdout None: a command with lines to write fails
+        assert self.run(["digraph", "--matrix", "0110;0011;0000;0000"], ">&-") == (
+            2, b"", b"error: stdout is closed\n")
+
+    def test_closed_stdout_check(self):
+        assert self.run(["check", "--matrix", "0110;0011;0000;0000"], ">&-") == (
+            2, b"", b"error: stdout is closed\n")
+
+    def test_closed_stdout_unused(self, tmp_path):
+        # `digraph --dot FILE` writes no line, so it needs no stdout
+        dot = tmp_path / "d.dot"
+        assert self.run(["digraph", "--matrix", "0110;0011;0000;0000", "--dot", str(dot)],
+                        ">&-") == (0, b"", b"")
+        assert dot.read_text(encoding="utf-8") == export_dot(parse_matrix("0110\n0011\n0000\n0000"))
+
+    def test_usage_error_unwritable_stderr(self):
+        # argparse swallows its failed write of the usage; main's flush of stderr fails again
+        assert self.run(["check", "--bogus"], "2</dev/null") == (2, b"", b"")
 
     # a closed fd 2 leaves sys.stderr None; a read-only one fails every write
     @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])

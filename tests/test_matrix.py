@@ -525,6 +525,13 @@ class TestConstruction:
         assert isinstance(B, GeneralBottMatrix)
         assert not isinstance(B, BottMatrix)
 
+    def test_bott_is_a_general_matrix(self):
+        # a strictly upper triangular matrix is general; equality still needs the same class
+        assert issubclass(BottMatrix, GeneralBottMatrix)
+        assert BottMatrix(2, (2, 0)) != GeneralBottMatrix(2, (2, 0))
+        assert hash(BottMatrix(2, (2, 0))) == hash(BottMatrix(2, (2, 0)))
+        assert repr(BottMatrix(2, (2, 0))) == "BottMatrix(n=2, rows=(2, 0))"
+
     def test_columns_transpose_rows(self, rng):
         # a BottMatrix and a GeneralBottMatrix conjugate of it
         for _ in range(50):
