@@ -8,6 +8,8 @@ when a standard stream that the run uses is closed or cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -200,14 +202,15 @@ def _emit(stream, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    """Run one command and write its lines, the CLI's one writer of stdout.
-    argparse's help and usage errors return their exit code; a line that
-    cannot be written or a stream that fails to flush gives exit 2."""
+    """Run one command and write its lines, the CLI's one writer of stdout,
+    argparse's help included; its usage errors return their exit code, and a
+    line that cannot be written or a stream that fails to flush gives exit 2."""
     try:
         try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # help, or a usage error argparse has written
-            code, lines = exc.code, ()
+            with contextlib.redirect_stdout(io.StringIO()) as help_text:
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error argparse has written to stderr
+            code, lines = exc.code, help_text.getvalue().splitlines()
         else:
             code, lines = args.func(args)
         for line in lines:

@@ -306,44 +306,29 @@ def verify_fixture_suite(directory: Path | str | None = None) -> VerificationRep
     dimension-4 spin list (incl. set equality against the exhaustive
     sweep), and the digraph examples with their expected neighbour data."""
     report = VerificationReport()
+
+    def agrees(name, matrix, spin, detail="", ok=True) -> bool:
+        """Check that all routes agree on `matrix`, orientable with `spin`; return its spin."""
+        orientable, computed, mismatch = evaluate_matrix(matrix)
+        report.add(name, ok and mismatch is None and orientable and computed == spin,
+                   f"orientable={orientable} spin={computed}{detail}")
+        return computed
+
     for n, expected_spin in sorted(REPRESENTATIVES.items()):
-        computed: list[bool] = []
-        for name, expected in expected_spin.items():
-            matrix = load_fixture(name, directory)
-            orientable, spin, mismatch = evaluate_matrix(matrix)
-            computed.append(spin)
-            ok = mismatch is None and orientable and spin == expected
-            report.add(
-                name,
-                ok,
-                f"orientable={orientable} spin={spin} expected spin={expected}",
-            )
-        spin_count = sum(computed)
-        report.add(
-            f"spin class count n={n}",
-            spin_count == SPIN_CLASS_COUNTS[n],
-            f"computed {spin_count}, known {SPIN_CLASS_COUNTS[n]}",
-        )
+        spin_count = sum(
+            agrees(name, load_fixture(name, directory), spin, f" expected spin={spin}")
+            for name, spin in expected_spin.items())
+        report.add(f"spin class count n={n}", spin_count == SPIN_CLASS_COUNTS[n],
+                   f"computed {spin_count}, known {SPIN_CLASS_COUNTS[n]}")
     for n in range(5, 11):
         C = orientable_not_spin_family(n)
-        verdict = is_spin(C)
-        w = verdict.witness
-        ok = (
-            evaluate_matrix(C)[2] is None
-            and verdict.orientable
-            and not verdict.spin
-            and isinstance(w, PairWitness)
-            and (w.j, w.k) == (1, n - 2)
-            and (w.P + w.Q) % 2 == 1
-        )
-        detail = f"orientable={verdict.orientable} spin={verdict.spin} witness={w}"
-        report.add(f"orientable-not-spin family n={n}", ok, detail)
+        w = is_spin(C).witness
+        ok = isinstance(w, PairWitness) and (w.j, w.k) == (1, n - 2) and (w.P + w.Q) % 2 == 1
+        agrees(f"orientable-not-spin family n={n}", C, False, f" witness={w}", ok)
 
     listed = [load_fixture(name, directory) for name in DIM4_SPIN_LIST]
     for name, matrix in zip(DIM4_SPIN_LIST, listed):
-        orientable, spin, mismatch = evaluate_matrix(matrix)
-        report.add(name, mismatch is None and orientable and spin,
-                   f"orientable={orientable} spin={spin}")
+        agrees(name, matrix, True)
     sweep4 = sweep(4, "exhaustive")
     listed_ok = _spin_set_ok(listed, sweep4.spin_count)
     report.add(

@@ -374,6 +374,12 @@ class TestFailingStreams:
         assert self.run(["check", "--matrix", "0110;0011;0000;0000"], ">&-") == (
             2, b"", b"error: stdout is closed\n")
 
+    # argparse would write the help to stderr when sys.stdout is None; main writes it
+    @pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]],
+                             ids=["help", "enumerate-help"])
+    def test_closed_stdout_help(self, argv):
+        assert self.run(argv, ">&-") == (2, b"", b"error: stdout is closed\n")
+
     def test_closed_stdout_unused(self, tmp_path):
         # `digraph --dot FILE` writes no line, so it needs no stdout
         dot = tmp_path / "d.dot"

@@ -471,7 +471,26 @@ class TestVerification:
         )
         report = verify_fixture_suite(fixtures)
         assert not report.all_ok
-        assert any(c.name == "reps_n5_1" for c in report.failures)
+        failures = {c.name: c.detail for c in report.failures}
+        assert "reps_n5_1" in failures
+        assert failures["spin class count n=5"] == "computed 3, known 4"
+
+    def test_non_orientable_representative_is_named(self, tmp_path):
+        # a non-spin representative that is not orientable either: its spin
+        # verdict matches, so only the orientability condition can fail it
+        fixtures = tmp_path / "data"
+        shutil.copytree(default_fixture_dir(), fixtures)
+        (fixtures / "reps_n5_4.txt").write_text("01000\n00000\n00000\n00000\n00000\n")
+        failures = {c.name: c.detail for c in verify_fixture_suite(fixtures).failures}
+        assert failures == {"reps_n5_4": "orientable=False spin=False expected spin=False"}
+
+    def test_family_witness_is_checked(self, monkeypatch):
+        # one dimension up, each member is still orientable and not spin, but
+        # its witness pair is (1, n-1), not the (1, n-2) the family promises
+        family = enumeration.orientable_not_spin_family
+        monkeypatch.setattr(enumeration, "orientable_not_spin_family", lambda n: family(n + 1))
+        names = {c.name for c in verify_fixture_suite().failures}
+        assert names == {f"orientable-not-spin family n={n}" for n in range(5, 11)}
 
     def test_missing_fixture_raises(self, tmp_path):
         with pytest.raises(BottError):
@@ -492,3 +511,5 @@ class TestVerification:
             assert failures[fixture] == "routes disagree: pairwise"
         for n in range(5, 11):
             assert f"orientable-not-spin family n={n}" in failures
+        for name in ("reps_n5_0", "spin4_0", "dimension-4 exhaustive sweep"):
+            assert name in failures
